@@ -17,11 +17,10 @@ import json
 import sys
 from dataclasses import dataclass, replace
 
-import sympy
-
 from . import __version__
 from .errors import BudgetError
-from .singer import canonical_field_spec, construct_singer, gap_statistic, verify_perfect_difference
+from .singer import _is_prime, _scan_singer, canonical_field_spec, construct_singer, gap_statistic
+from .singer import normalize, verify_perfect_difference
 from .poly import build_polynomial, defect_poly, eval_grid, eval_support_grid
 from .analysis import KernelSpec, flatness, realline_flatness
 from .mahler import mahler_jensen, mahler_log
@@ -169,7 +168,7 @@ def _validate(cmd):
     for label, value in (("--p", (cmd.p,) if cmd.p is not None else ()),
                          ("--primes", cmd.primes or ())):
         for p in value:
-            if p < 2 or not sympy.isprime(p):
+            if not _is_prime(p):
                 raise UsageError(f"{label}: {p} is not prime")
     if cmd.m < 1:
         raise UsageError(f"--m: must be positive, got {cmd.m}")
@@ -197,8 +196,8 @@ def _rat(fr):
 # ---------------------------------------------------------------------------
 
 def _run_singer(cmd):
-    sset = construct_singer(cmd.p, cmd.m)
     spec = canonical_field_spec(cmd.p, cmd.m)
+    sset = normalize(_scan_singer(spec))
     report = verify_perfect_difference(sset.residues, sset.q)
     return {
         "p": cmd.p,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import _mean
 from .errors import BudgetError
 from .poly import NewmanPolynomial, build_polynomial, eval_support_grid
 
@@ -59,11 +60,7 @@ def _log_abs_mean(coeffs, N):
         absv[j] = abs(np.sum(coeffs[exps] * np.exp(1j * theta * exps)))
     if np.all(absv < ZERO_THRESHOLD):
         raise ValueError("polynomial vanishes on the whole grid")
-    return _fmean(np.log(absv)), _fmean(absv)
-
-
-def _fmean(arr):
-    return math.fsum(arr.tolist()) / len(arr)
+    return _mean(np.log(absv)), _mean(absv)
 
 
 def mahler_log(P, grid_size=None):
@@ -130,7 +127,7 @@ def mahler_jensen(P, grid_size=None):
         value *= float(np.prod(moduli[moduli > 1.0])) if outside else 1.0
     N = grid_size if grid_size is not None else max(4096, 4 * (degree + 1))
     absv = np.abs(eval_support_grid(exps, coeffs[exps], N, offset=0.5))
-    return MahlerReport(q=q, method="jensen", value=float(value), l1=_fmean(absv),
+    return MahlerReport(q=q, method="jensen", value=float(value), l1=_mean(absv),
                         detail={"degree": degree, "roots_outside": outside})
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .singer import SingerSet
+from .singer import SingerSet, _aperiodic_counts
 
 __all__ = [
     "NewmanPolynomial",
@@ -172,13 +172,11 @@ def correlation_table(support, q):
         raise ValueError("support must be distinct")
     if any(s < 0 or s >= q for s in support):
         raise ValueError(f"support must lie in [0, {q})")
-    aper = [0] * (2 * q - 1)
-    cyc = [0] * q
-    for s in support:
-        for t in support:
-            aper[(s - t) + q - 1] += 1
-            cyc[(s - t) % q] += 1
-    return CorrelationTable(q=q, size=len(support), aperiodic=tuple(aper), cyclic=tuple(cyc))
+    aper = _aperiodic_counts(support, q)
+    cyc = aper[q - 1:].copy()  # gamma_r = c_r + c_(r-q)
+    cyc[1:] += aper[:q - 1]
+    return CorrelationTable(q=q, size=len(support), aperiodic=tuple(aper.tolist()),
+                            cyclic=tuple(cyc.tolist()))
 
 
 def correlations(sset: SingerSet):

@@ -154,9 +154,7 @@ def measure_growth(params):
     terms = []
     prev = params.base_height
     for st in params.stages:
-        terms.append(Fraction(sum(st.spacers), st.cutting * prev)
-                     if isinstance(prev, int) and all(isinstance(a, int) for a in st.spacers)
-                     else sum(st.spacers, Fraction(0)) / (st.cutting * prev))
+        terms.append(sum(st.spacers, Fraction(0)) / (st.cutting * prev))
         prev = st.height
     sums, acc = [], Fraction(0)
     for t in terms:

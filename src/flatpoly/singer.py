@@ -5,9 +5,15 @@ A Singer set is a subset S of Z/qZ with q = p^(2m) + p^m + 1 and
 as a difference s - t of elements of S.  The classical construction:
 take a generator g of the multiplicative group of GF(p^(3m)) and collect
 the exponents i in [0, q) for which g^i falls in the 2-dimensional
-GF(p^m)-subspace spanned by {1, g}.  Cosets of GF(p^m)* partition the
+GF(p^m)-subspace W spanned by {1, g}.  Cosets of GF(p^m)* partition the
 exponents mod q, and the subspace is GF(p^m)-stable, so scanning
 i = 0 .. q-1 suffices.
+
+The scan runs on numpy blocks of B exponents.  W is the zero set of m
+functionals mod p.  Block 0 (coordinates of g^0 .. g^(B-1)) is built by
+doubling; block j is block 0 times "multiply by g^(jB)", which the scan
+applies to the functionals instead, so each block costs one
+(B x 3m) @ (3m x m) product mod p and its residues are its zero rows.
 
 Everything here is deterministic: the modulus polynomial is the first
 irreducible monic polynomial of degree 3m in lexicographic coefficient
@@ -17,9 +23,10 @@ same order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-import sympy
+import numpy as np
 
 from .errors import BudgetError
 
@@ -36,13 +43,48 @@ __all__ = [
     "DEFAULT_MAX_FIELD_ORDER",
 ]
 
-# Desk-scale cap on p^(3m); covers the documented default range p <= 10^4, m = 1.
+# Desk-scale cap on p^(3m).  Memory sets the documented range p <= 7919, m = 1: construct_singer
+# plus verify_perfect_difference peak at ~32 bytes per residue mod q, 2.0 GB at p = 7919.
 DEFAULT_MAX_FIELD_ORDER = 10**13
 
+_SCAN_BLOCK = 1 << 16  # exponents per block of the Singer scan
+_PAIR_ROWS = 1024  # support elements per row block of the pair-difference kernel
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
 
 # ---------------------------------------------------------------------------
-# GF(p)[x] helpers.  Polynomials are lists/tuples of ints, constant term first.
+# Integer and GF(p)[x] helpers.  Polynomials are lists/tuples of ints, constant term first.
 # ---------------------------------------------------------------------------
+
+def _is_prime(n):
+    """Miller-Rabin on the first 12 prime bases: exact below 318665857834031151167461
+    (the least strong pseudoprime to all of them), never slow on long input."""
+    if n < 2 or any(n % b == 0 for b in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    return all(pow(b, d, n) == 1 or any(pow(b, d << r, n) == n - 1 for r in range(s))
+               for b in _PRIME_BASES)
+
+
+def _factorint(n):
+    """Prime factorization {prime: exponent} of n >= 1 by trial division."""
+    factors, f = Counter(), 2
+    while f * f <= n:
+        while n % f == 0:
+            factors[f] += 1
+            n //= f
+        f += 1
+    if n > 1:
+        factors[n] += 1
+    return factors
+
+
+def _factor_group_order(p, m):
+    """Factorization of p^(3m) - 1 = (p^m - 1)(p^(2m) + p^m + 1), factor by factor."""
+    pm = p**m
+    return _factorint(pm - 1) + _factorint(pm * pm + pm + 1)
+
 
 def _digits(n, p, width):
     """Base-p digits of n, least significant first, padded to `width`."""
@@ -154,7 +196,7 @@ def _is_irreducible(coeffs, p):
     # x^(p^d) == x mod f, and gcd(x^(p^(d/l)) - x, f) = 1 for prime l | d
     if ring.pow(x, p**d) != x:
         return False
-    for ell in sorted(set(sympy.factorint(d))):
+    for ell in sorted(_factorint(d)):
         h = ring.pow(x, p ** (d // ell))
         diff = [(hc - xc) % p for hc, xc in zip(h, x)]
         g = _poly_gcd(diff, list(coeffs), p)
@@ -246,7 +288,7 @@ def canonical_field_spec(p, m=1, max_field_order=DEFAULT_MAX_FIELD_ORDER):
     assert modulus is not None  # irreducible polynomials of every degree exist
     field = _Field(p, modulus)
     group_order = order - 1
-    prime_divisors = sorted(sympy.factorint(group_order))
+    prime_divisors = sorted(_factor_group_order(p, m))
     generator = None
     for n in range(1, order):
         g = field.element(n)
@@ -265,58 +307,46 @@ def verify_field_spec(spec):
     group_order = spec.p ** (3 * spec.m) - 1
     return all(
         field.pow(spec.generator, group_order // ell) != field.one
-        for ell in sorted(sympy.factorint(group_order))
+        for ell in sorted(_factor_group_order(spec.p, spec.m))
     )
 
 
 def _check_pm(p, m):
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    if p < 2 or not sympy.isprime(p):
+    if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
 
 
-class _SubspaceTest:
-    """Membership test for the GF(p)-span of a list of field elements."""
+def _annihilator(vectors, p):
+    """Matrix F over GF(p) with v @ F = 0 mod p exactly when v lies in span(vectors).
 
-    def __init__(self, p, vectors):
-        self.p = p
-        self.pivots = []  # (column, normalized row)
-        for v in vectors:
-            self._insert(list(v))
+    Reducing v against an echelon basis of the span is linear in v and
+    vanishes exactly on the span; row j of F is the reduction of the j-th
+    unit vector, less the pivot columns, which reduction always zeroes.
+    """
+    pivots = []  # (column, echelon row scaled to 1 there)
 
-    def _reduce(self, row):
-        p = self.p
-        for col, piv in self.pivots:
+    def reduce(row):
+        for col, piv in pivots:
             c = row[col]
-            if c:
-                row = [(a - c * b) % p for a, b in zip(row, piv)]
+            row = [(a - c * b) % p for a, b in zip(row, piv)]
         return row
 
-    def _insert(self, row):
-        row = self._reduce([c % self.p for c in row])
-        for col, c in enumerate(row):
-            if c:
-                inv = pow(c, self.p - 2, self.p)
-                self.pivots.append((col, [(a * inv) % self.p for a in row]))
-                return
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def contains(self, v):
-        return not any(self._reduce(list(v)))
+    for v in vectors:
+        row = reduce([c % p for c in v])
+        col = next((i for i, c in enumerate(row) if c), None)
+        if col is not None:
+            inv = pow(row[col], p - 2, p)
+            pivots.append((col, [a * inv % p for a in row]))
+    d = len(vectors[0])
+    funcs = np.array([reduce([int(i == j) for i in range(d)]) for j in range(d)], dtype=np.int64)
+    return funcs[:, funcs.any(axis=0)]
 
 
-def construct_singer(p, m=1, max_field_order=DEFAULT_MAX_FIELD_ORDER):
-    """Build the canonical normalized Singer set for the prime p (exponent m).
-
-    Deterministic across runs: the field, the generator, and hence the
-    residues are all canonical.  Raises ValueError for non-prime p and
-    BudgetError when p^(3m) exceeds `max_field_order`.
-    """
-    spec = canonical_field_spec(p, m, max_field_order=max_field_order)
+def _scan_singer(spec):
+    """The raw Singer set of a field spec: the i in [0, q) with g^i in W, ascending."""
+    p, m = spec.p, spec.m
     field = _Field(p, spec.modulus_poly)
     g = spec.generator
     pm = p**m
@@ -326,25 +356,46 @@ def construct_singer(p, m=1, max_field_order=DEFAULT_MAX_FIELD_ORDER):
     # form a GF(p)-basis of the subfield, so {omega^t, omega^t * g} spans
     # W = GF(p^m) + GF(p^m)*g over the prime field.
     omega = field.pow(g, q)
-    basis = []
-    w = field.one
-    for _ in range(m):
-        basis.append(w)
-        basis.append(field.mul(w, g))
-        w = field.mul(w, omega)
-    subspace = _SubspaceTest(p, basis)
-    assert subspace.rank == 2 * m
+    basis = [field.mul(field.pow(omega, t), h) for t in range(m) for h in (field.one, g)]
+    funcs = _annihilator(basis, p)
+    assert funcs.shape[1] == m  # W has dimension 2m
 
-    residues = []
-    e = field.one
-    for i in range(q):
-        if subspace.contains(e):
-            residues.append(i)
-        e = field.mul(e, g)
+    # Row j of step is x^j * g, so (coordinates of e) @ step = coordinates of e * g.
+    step = np.array([field.mul(field.element(p**j), g) for j in range(field.d)], dtype=np.int64)
+    rows = np.array([field.one], dtype=np.int64)
+    while len(rows) < min(_SCAN_BLOCK, q):
+        rows = np.vstack([rows, rows @ step % p])
+        step = step @ step % p
+    residues = []  # rows now holds g^0 .. g^(B-1), and step multiplies by g^B
+    for start in range(0, q, len(rows)):
+        hits = start + np.flatnonzero(~(rows @ funcs % p).any(axis=1))
+        residues.extend(hits[hits < q].tolist())
+        funcs = step @ funcs % p
     assert len(residues) == pm + 1
+    return SingerSet(p=p, m=m, q=q, residues=tuple(residues), normalized=False)
 
-    raw = SingerSet(p=p, m=m, q=q, residues=tuple(residues), normalized=False)
-    return normalize(raw)
+
+def construct_singer(p, m=1, max_field_order=DEFAULT_MAX_FIELD_ORDER):
+    """Build the canonical normalized Singer set for the prime p (exponent m).
+
+    Deterministic across runs: the field, the generator, and hence the
+    residues are all canonical.  Raises ValueError for non-prime p and
+    BudgetError when p^(3m) exceeds `max_field_order`.
+    """
+    return normalize(_scan_singer(canonical_field_spec(p, m, max_field_order=max_field_order)))
+
+
+def _aperiodic_counts(support, q):
+    """counts[l + q - 1] = #{(s, t) in support^2 : s - t = l}, as int64.
+
+    Rows are taken _PAIR_ROWS at a time, so no k x k difference array is built.
+    """
+    s = np.asarray(support, dtype=np.int64)
+    shifted = s - (q - 1)
+    counts = np.zeros(2 * q - 1, dtype=np.int64)
+    for lo in range(0, s.size, _PAIR_ROWS):
+        counts += np.bincount((s[lo:lo + _PAIR_ROWS, None] - shifted).ravel(), minlength=2 * q - 1)
+    return counts
 
 
 def verify_perfect_difference(residues, q):
@@ -354,17 +405,14 @@ def verify_perfect_difference(residues, q):
         raise ValueError("duplicate residues")
     if any(r < 0 or r >= q for r in res):
         raise ValueError(f"residues must lie in [0, {q})")
-    counts = [0] * q
-    for s in res:
-        for t in res:
-            if s != t:
-                counts[(s - t) % q] += 1
-    first = None
-    for r in range(1, q):
-        if counts[r] != 1:
-            first = r
-            break
-    return DifferenceReport(valid=first is None, counts=tuple(counts), first_violation=first)
+    aperiodic = _aperiodic_counts(res, q)
+    counts = aperiodic[q - 1:]  # folded in place: gamma_r = c_r + c_(r-q)
+    counts[1:] += aperiodic[:q - 1]
+    counts[0] = 0  # only the pairs s = t have difference 0
+    bad = np.flatnonzero(counts[1:] != 1)
+    first = int(bad[0]) + 1 if bad.size else None
+    return DifferenceReport(valid=first is None, counts=tuple(counts.tolist()),
+                            first_violation=first)
 
 
 def normalize(sset):
@@ -379,10 +427,10 @@ def normalize(sset):
             f"not a perfect difference set (residue {report.first_violation} "
             f"has count {report.counts[report.first_violation]})"
         )
-    pairs = [(x, y) for x in sset.residues for y in sset.residues if (x - y) % sset.q == 1]
-    assert len(pairs) == 1
-    _, y = pairs[0]
-    shifted = tuple(sorted((r - y) % sset.q for r in sset.residues))
+    members = set(sset.residues)
+    starts = [y for y in sset.residues if (y + 1) % sset.q in members]
+    assert len(starts) == 1
+    shifted = tuple(sorted((r - starts[0]) % sset.q for r in sset.residues))
     return SingerSet(p=sset.p, m=sset.m, q=sset.q, residues=shifted, normalized=True)
 
 

@@ -1,11 +1,17 @@
 import random
+import time
 
 import pytest
 import sympy
 
 from flatpoly.errors import BudgetError
 from flatpoly.singer import (
+    _PAIR_ROWS,
     SingerSet,
+    _Field,
+    _factor_group_order,
+    _is_prime,
+    _scan_singer,
     canonical_field_spec,
     construct_singer,
     gap_statistic,
@@ -24,6 +30,64 @@ def brute_force_difference_counts(residues, q):
                 d = (s - t) % q
                 counts[d] = counts.get(d, 0) + 1
     return counts
+
+
+class _SubspaceTest:
+    """Membership test for the GF(p)-span of a list of field elements."""
+
+    def __init__(self, p, vectors):
+        self.p = p
+        self.pivots = []  # (column, normalized row)
+        for v in vectors:
+            self._insert(list(v))
+
+    def _reduce(self, row):
+        p = self.p
+        for col, piv in self.pivots:
+            c = row[col]
+            if c:
+                row = [(a - c * b) % p for a, b in zip(row, piv)]
+        return row
+
+    def _insert(self, row):
+        row = self._reduce([c % self.p for c in row])
+        for col, c in enumerate(row):
+            if c:
+                inv = pow(c, self.p - 2, self.p)
+                self.pivots.append((col, [(a * inv) % self.p for a in row]))
+                return
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def contains(self, v):
+        return not any(self._reduce(list(v)))
+
+
+def scalar_scan_residues(spec):
+    """Independent oracle: test g^i for membership in W one exponent at a time."""
+    p, m = spec.p, spec.m
+    field = _Field(p, spec.modulus_poly)
+    g = spec.generator
+    pm = p**m
+    q = pm * pm + pm + 1
+    omega = field.pow(g, q)
+    basis = []
+    w = field.one
+    for _ in range(m):
+        basis.append(w)
+        basis.append(field.mul(w, g))
+        w = field.mul(w, omega)
+    subspace = _SubspaceTest(p, basis)
+    assert subspace.rank == 2 * m
+    residues = []
+    e = field.one
+    for i in range(q):
+        if subspace.contains(e):
+            residues.append(i)
+        e = field.mul(e, g)
+    return residues
 
 
 class TestConstruct:
@@ -58,6 +122,13 @@ class TestConstruct:
         assert s.q == 21
         assert len(s.residues) == 5
         assert verify_perfect_difference(s.residues, 21).valid
+
+    @pytest.mark.parametrize(
+        "p, m", [(p, 1) for p in sympy.primerange(2, 102)] + [(2, 2), (3, 2), (5, 2), (2, 3)]
+    )
+    def test_scan_matches_scalar_oracle(self, p, m):
+        spec = canonical_field_spec(p, m)
+        assert list(_scan_singer(spec).residues) == scalar_scan_residues(spec)
 
     @pytest.mark.parametrize("p", list(sympy.primerange(2, 32)))
     def test_small_primes_are_perfect(self, p, singer_cache):
@@ -96,6 +167,14 @@ class TestVerify:
             assert report.counts == tuple(
                 brute_force_difference_counts(residues, q).get(r, 0) for r in range(q)
             )
+        # one support spanning more than one row block of the pair kernel
+        q = 4 * _PAIR_ROWS
+        k = _PAIR_ROWS + 37
+        residues = rng.sample(range(q), k)
+        report = verify_perfect_difference(residues, q)
+        assert sum(report.counts) == k * (k - 1)
+        oracle = brute_force_difference_counts(residues, q)
+        assert report.counts == tuple(oracle.get(r, 0) for r in range(q))
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
@@ -152,6 +231,33 @@ class TestGap:
     def test_positive(self, singer_cache):
         for p in (2, 3, 5, 7, 11):
             assert gap_statistic(singer_cache(p)) > 0
+
+
+class TestIntegerHelpers:
+    def test_is_prime_matches_sympy(self):
+        assert [n for n in range(10**5) if _is_prime(n)] == list(sympy.primerange(0, 10**5))
+
+    @pytest.mark.parametrize("n", [
+        561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,  # Carmichael
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,  # strong pseudoprimes
+        341550071728321, 3825123056546413051,
+    ])
+    def test_pseudoprimes_rejected(self, n):
+        assert not sympy.isprime(n)
+        assert not _is_prime(n)
+
+    def test_thirty_digits_return_at_once(self):
+        prime = sympy.nextprime(10**29)
+        start = time.perf_counter()
+        assert _is_prime(prime)
+        assert not _is_prime(prime + 2 * 3 * 5)
+        assert not _is_prime(prime * sympy.nextprime(prime))
+        assert time.perf_counter() - start < 1.0
+
+    def test_group_order_factorization_matches_sympy(self):
+        extra = [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3)]
+        for p, m in [(p, 1) for p in sympy.primerange(2, 200)] + extra:
+            assert dict(_factor_group_order(p, m)) == sympy.factorint(p ** (3 * m) - 1)
 
 
 class TestFieldSpec:
