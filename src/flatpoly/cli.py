@@ -21,8 +21,8 @@ from . import __version__
 from .errors import BudgetError
 from .singer import _is_prime, _scan_singer, canonical_field_spec, construct_singer, gap_statistic
 from .singer import normalize, verify_perfect_difference
-from .poly import build_polynomial, defect_poly, eval_grid, eval_support_grid
-from .analysis import KernelSpec, flatness, realline_flatness
+from .poly import build_polynomial, correlations, eval_grid, eval_support_grid
+from .analysis import KernelSpec, _flatness_from_abs, realline_flatness
 from .mahler import mahler_jensen, mahler_log
 from .riesz import check_dissociated, ergodicity_sum, make_plan, partial_coeffs, plan_to_json
 from .rankone import build_tower, derive_map_params, measure_growth
@@ -219,12 +219,14 @@ def _flat_row(p, m, alpha, grid_multiplier):
     sset = construct_singer(p, m)
     P = build_polynomial(sset)
     grid = grid_multiplier * sset.q
-    rep = flatness(P, alpha, grid)
+    absv = np.abs(eval_grid(P, grid).values)
+    rep = _flatness_from_abs(P, alpha, absv)
     ml = mahler_log(P)
-    Q = defect_poly(sset)
-    values = eval_grid(P, grid).values
-    qvals = eval_support_grid(np.arange(1, sset.q), Q.coefficient_array()[1:], grid)
-    gap = np.abs(qvals) - np.abs(np.abs(values) ** 2 - 1.0)
+    # Q's coefficients gamma_l / |S| from the integer counts; IEEE division
+    # rounds exactly as float(Fraction(gamma_l, |S|)) does
+    qcoeffs = np.array(correlations(sset).cyclic[1:]) / sset.size
+    qvals = eval_support_grid(np.arange(1, sset.q), qcoeffs, grid)
+    gap = np.abs(qvals) - np.abs(absv**2 - 1.0)
     return {
         "p": rep.p,
         "q": rep.q,
@@ -245,9 +247,9 @@ def _run_flat(cmd):
     return {
         "rows": rows,
         "methods": {
-            "defect_sq": "uniform-grid quadrature of | |P|^2 - 1 |^alpha, fsum; "
+            "defect_sq": "uniform-grid quadrature of | |P|^2 - 1 |^alpha, pairwise sum; "
                          "tolerance 1e-6 against dense-evaluation oracle",
-            "defect_abs": "uniform-grid quadrature of | |P| - 1 |^alpha, fsum",
+            "defect_abs": "uniform-grid quadrature of | |P| - 1 |^alpha, pairwise sum",
             "mahler": "log-integral on a midpoint grid, adaptive doubling to 1e-9",
             "s3_bound": "p^alpha/q + (q-1)/q (p+1)^-alpha with absolute constant 1",
             "defect_dominance_min_gap": "min over grid of |Q(z)| - ||P(z)|^2 - 1| "

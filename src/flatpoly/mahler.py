@@ -27,6 +27,7 @@ from .poly import NewmanPolynomial, build_polynomial, eval_support_grid
 __all__ = ["MahlerReport", "mahler_log", "mahler_jensen", "riesz_mahler"]
 
 JENSEN_DEGREE_BUDGET = 2048
+MAHLER_GRID_CAP = 2**22  # largest grid of mahler_log's doubling
 ZERO_THRESHOLD = 1e-14
 
 
@@ -66,9 +67,13 @@ def _log_abs_mean(coeffs, N):
 def mahler_log(P, grid_size=None):
     """Mahler measure as exp of the grid mean of log|P|.
 
-    With grid_size=None the grid is doubled until the value moves by
-    less than 1e-9 (capped at 2^22 points, which near-circle roots can
-    require); an explicit grid_size is used as given.
+    With grid_size=None the grid is doubled until the mean of log|P|
+    moves by less than 1e-9, capped at 2^22 points (near-circle roots can
+    require more); an explicit grid_size is used as given.  detail holds
+    the final grid, the grids tried, the last change of the mean
+    (None after a single grid) and converged: True when the doubling
+    met 1e-9, False when it stopped at the cap or the starting grid was
+    already the cap, None for an explicit grid_size.
     """
     coeffs, q = _coefficients(P)
     if not np.any(coeffs):
@@ -76,21 +81,27 @@ def mahler_log(P, grid_size=None):
     degree = int(np.nonzero(coeffs)[0].max())
     if grid_size is not None:
         mean_log, l1 = _log_abs_mean(coeffs, grid_size)
-        return MahlerReport(q=q, method="log-integral", value=math.exp(mean_log),
-                            l1=l1, detail={"grid": grid_size})
+        return MahlerReport(q=q, method="log-integral", value=math.exp(mean_log), l1=l1,
+                            detail={"grid": grid_size, "grids": [grid_size],
+                                    "last_delta": None, "converged": None})
     N = 4096
     while N < 16 * (degree + 1):
         N *= 2
+    grids = [N]
     mean_log, l1 = _log_abs_mean(coeffs, N)
-    while N < 2**22:
+    delta, converged = None, False
+    while N < MAHLER_GRID_CAP:
         N *= 2
-        new_mean, new_l1 = _log_abs_mean(coeffs, N)
-        done = abs(new_mean - mean_log) < 1e-9
-        mean_log, l1 = new_mean, new_l1
-        if done:
+        grids.append(N)
+        new_mean, l1 = _log_abs_mean(coeffs, N)
+        delta = abs(new_mean - mean_log)
+        mean_log = new_mean
+        if delta < 1e-9:
+            converged = True
             break
-    return MahlerReport(q=q, method="log-integral", value=math.exp(mean_log),
-                        l1=l1, detail={"grid": N})
+    return MahlerReport(q=q, method="log-integral", value=math.exp(mean_log), l1=l1,
+                        detail={"grid": N, "grids": grids, "last_delta": delta,
+                                "converged": converged})
 
 
 def mahler_jensen(P, grid_size=None):

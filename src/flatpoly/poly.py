@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .singer import SingerSet, _aperiodic_counts
+from .singer import SingerSet, _pair_counts
 
 __all__ = [
     "NewmanPolynomial",
@@ -172,7 +172,7 @@ def correlation_table(support, q):
         raise ValueError("support must be distinct")
     if any(s < 0 or s >= q for s in support):
         raise ValueError(f"support must lie in [0, {q})")
-    aper = _aperiodic_counts(support, q)
+    aper = _pair_counts(support, q)
     cyc = aper[q - 1:].copy()  # gamma_r = c_r + c_(r-q)
     cyc[1:] += aper[:q - 1]
     return CorrelationTable(q=q, size=len(support), aperiodic=tuple(aper.tolist()),

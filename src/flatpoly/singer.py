@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 # Desk-scale cap on p^(3m).  Memory sets the documented range p <= 7919, m = 1: construct_singer
-# plus verify_perfect_difference peak at ~32 bytes per residue mod q, 2.0 GB at p = 7919.
+# plus verify_perfect_difference grow by ~24 bytes per residue mod q, ~1.6 GB at p = 7919.
 DEFAULT_MAX_FIELD_ORDER = 10**13
 
 _SCAN_BLOCK = 1 << 16  # exponents per block of the Singer scan
@@ -385,32 +385,45 @@ def construct_singer(p, m=1, max_field_order=DEFAULT_MAX_FIELD_ORDER):
     return normalize(_scan_singer(canonical_field_spec(p, m, max_field_order=max_field_order)))
 
 
-def _aperiodic_counts(support, q):
-    """counts[l + q - 1] = #{(s, t) in support^2 : s - t = l}, as int64.
+def _pair_counts(support, q, cyclic=False):
+    """Ordered-pair difference counts of a support, as int64.
 
-    Rows are taken _PAIR_ROWS at a time, so no k x k difference array is built.
+    Aperiodic: counts[l + q - 1] = #{(s, t) in support^2 : s - t = l}.
+    Cyclic: counts[r] = #{(s, t) in support^2 : s - t = r mod q}, in half
+    the memory of folding the aperiodic counts.  Rows are taken
+    _PAIR_ROWS at a time, so no k x k difference array is built.
     """
     s = np.asarray(support, dtype=np.int64)
-    shifted = s - (q - 1)
-    counts = np.zeros(2 * q - 1, dtype=np.int64)
+    size = q if cyclic else 2 * q - 1
+    shifted = s if cyclic else s - (q - 1)
+    counts = np.zeros(size, dtype=np.int64)
     for lo in range(0, s.size, _PAIR_ROWS):
-        counts += np.bincount((s[lo:lo + _PAIR_ROWS, None] - shifted).ravel(), minlength=2 * q - 1)
+        diffs = s[lo:lo + _PAIR_ROWS, None] - shifted
+        if cyclic:
+            diffs[diffs < 0] += q
+        counts += np.bincount(diffs.ravel(), minlength=size)
     return counts
 
 
-def verify_perfect_difference(residues, q):
-    """Count every ordered-pair difference mod q; exact, no tolerance."""
+def _difference_counts(residues, q):
+    """(counts, first_violation): int64 pair counts mod q, counts[0] = 0.
+
+    first_violation is the least r in [1, q) whose count is not one, or None.
+    """
     res = list(residues)
     if len(set(res)) != len(res):
         raise ValueError("duplicate residues")
     if any(r < 0 or r >= q for r in res):
         raise ValueError(f"residues must lie in [0, {q})")
-    aperiodic = _aperiodic_counts(res, q)
-    counts = aperiodic[q - 1:]  # folded in place: gamma_r = c_r + c_(r-q)
-    counts[1:] += aperiodic[:q - 1]
+    counts = _pair_counts(res, q, cyclic=True)
     counts[0] = 0  # only the pairs s = t have difference 0
     bad = np.flatnonzero(counts[1:] != 1)
-    first = int(bad[0]) + 1 if bad.size else None
+    return counts, int(bad[0]) + 1 if bad.size else None
+
+
+def verify_perfect_difference(residues, q):
+    """Count every ordered-pair difference mod q; exact, no tolerance."""
+    counts, first = _difference_counts(residues, q)
     return DifferenceReport(valid=first is None, counts=tuple(counts.tolist()),
                             first_violation=first)
 
@@ -421,11 +434,10 @@ def normalize(sset):
     The ordered pair with difference 1 is unique in a perfect difference
     set, so the normalized translate is unique; the map is idempotent.
     """
-    report = verify_perfect_difference(sset.residues, sset.q)
-    if not report.valid:
+    counts, first = _difference_counts(sset.residues, sset.q)
+    if first is not None:
         raise ValueError(
-            f"not a perfect difference set (residue {report.first_violation} "
-            f"has count {report.counts[report.first_violation]})"
+            f"not a perfect difference set (residue {first} has count {counts[first]})"
         )
     members = set(sset.residues)
     starts = [y for y in sset.residues if (y + 1) % sset.q in members]

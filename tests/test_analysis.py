@@ -5,6 +5,7 @@ import pytest
 
 from flatpoly.analysis import (
     KernelSpec,
+    _mean,
     flatness,
     kernel_mass,
     kernel_tail_bound,
@@ -38,6 +39,23 @@ def dense_oracle_mean(support, scale, N, transform):
 @pytest.fixture
 def P7(singer_cache):
     return build_polynomial(singer_cache(2))
+
+
+class TestMean:
+    @pytest.mark.parametrize("n", [1, 7, 1000, 2**16 + 3, 2**22])
+    def test_against_fsum_oracle(self, n):
+        rng = np.random.default_rng(n)
+        eps = np.finfo(float).eps
+        for arr in (rng.random(n), rng.standard_normal(n), 1.0 + 1e-3 * rng.standard_normal(n)):
+            exact = math.fsum(arr.tolist()) / n
+            # pairwise summation error bound, plus the final division
+            bound = (math.log2(n) + 1) * eps * float(np.abs(arr).sum()) / n
+            assert abs(_mean(arr) - exact) <= bound
+            assert isinstance(_mean(arr), float)
+
+    def test_deterministic(self):
+        arr = np.random.default_rng(5).standard_normal(10**6)
+        assert _mean(arr) == _mean(arr.copy())
 
 
 class TestLpNorm:

@@ -1,10 +1,19 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from flatpoly.cli import Command, UsageError, main, parse
+import flatpoly
+from flatpoly import analysis, cli, mahler, poly
+from flatpoly.analysis import flatness
+from flatpoly.cli import Command, UsageError, _flat_row, main, parse
+from flatpoly.poly import build_polynomial, defect_poly, eval_grid, eval_support_grid
 
 
 def run_to_file(tmp_path, argv, name="report"):
@@ -156,3 +165,50 @@ class TestExecute:
     def test_timestamp_present_by_default(self, capsys):
         main(["singer", "--p", "2"])
         assert "timestamp" in json.loads(capsys.readouterr().out)
+
+
+class TestFlatRow:
+    """One |P| evaluation feeds the defects, L1 and the dominance gap."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_matches_flatness(self, p, alpha, singer_cache):
+        sset = singer_cache(p)
+        row = _flat_row(p, 1, alpha, 16)
+        rep = flatness(build_polynomial(sset), alpha, 16 * sset.q)
+        assert row["grid"] == rep.grid_size == 16 * sset.q
+        assert row["defect_sq"] == rep.defect_sq
+        assert row["defect_abs"] == rep.defect_abs
+        assert row["l1"] == rep.l1_norm
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_dominance_gap_matches_fraction_route(self, p, singer_cache):
+        # oracle: Q through its Fraction coefficients and a second evaluation of P
+        sset = singer_cache(p)
+        grid = 16 * sset.q
+        values = eval_grid(build_polynomial(sset), grid).values
+        Q = defect_poly(sset)
+        qvals = eval_support_grid(np.arange(1, sset.q), Q.coefficient_array()[1:], grid)
+        oracle = float((np.abs(qvals) - np.abs(np.abs(values) ** 2 - 1.0)).min())
+        assert _flat_row(p, 1, 1.0, 16)["defect_dominance_min_gap"] == oracle
+
+    def test_two_evaluations_at_the_flat_grid(self, monkeypatch, singer_cache):
+        grids = []
+
+        def counted(exponents, coeffs, N, offset=0.0):
+            grids.append(N)
+            return eval_support_grid(exponents, coeffs, N, offset)
+
+        for module in (poly, analysis, mahler, cli):
+            monkeypatch.setattr(module, "eval_support_grid", counted)
+        q = singer_cache(5).q
+        _flat_row(5, 1, 1.0, 16)
+        assert grids.count(16 * q) == 2  # P once, Q once
+
+
+def test_import_leaves_out_integrate_and_sympy():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(flatpoly.__file__).parents[1]))
+    code = "import sys, flatpoly.cli; print(sorted(m for m in ('scipy.integrate', 'sympy') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

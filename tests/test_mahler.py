@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flatpoly.errors import BudgetError
-from flatpoly.mahler import mahler_jensen, mahler_log, riesz_mahler
+from flatpoly.mahler import MAHLER_GRID_CAP, mahler_jensen, mahler_log, riesz_mahler
 from flatpoly.poly import build_polynomial, newman_from_support
 from flatpoly.riesz import make_plan
 
@@ -59,6 +59,32 @@ class TestCrossMethod:
         rep = mahler_log([1.0, 1.0])
         assert rep.value == pytest.approx(1.0, abs=1e-6)
         assert mahler_jensen([1.0, 1.0]).value == pytest.approx(1.0, abs=1e-9)
+
+
+class TestConvergenceDetail:
+    def test_converges_p7(self, singer_cache):
+        detail = mahler_log(build_polynomial(singer_cache(7))).detail
+        assert detail["converged"] is True
+        assert detail["last_delta"] < 1e-9
+        assert detail["grids"][-1] == detail["grid"] < MAHLER_GRID_CAP
+        assert all(b == 2 * a for a, b in zip(detail["grids"], detail["grids"][1:]))
+
+    def test_cap_reported_p101(self, singer_cache):
+        detail = mahler_log(build_polynomial(singer_cache(101))).detail
+        assert detail["converged"] is False
+        assert detail["last_delta"] >= 1e-9
+        assert detail["grids"][-1] == detail["grid"] == MAHLER_GRID_CAP
+        assert len(detail["grids"]) > 1
+
+    def test_start_at_cap_is_unconverged(self):
+        # 16 (degree + 1) > 2^21: the first grid is the cap, so nothing is compared
+        detail = mahler_log(newman_from_support([0, MAHLER_GRID_CAP // 32 + 1])).detail
+        assert detail == {"grid": MAHLER_GRID_CAP, "grids": [MAHLER_GRID_CAP],
+                          "last_delta": None, "converged": False}
+
+    def test_explicit_grid(self, singer_cache):
+        detail = mahler_log(build_polynomial(singer_cache(3)), grid_size=8192).detail
+        assert detail == {"grid": 8192, "grids": [8192], "last_delta": None, "converged": None}
 
 
 class TestAlgebra:

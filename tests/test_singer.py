@@ -200,8 +200,18 @@ class TestNormalize:
 
     def test_rejects_non_difference_set(self):
         s = SingerSet(p=2, m=1, q=7, residues=(0, 1, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"residue 1 has count 2\)"):
             normalize(s)
+
+    def test_names_first_violation_of_corrupted_set(self, singer_cache):
+        s = singer_cache(13)
+        residues = sorted(set(s.residues[:-1]) | {s.residues[-1] - 1})
+        assert len(residues) == s.size
+        corrupted = SingerSet(p=13, m=1, q=s.q, residues=tuple(residues))
+        report = verify_perfect_difference(corrupted.residues, s.q)
+        r = report.first_violation
+        with pytest.raises(ValueError, match=rf"residue {r} has count {report.counts[r]}\)"):
+            normalize(corrupted)
 
     def test_preserves_difference_property(self, singer_cache):
         rng = random.Random(11)
