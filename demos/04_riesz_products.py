@@ -4,8 +4,9 @@
 Each stage contributes |P_j(z^{N_j})|^2.  When the scales grow fast
 enough, stage frequencies can never recombine: every partial product
 has Fourier coefficient exactly 1 at frequency 0 (unit mass) and the
-full coefficient map is a sparse convolution over exact rationals.  The
-same scale growth feeds the ergodicity and quasi-invariance series.
+full coefficient map is a sparse convolution of integer pair counts
+over one denominator, prod |S_j|.  The same scale growth feeds the
+ergodicity and quasi-invariance series.
 """
 
 from fractions import Fraction
@@ -42,10 +43,13 @@ print()
 print("Exact partial-product coefficients (primes 2, 3; scales 1, 24):")
 plan23 = make_plan([2, 3])
 coeffs = partial_coeffs(plan23, 2)
+print(f"  integer pair counts over the denominator |S_1| |S_2| = {coeffs.denominator}:")
 print(f"  support size {len(coeffs.coefficients)}, "
-      f"coefficient at 0 = {coeffs.zero_coefficient} (exact),")
-print(f"  total mass = {coeffs.total_mass} = (p_1+1)(p_2+1),")
-sample = {f: coeffs.coefficients[f] for f in (1, 24, 25, 216)}
+      f"coefficient at 0 = {coeffs.coefficients[0]}/{coeffs.denominator} "
+      f"= {coeffs.zero_coefficient} (exact),")
+print(f"  total mass = {sum(coeffs.coefficients.values())}/{coeffs.denominator} "
+      f"= {coeffs.total_mass} = (p_1+1)(p_2+1),")
+sample = {f: f"{coeffs.coefficients[f]}/{coeffs.denominator}" for f in (1, 24, 25, 216)}
 print(f"  samples: {sample}")
 
 print()

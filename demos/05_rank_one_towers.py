@@ -60,10 +60,11 @@ for n in (0, 1, 2, 3, 4, 8, 24):
     c = correlation(params, 0, 2, n)
     print(f"{n:>4} {str(c.empirical):>10} {str(c.predicted):>10} {str(c.tolerance):>11}")
 
-coeffs = partial_coeffs(plan, 2).coefficients
+coeffs = partial_coeffs(plan, 2)
 hist = Counter(a - b for a in occ for b in occ)
-exact = all(Fraction(hist.get(f, 0), 12) == v for f, v in coeffs.items())
-print("offset-difference histogram / 12 equals the coefficient map exactly:", exact)
+exact = coeffs.coefficients == hist and coeffs.denominator == len(occ)
+print(f"offset-difference histogram equals the coefficient numerators over "
+      f"{coeffs.denominator} = {len(occ)} base copies exactly:", exact)
 
 print()
 print("The flow version scales every height by tau (tau = 1/2):")

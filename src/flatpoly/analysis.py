@@ -128,9 +128,12 @@ def _flatness_from_abs(P: NewmanPolynomial, alpha, absv):
 
 
 def l2_defect_sq_exact(table):
-    """Exact || |P|^2 - 1 ||_2^2 = sum_{l != 0} c_l^2 / |S|^2 from counts."""
-    total = sum(c * c for l, c in enumerate(table.aperiodic, start=-(table.q - 1)) if l != 0)
-    return Fraction(total, table.size**2)
+    """Exact || |P|^2 - 1 ||_2^2 = sum_{l != 0} c_l^2 / |S|^2 from counts.
+
+    The l = 0 term is c_0^2 = |S|^2, so it is subtracted from the full sum.
+    """
+    k2 = table.size**2
+    return Fraction(sum(c * c for c in table.aperiodic) - k2, k2)
 
 
 def l2_defect_exact(table):

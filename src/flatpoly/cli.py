@@ -43,6 +43,12 @@ CSV_COLUMNS = {
 }
 
 
+# Method text of every mahler_log column; the row says whether it converged.
+MAHLER_DOUBLING = ("grid doubling until the mean of log|P| moves by less than 1e-9, "
+                   "capped at 2^22 points; mahler_converged is false where it reached "
+                   "the cap without meeting 1e-9")
+
+
 class UsageError(ValueError):
     """Bad flags or flag values; maps to exit code 2."""
 
@@ -236,6 +242,7 @@ def _flat_row(p, m, alpha, grid_multiplier):
         "defect_abs": rep.defect_abs,
         "l1": rep.l1_norm,
         "mahler": ml.value,
+        "mahler_converged": ml.detail["converged"],
         "s3_bound": rep.s3_bound,
         "l2_defect_closed": rep.l2_defect_closed,
         "defect_dominance_min_gap": float(gap.min()),
@@ -250,7 +257,7 @@ def _run_flat(cmd):
             "defect_sq": "uniform-grid quadrature of | |P|^2 - 1 |^alpha, pairwise sum; "
                          "tolerance 1e-6 against dense-evaluation oracle",
             "defect_abs": "uniform-grid quadrature of | |P| - 1 |^alpha, pairwise sum",
-            "mahler": "log-integral on a midpoint grid, adaptive doubling to 1e-9",
+            "mahler": "log-integral on a midpoint grid, " + MAHLER_DOUBLING,
             "s3_bound": "p^alpha/q + (q-1)/q (p+1)^-alpha with absolute constant 1",
             "defect_dominance_min_gap": "min over grid of |Q(z)| - ||P(z)|^2 - 1| "
                                         "(observational; not asserted)",
@@ -270,11 +277,12 @@ def _run_mahler(cmd):
             "mahler_jensen": mj.value,
             "cross_method_gap": abs(ml.value - mj.value),
             "l1": ml.l1,
+            "mahler_converged": ml.detail["converged"],
         })
     return {
         "rows": rows,
         "methods": {
-            "mahler_log": "exp of midpoint-grid mean of log|P|, adaptive doubling to 1e-9",
+            "mahler_log": "exp of midpoint-grid mean of log|P|, " + MAHLER_DOUBLING,
             "mahler_jensen": "companion-matrix roots; |lead| * prod |root| over |root| > 1",
             "cross_method_gap": "tolerance 1e-6",
         },
@@ -286,12 +294,13 @@ def _run_beta(cmd):
     for p in cmd.primes:
         P = build_polynomial(construct_singer(p, cmd.m))
         ml = mahler_log(P)
-        rows.append({"p": p, "q": P.q, "l1": ml.l1, "mahler": ml.value})
+        rows.append({"p": p, "q": P.q, "l1": ml.l1, "mahler": ml.value,
+                     "mahler_converged": ml.detail["converged"]})
     return {
         "rows": rows,
         "methods": {
             "l1": "midpoint-grid quadrature mean of |P|",
-            "mahler": "log-integral, adaptive doubling to 1e-9",
+            "mahler": "log-integral, " + MAHLER_DOUBLING,
             "note": "suprema over the family tend to 1; tabulated only, not asserted",
         },
     }

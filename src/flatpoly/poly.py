@@ -185,7 +185,9 @@ def correlations(sset: SingerSet):
 
 def defect_poly(sset: SingerSet):
     table = correlations(sset)
-    coeffs = tuple(Fraction(table.cyclic[r], table.size) for r in range(1, sset.q))
+    # one Fraction per distinct count: a Singer set has a single one, 1
+    ratio = {g: Fraction(g, table.size) for g in set(table.cyclic[1:])}
+    coeffs = tuple(ratio[g] for g in table.cyclic[1:])
     return DefectPolynomial(q=sset.q, size=table.size, coefficients=coeffs)
 
 

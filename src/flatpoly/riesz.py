@@ -165,10 +165,7 @@ def check_dissociated(plan, stages=None, mode="differences"):
     if mode == "sums":
         blocks = [st.frequencies for st in plan.stages[:k]]
     elif mode == "differences":
-        blocks = [
-            sorted({a - b for a in st.frequencies for b in st.frequencies})
-            for st in plan.stages[:k]
-        ]
+        blocks = [list(_stage_map(st)) for st in plan.stages[:k]]
     else:
         raise ValueError(f"mode must be 'sums' or 'differences', got {mode!r}")
     total = 1
@@ -194,53 +191,65 @@ def check_dissociated(plan, stages=None, mode="differences"):
 
 @dataclass(frozen=True, eq=False)
 class SparseCoefficients:
-    """Exact Fourier coefficients of a partial product, frequency -> Fraction."""
+    """Exact Fourier coefficients of a partial product over one denominator.
+
+    coefficients maps a frequency f to an integer numerator: the number
+    of ways to pick one ordered pair (a_j, b_j) from N_j S_j per stage
+    with sum_j (a_j - b_j) = f.  The coefficient is numerator /
+    denominator, with denominator = prod_{j<=k} |S_j|.
+    """
 
     stages: int
     coefficients: dict
+    denominator: int
 
     @property
     def zero_coefficient(self):
-        return self.coefficients.get(0, Fraction(0))
+        return Fraction(self.coefficients.get(0, 0), self.denominator)
 
     @property
     def dissociation_consistent(self):
         """Unit zero-coefficient; fails exactly when stage sums collide."""
-        return self.zero_coefficient == 1
+        return self.coefficients.get(0) == self.denominator
 
     @property
     def total_mass(self):
-        return sum(self.coefficients.values(), Fraction(0))
+        return Fraction(sum(self.coefficients.values()), self.denominator)
+
+
+def _stage_map(st):
+    """{N_j * l: c_l} over the nonzero aperiodic correlations of S_j, ascending."""
+    table = correlations(st.singer)
+    return {st.scale * l: c
+            for l, c in enumerate(table.aperiodic, start=-(table.q - 1)) if c}
 
 
 def partial_coeffs(plan, k, budget=COEFF_BUDGET):
-    """Sparse convolution of the stage coefficient maps, exact rationals.
+    """Sparse convolution of the stage pair-count maps, exact integers.
 
-    Stage j contributes frequency N_j*l with weight c_l/|S_j| over the
-    aperiodic correlations c_l of S_j.  For a dissociated plan the
+    Stage j contributes frequency N_j*l with count c_l over the
+    aperiodic correlations c_l of S_j, so the numerators are products of
+    counts and the denominator is prod |S_j|.  For a dissociated plan the
     coefficient at 0 is exactly 1; a larger value is the diagnostic that
     representations collided (reported via dissociation_consistent, not
     an error).
     """
     if not 1 <= k <= len(plan.stages):
         raise ValueError(f"k must lie in [1, {len(plan.stages)}]")
-    acc = {0: Fraction(1)}
+    acc = {0: 1}
+    denominator = 1
     for st in plan.stages[:k]:
-        table = correlations(st.singer)
-        stage_map = {}
-        for l in range(-(table.q - 1), table.q):
-            c = table.c(l)
-            if c:
-                stage_map[st.scale * l] = Fraction(c, table.size)
+        stage_map = _stage_map(st)
         new = {}
         for f1, v1 in acc.items():
             for f2, v2 in stage_map.items():
                 f = f1 + f2
-                new[f] = new.get(f, Fraction(0)) + v1 * v2
+                new[f] = new.get(f, 0) + v1 * v2
         if len(new) > budget:
             raise BudgetError(f"{len(new)} frequencies exceed the budget {budget}")
         acc = new
-    return SparseCoefficients(stages=k, coefficients=acc)
+        denominator *= st.singer.size
+    return SparseCoefficients(stages=k, coefficients=acc, denominator=denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -162,12 +162,10 @@ def build_report():
     plan4 = make_plan([2, 3, 5, 7], rule="margin:2")
     params4 = derive_map_params(plan4)
     occ = base_occurrences(params4, 0, 4)
-    hist = Counter(a - b for a in occ for b in occ)
-    coeffs4 = partial_coeffs(plan4, 4).coefficients
+    coeffs4 = partial_coeffs(plan4, 4)
     copies = 3 * 4 * 6 * 8
-    histogram_exact = len(hist) == len(coeffs4) and all(
-        Fraction(hist[f], copies) == v for f, v in coeffs4.items()
-    )
+    histogram_exact = (coeffs4.coefficients == Counter(a - b for a in occ for b in occ)
+                       and coeffs4.denominator == copies)
     corr_rows = {}
     corr_ok = True
     h2 = params4.stages[1].height

@@ -136,6 +136,21 @@ class TestExecute:
         rows = list(csv.DictReader(io.StringIO(text)))
         assert [r["p"] for r in rows] == ["2", "3", "5"]
         assert all(float(r["mahler"]) <= float(r["l1"]) + 1e-8 for r in rows)
+        assert text.splitlines()[0] == "p,q,l1,mahler"
+
+    def test_mahler_convergence_reported(self, tmp_path):
+        # p = 7 meets 1e-9 before the 2^22 cap; p = 101 reaches the cap first
+        _, text = run_to_file(tmp_path, ["beta", "--primes", "7,101"])
+        results = json.loads(text)["results"]
+        assert [row["mahler_converged"] for row in results["rows"]] == [True, False]
+        assert "2^22" in results["methods"]["mahler"]
+        assert "mahler_converged" in results["methods"]["mahler"]
+        for argv, method in ((["flat", "--primes", "7", "--alpha", "1"], "mahler"),
+                             (["mahler", "--primes", "7"], "mahler_log")):
+            _, text = run_to_file(tmp_path, argv, argv[0])
+            results = json.loads(text)["results"]
+            assert results["rows"][0]["mahler_converged"] is True
+            assert "2^22" in results["methods"][method]
 
     def test_realline_report(self, tmp_path):
         code, text = run_to_file(

@@ -1,0 +1,145 @@
+"""Property tests: identities that hold for any support or any plan.
+
+Supports are random subsets of [0, q); plans are assembled by hand from
+small Singer sets at arbitrary scales, so they need not be dissociated.
+Each property is checked against an independent route: the pair-count
+folding against its definition, the exact L2 defect against a grid
+mean, the FFT route against direct summation, and the integer Riesz
+coefficients against a convolution over Fractions.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from flatpoly.analysis import l2_defect_sq_exact
+from flatpoly.poly import (
+    DIRECT_EVAL_CUTOFF,
+    correlation_table,
+    correlations,
+    eval_grid,
+    eval_support_grid,
+    newman_from_support,
+)
+from flatpoly.riesz import PlanStage, RieszPlan, _stage_map, partial_coeffs
+from flatpoly.singer import construct_singer
+
+# few examples and a fixed seed keep the tier-1 run fast and repeatable
+PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, database=None, derandomize=True)
+
+SINGER_STAGES = ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2))  # (p, m), q <= 91
+_SETS = {}
+
+
+@st.composite
+def supports(draw, max_q=64):
+    q = draw(st.integers(2, max_q))
+    support = draw(st.sets(st.integers(0, q - 1), min_size=1, max_size=24))
+    return sorted(support), q
+
+
+def manual_plan(picks, scales):
+    """A plan over (p, m) stages at the given scales, with no growth-rule check."""
+    stages, h = [], 1
+    for (p, m), N in zip(picks, scales):
+        if (p, m) not in _SETS:
+            _SETS[(p, m)] = construct_singer(p, m)
+        sset = _SETS[(p, m)]
+        h = sset.residues[-1] * N + h
+        stages.append(PlanStage(prime=p, m=m, singer=sset, scale=N, height=h))
+    return RieszPlan(stages=tuple(stages), rule="explicit")
+
+
+@st.composite
+def manual_plans(draw):
+    """1-3 stages of small Singer sets at arbitrary scales (m = 2 included)."""
+    picks = draw(st.lists(st.sampled_from(SINGER_STAGES), min_size=1, max_size=3))
+    scales = draw(st.lists(st.integers(1, 40), min_size=len(picks), max_size=len(picks)))
+    return manual_plan(picks, scales)
+
+
+# always-run cases: scales (1, 2) collide, and two m = 2 stages
+NON_DISSOCIATED = manual_plan([(2, 1), (3, 1)], [1, 2])
+PRIME_SQUARES = manual_plan([(2, 2), (3, 2)], [1, 17])
+
+
+def fraction_partial_coeffs(plan, k):
+    """Oracle: the stage maps {N_j l: c_l / |S_j|} convolved over Fractions."""
+    acc = {0: Fraction(1)}
+    for stage in plan.stages[:k]:
+        table = correlations(stage.singer)
+        stage_map = {}
+        for l in range(-(table.q - 1), table.q):
+            c = table.c(l)
+            if c:
+                stage_map[stage.scale * l] = Fraction(c, table.size)
+        new = {}
+        for f1, v1 in acc.items():
+            for f2, v2 in stage_map.items():
+                f = f1 + f2
+                new[f] = new.get(f, Fraction(0)) + v1 * v2
+        acc = new
+    return acc
+
+
+@PROPERTY_SETTINGS
+@given(supports())
+def test_cyclic_counts_fold_the_aperiodic_ones(case):
+    support, q = case
+    table = correlation_table(support, q)
+    k = len(support)
+    for r in range(q):
+        assert table.gamma(r) == table.c(r) + table.c(r - q)
+    assert sum(table.cyclic) == sum(table.aperiodic) == k * k
+    assert table.c(0) == k
+
+
+@PROPERTY_SETTINGS
+@given(supports(), st.integers(0, 64))
+def test_parseval_exact_l2_defect_equals_grid_mean(case, extra):
+    # (|P|^2 - 1)^2 has degree 2(q-1) < N, so the N-point mean is exact
+    support, q = case
+    N = 2 * q + extra
+    values = eval_grid(newman_from_support(support, q), N).values
+    mean = float(np.mean((np.abs(values) ** 2 - 1.0) ** 2))
+    exact = l2_defect_sq_exact(correlation_table(support, q))
+    assert abs(mean - float(exact)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(DIRECT_EVAL_CUTOFF, 400), st.data())
+def test_fft_route_matches_direct_summation(N, data):
+    exps = data.draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=20))
+    reals = st.floats(-2.0, 2.0, allow_nan=False)
+    coeffs = np.array([complex(data.draw(reals), data.draw(reals)) for _ in exps])
+    offset = data.draw(st.sampled_from((0.0, 0.5, 0.25)))
+    got = eval_support_grid(exps, coeffs, N, offset=offset)
+    direct = np.exp(2j * np.pi * np.outer(np.arange(N) + offset, exps) / N) @ coeffs
+    assert np.max(np.abs(got - direct)) <= 1e-12 * (1 + np.sum(np.abs(coeffs)))
+
+
+@PROPERTY_SETTINGS
+@given(manual_plans())
+@example(NON_DISSOCIATED)
+@example(PRIME_SQUARES)
+def test_integer_coefficients_equal_the_fraction_oracle(plan):
+    assume(np.prod([stage.singer.q for stage in plan.stages]) <= 30_000)
+    k = len(plan.stages)
+    coeffs = partial_coeffs(plan, k)
+    oracle = fraction_partial_coeffs(plan, k)
+    assert coeffs.denominator == np.prod([stage.singer.size for stage in plan.stages])
+    assert {f: Fraction(n, coeffs.denominator) for f, n in coeffs.coefficients.items()} == oracle
+    assert coeffs.zero_coefficient == oracle[0]
+    assert coeffs.total_mass == sum(oracle.values())
+    assert coeffs.dissociation_consistent == (oracle[0] == 1)
+
+
+@PROPERTY_SETTINGS
+@given(manual_plans())
+@example(NON_DISSOCIATED)
+def test_stage_map_keys_are_the_sorted_difference_block(plan):
+    for stage in plan.stages:
+        freqs = stage.frequencies
+        assert list(_stage_map(stage)) == sorted({a - b for a in freqs for b in freqs})

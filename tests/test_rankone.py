@@ -210,21 +210,18 @@ class TestCorrelation:
             assert rep.excluded_mass <= rep.tolerance * 12
 
     def test_prediction_equals_riesz_coefficients(self, params23, plan23):
-        coeffs = partial_coeffs(plan23, 2).coefficients
+        coeffs = partial_coeffs(plan23, 2)
         occ = base_occurrences(params23, 0, 2)
-        hist = Counter(a - b for a in occ for b in occ)
-        assert len(hist) == len(coeffs)
-        for f, v in coeffs.items():
-            assert Fraction(hist[f], 12) == v
+        assert coeffs.coefficients == Counter(a - b for a in occ for b in occ)
+        assert coeffs.denominator == len(occ) == 12
 
     def test_subplan_prediction_identity(self, plan23, params23):
         # stage-1 base inside stage-2 tower against the one-stage sub-plan
         sub = RieszPlan(stages=plan23.stages[1:], rule="explicit")
-        coeffs = partial_coeffs(sub, 1).coefficients
+        coeffs = partial_coeffs(sub, 1)
         occ = base_occurrences(params23, 1, 2)
-        hist = Counter(a - b for a in occ for b in occ)
-        for f, v in coeffs.items():
-            assert Fraction(hist[f], 4) == v
+        assert coeffs.coefficients == Counter(a - b for a in occ for b in occ)
+        assert coeffs.denominator == len(occ) == 4
 
     def test_n_out_of_range(self, params23):
         with pytest.raises(ValueError):

@@ -121,17 +121,14 @@ class TestDissociation:
 
 class TestPartialCoeffs:
     def test_single_stage_p2(self):
-        coeffs = partial_coeffs(make_plan([2], scales=[1]), 1).coefficients
-        assert coeffs == {
-            0: Fraction(1),
-            1: Fraction(1, 3), -1: Fraction(1, 3),
-            2: Fraction(1, 3), -2: Fraction(1, 3),
-            3: Fraction(1, 3), -3: Fraction(1, 3),
-        }
+        coeffs = partial_coeffs(make_plan([2], scales=[1]), 1)
+        assert coeffs.denominator == 3
+        assert coeffs.coefficients == {0: 3, 1: 1, -1: 1, 2: 1, -2: 1, 3: 1, -3: 1}
 
     def test_two_stage_cross_term(self):
         coeffs = partial_coeffs(make_plan([2, 3]), 2)
-        assert coeffs.coefficients[24] == Fraction(1, 4)
+        assert coeffs.denominator == 12
+        assert Fraction(coeffs.coefficients[24], coeffs.denominator) == Fraction(1, 4)
         assert coeffs.zero_coefficient == 1
         assert coeffs.dissociation_consistent
 
@@ -157,14 +154,14 @@ class TestPartialCoeffs:
         # k = 1 coefficients equal the Fourier coefficients of |P(z^N)|^2
         N_scale = 2
         plan = manual_plan([2], [N_scale])
-        coeffs = partial_coeffs(plan, 1).coefficients
+        coeffs = partial_coeffs(plan, 1)
         P = singer_cache(2)
         exps = [N_scale * s for s in P.residues]
         N = 64
         values = eval_support_grid(exps, [1 / np.sqrt(3)] * 3, N)
         chat = np.fft.fft(np.abs(values) ** 2) / N
         for f in range(-N // 2, N // 2):
-            want = float(coeffs.get(f, Fraction(0)))
+            want = coeffs.coefficients.get(f, 0) / coeffs.denominator
             assert abs(chat[f % N] - want) < 1e-10
 
     def test_stage_bounds(self):
