@@ -14,6 +14,7 @@ every r != 0, which is what makes |P|^2 close to 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -124,7 +125,8 @@ class DefectPolynomial:
         return self.q - 1
 
     def value_at_one(self):
-        return sum(self.coefficients, Fraction(0))
+        den = math.lcm(*{c.denominator for c in self.coefficients})
+        return Fraction(sum(c.numerator * (den // c.denominator) for c in self.coefficients), den)
 
     def eval(self, z):
         acc = 0j
@@ -168,10 +170,6 @@ def newman_from_support(support, q=None):
 def correlation_table(support, q):
     """Exact integer pair counts for any distinct support in [0, q)."""
     support = list(support)
-    if len(set(support)) != len(support):
-        raise ValueError("support must be distinct")
-    if any(s < 0 or s >= q for s in support):
-        raise ValueError(f"support must lie in [0, {q})")
     aper = _pair_counts(support, q)
     cyc = aper[q - 1:].copy()  # gamma_r = c_r + c_(r-q)
     cyc[1:] += aper[:q - 1]

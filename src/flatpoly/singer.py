@@ -9,6 +9,10 @@ GF(p^m)-subspace W spanned by {1, g}.  Cosets of GF(p^m)* partition the
 exponents mod q, and the subspace is GF(p^m)-stable, so scanning
 i = 0 .. q-1 suffices.
 
+Field arithmetic is d x d int64 matrices mod p, d = 3m: an element of
+GF(p)[x]/(f) acts as the matrix of multiplication by it, whose row 0 is
+the element itself.
+
 The scan runs on numpy blocks of B exponents.  W is the zero set of m
 functionals mod p.  Block 0 (coordinates of g^0 .. g^(B-1)) is built by
 doubling; block j is block 0 times "multiply by g^(jB)", which the scan
@@ -44,7 +48,8 @@ __all__ = [
 ]
 
 # Desk-scale cap on p^(3m).  Memory sets the documented range p <= 7919, m = 1: construct_singer
-# plus verify_perfect_difference grow by ~24 bytes per residue mod q, ~1.6 GB at p = 7919.
+# peaks at ~17 bytes per residue mod q, ~1.1 GB at p = 7919, and verify_perfect_difference adds
+# under 10 MB on top.
 DEFAULT_MAX_FIELD_ORDER = 10**13
 
 _SCAN_BLOCK = 1 << 16  # exponents per block of the Singer scan
@@ -53,7 +58,7 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 # ---------------------------------------------------------------------------
-# Integer and GF(p)[x] helpers.  Polynomials are lists/tuples of ints, constant term first.
+# Integer and GF(p)[x] helpers.  Polynomials are tuples of ints, constant term first.
 # ---------------------------------------------------------------------------
 
 def _is_prime(n):
@@ -97,112 +102,52 @@ def _digits(n, p, width):
     return tuple(out)
 
 
-def _poly_trim(a):
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return list(a[:i])
+def _mat_pow(M, e, p):
+    """M^e mod p by repeated squaring."""
+    out = np.eye(len(M), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ M % p
+        M = M @ M % p
+        e >>= 1
+    return out
 
 
-def _poly_mod(a, f, p):
-    """Remainder of a modulo f over GF(p); f need not be monic."""
-    a = [c % p for c in a]
-    a = _poly_trim(a)
-    f = _poly_trim([c % p for c in f])
-    df = len(f) - 1
-    inv_lead = pow(f[-1], p - 2, p)
-    while len(a) - 1 >= df and a:
-        shift = len(a) - 1 - df
-        factor = (a[-1] * inv_lead) % p
-        for i, c in enumerate(f):
-            a[shift + i] = (a[shift + i] - factor * c) % p
-        a = _poly_trim(a)
-    return a
+def _mul_matrix(a, modulus, p):
+    """Matrix of "multiply by a(x)" on GF(p)[x]/(f), f monic, a constant term first.
 
-
-def _poly_gcd(a, b, p):
-    """Monic gcd over GF(p)."""
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-class _Field:
-    """GF(p^d) as GF(p)[x]/(f) with f monic of degree d.
-
-    Elements are tuples of d ints (coefficients of 1, x, .., x^(d-1)).
+    Row j holds the coordinates of x^j * a, so row 0 is a itself and
+    (coordinates of e) @ M = coordinates of e * a.  Built by Horner in
+    the companion matrix of x.
     """
-
-    def __init__(self, p, modulus):
-        self.p = p
-        self.d = len(modulus) - 1
-        self.modulus = tuple(c % p for c in modulus)
-        assert self.modulus[-1] == 1, "modulus must be monic"
-        # reduction[k] = coefficient vector of x^(d+k) mod f, k = 0 .. d-2
-        self.reduction = []
-        cur = [(-c) % p for c in self.modulus[:-1]]  # x^d mod f
-        self.reduction.append(tuple(cur))
-        for _ in range(self.d - 2):
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                cur = [(c + top * r) % p for c, r in zip(cur, self.reduction[0])]
-            self.reduction.append(tuple(cur))
-        self.zero = tuple([0] * self.d)
-        self.one = tuple([1] + [0] * (self.d - 1))
-
-    def element(self, n):
-        """The n-th field element in lexicographic coefficient order."""
-        return _digits(n, self.p, self.d)
-
-    def mul(self, a, b):
-        p, d = self.p, self.d
-        prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k] % p
-            if c:
-                red = self.reduction[k - d]
-                for t in range(d):
-                    prod[t] += c * red[t]
-            prod[k] = 0
-        return tuple(c % p for c in prod[:d])
-
-    def pow(self, a, e):
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+    d = len(modulus) - 1
+    x = np.eye(d, k=1, dtype=np.int64)  # row j < d-1 is x^(j+1)
+    x[-1] = [-c % p for c in modulus[:-1]]  # x^d mod f
+    eye = np.eye(d, dtype=np.int64)
+    out = np.zeros((d, d), dtype=np.int64)
+    for c in reversed(a):
+        out = (out @ x + c % p * eye) % p
+    return out
 
 
-def _is_irreducible(coeffs, p):
-    """Rabin test for a monic polynomial over GF(p), constant term first."""
-    d = len(coeffs) - 1
-    ring = _Field(p, coeffs)  # quotient ring; works whether or not f is irreducible
-    x = ring.element(p) if d > 1 else None
-    if d == 1:
-        return True
-    # x^(p^d) == x mod f, and gcd(x^(p^(d/l)) - x, f) = 1 for prime l | d
-    if ring.pow(x, p**d) != x:
+def _is_irreducible(modulus, p):
+    """Rabin's test for a monic f over GF(p), constant term first, on X = "multiply by x":
+    X^(p^d) = X, and X^(p^(d/l)) - X has full rank (its gcd with f is 1) for each prime l | d."""
+    d = len(modulus) - 1
+    x = _mul_matrix((0, 1), modulus, p)
+    if not np.array_equal(_mat_pow(x, p**d, p), x):
         return False
-    for ell in sorted(_factorint(d)):
-        h = ring.pow(x, p ** (d // ell))
-        diff = [(hc - xc) % p for hc, xc in zip(h, x)]
-        g = _poly_gcd(diff, list(coeffs), p)
-        if len(g) != 1:
-            return False
-    return True
+    return all(_annihilator(((_mat_pow(x, p ** (d // ell), p) - x) % p).tolist(), p).size == 0
+               for ell in _factorint(d))
+
+
+def _is_primitive(g, modulus, p, prime_divisors):
+    """g has order exactly n = p^d - 1 mod f: g^n = 1 and g^(n/l) != 1 for every prime l | n."""
+    n = p ** (len(modulus) - 1) - 1
+    G = _mul_matrix(g, modulus, p)
+    one = np.eye(len(G), dtype=np.int64)
+    return (all(not np.array_equal(_mat_pow(G, n // ell, p), one) for ell in prime_divisors)
+            and np.array_equal(_mat_pow(G, n, p), one))
 
 
 # ---------------------------------------------------------------------------
@@ -279,35 +224,21 @@ def canonical_field_spec(p, m=1, max_field_order=DEFAULT_MAX_FIELD_ORDER):
         raise BudgetError(
             f"field order p^(3m) = {order} exceeds the factorization budget {max_field_order}"
         )
-    modulus = None
-    for n in range(order):
-        cand = _digits(n, p, d) + (1,)
-        if _is_irreducible(cand, p):
-            modulus = cand
-            break
-    assert modulus is not None  # irreducible polynomials of every degree exist
-    field = _Field(p, modulus)
-    group_order = order - 1
+    if d * p * p >= 2**63:  # bounds every row-by-column sum of the int64 matrices mod p
+        raise BudgetError(f"3m * p^2 = {d * p * p} overflows int64 arithmetic mod p")
+    modulus = next(f for f in (_digits(n, p, d) + (1,) for n in range(order))
+                   if _is_irreducible(f, p))
+    # The constants (n < p) have orders dividing p - 1, so none of them is primitive.
     prime_divisors = sorted(_factor_group_order(p, m))
-    generator = None
-    for n in range(1, order):
-        g = field.element(n)
-        if all(field.pow(g, group_order // ell) != field.one for ell in prime_divisors):
-            generator = g
-            break
-    assert generator is not None
+    generator = next(g for g in (_digits(n, p, d) for n in range(p, order))
+                     if _is_primitive(g, modulus, p, prime_divisors))
     return FieldSpec(p=p, m=m, modulus_poly=modulus, generator=generator)
 
 
 def verify_field_spec(spec):
     """Re-check the FieldSpec invariants (irreducibility, primitivity)."""
-    if not _is_irreducible(spec.modulus_poly, spec.p):
-        return False
-    field = _Field(spec.p, spec.modulus_poly)
-    group_order = spec.p ** (3 * spec.m) - 1
-    return all(
-        field.pow(spec.generator, group_order // ell) != field.one
-        for ell in sorted(_factor_group_order(spec.p, spec.m))
+    return _is_irreducible(spec.modulus_poly, spec.p) and _is_primitive(
+        spec.generator, spec.modulus_poly, spec.p, sorted(_factor_group_order(spec.p, spec.m))
     )
 
 
@@ -347,22 +278,21 @@ def _annihilator(vectors, p):
 def _scan_singer(spec):
     """The raw Singer set of a field spec: the i in [0, q) with g^i in W, ascending."""
     p, m = spec.p, spec.m
-    field = _Field(p, spec.modulus_poly)
-    g = spec.generator
     pm = p**m
     q = pm * pm + pm + 1
+    step = _mul_matrix(spec.generator, spec.modulus_poly, p)  # multiplies by g
 
     # GF(p^m)* is generated by omega = g^q; its powers 1, omega, .., omega^(m-1)
     # form a GF(p)-basis of the subfield, so {omega^t, omega^t * g} spans
-    # W = GF(p^m) + GF(p^m)*g over the prime field.
-    omega = field.pow(g, q)
-    basis = [field.mul(field.pow(omega, t), h) for t in range(m) for h in (field.one, g)]
+    # W = GF(p^m) + GF(p^m)*g over the prime field.  Row 0 of an element's
+    # matrix is the element.
+    omega = _mat_pow(step, q, p)
+    eye = np.eye(len(step), dtype=np.int64)
+    basis = [(_mat_pow(omega, t, p) @ h % p)[0].tolist() for t in range(m) for h in (eye, step)]
     funcs = _annihilator(basis, p)
     assert funcs.shape[1] == m  # W has dimension 2m
 
-    # Row j of step is x^j * g, so (coordinates of e) @ step = coordinates of e * g.
-    step = np.array([field.mul(field.element(p**j), g) for j in range(field.d)], dtype=np.int64)
-    rows = np.array([field.one], dtype=np.int64)
+    rows = eye[:1]
     while len(rows) < min(_SCAN_BLOCK, q):
         rows = np.vstack([rows, rows @ step % p])
         step = step @ step % p
@@ -392,8 +322,13 @@ def _pair_counts(support, q, cyclic=False):
     Cyclic: counts[r] = #{(s, t) in support^2 : s - t = r mod q}, in half
     the memory of folding the aperiodic counts.  Rows are taken
     _PAIR_ROWS at a time, so no k x k difference array is built.
+    Raises ValueError unless the support is distinct and inside [0, q).
     """
     s = np.asarray(support, dtype=np.int64)
+    if np.unique(s).size != s.size:
+        raise ValueError("support must be distinct")
+    if s.size and (s.min() < 0 or s.max() >= q):
+        raise ValueError(f"support must lie in [0, {q})")
     size = q if cyclic else 2 * q - 1
     shifted = s if cyclic else s - (q - 1)
     counts = np.zeros(size, dtype=np.int64)
@@ -410,12 +345,7 @@ def _difference_counts(residues, q):
 
     first_violation is the least r in [1, q) whose count is not one, or None.
     """
-    res = list(residues)
-    if len(set(res)) != len(res):
-        raise ValueError("duplicate residues")
-    if any(r < 0 or r >= q for r in res):
-        raise ValueError(f"residues must lie in [0, {q})")
-    counts = _pair_counts(res, q, cyclic=True)
+    counts = _pair_counts(residues, q, cyclic=True)
     counts[0] = 0  # only the pairs s = t have difference 0
     bad = np.flatnonzero(counts[1:] != 1)
     return counts, int(bad[0]) + 1 if bad.size else None
@@ -424,8 +354,8 @@ def _difference_counts(residues, q):
 def verify_perfect_difference(residues, q):
     """Count every ordered-pair difference mod q; exact, no tolerance."""
     counts, first = _difference_counts(residues, q)
-    return DifferenceReport(valid=first is None, counts=tuple(counts.tolist()),
-                            first_violation=first)
+    counts = counts.tolist()  # frees the int64 array before the tuple is built
+    return DifferenceReport(valid=first is None, counts=tuple(counts), first_violation=first)
 
 
 def normalize(sset):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from flatpoly.poly import (
+    DefectPolynomial,
     build_polynomial,
     correlation_table,
     correlations,
@@ -148,6 +149,15 @@ class TestDefectPolynomial:
         assert Q.value_at_one() == 3
         for r in range(1, 13):
             assert abs(Q.eval_root(r) - (-1 / 4)) < 1e-10
+
+    def test_value_at_one_mixed_denominators(self):
+        coeffs = (Fraction(1, 3), Fraction(-5, 12), Fraction(0), Fraction(7, 10), Fraction(2),
+                  Fraction(-1, 3), Fraction(9, 8), Fraction(1, 3))
+        Q = DefectPolynomial(q=len(coeffs) + 1, size=4, coefficients=coeffs)
+        value = Q.value_at_one()
+        assert value == sum(coeffs, Fraction(0)) == Fraction(449, 120)
+        assert isinstance(value, Fraction)
+        assert DefectPolynomial(q=1, size=1, coefficients=()).value_at_one() == 0
 
     def test_coefficients_are_uniform(self, singer_cache):
         Q = defect_poly(singer_cache(2))

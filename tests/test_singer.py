@@ -3,13 +3,17 @@ import time
 
 import pytest
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_pow_mod, gf_rem
 
+from flatpoly import singer
 from flatpoly.errors import BudgetError
 from flatpoly.singer import (
     _PAIR_ROWS,
+    FieldSpec,
     SingerSet,
-    _Field,
     _factor_group_order,
+    _is_irreducible,
     _is_prime,
     _scan_singer,
     canonical_field_spec,
@@ -65,28 +69,64 @@ class _SubspaceTest:
         return not any(self._reduce(list(v)))
 
 
+def to_gf(v):
+    """Constant-term-first coefficients as sympy's GF(p)[x] list, highest degree first."""
+    f = [int(c) for c in reversed(v)]
+    while f and not f[0]:
+        f.pop(0)
+    return f
+
+
+def from_gf(f, d):
+    """sympy's GF(p)[x] list back to d coefficients, constant term first."""
+    return tuple(int(c) for c in reversed(f)) + (0,) * (d - len(f))
+
+
+def element(n, p, d):
+    """The n-th element of GF(p)[x]/(f) in lexicographic order, constant term first."""
+    return tuple(n // p**i % p for i in range(d))
+
+
+def element_order(a, modulus, p):
+    """Multiplicative order of a nonzero element, by sympy's arithmetic and factorint."""
+    n = p ** (len(modulus) - 1) - 1
+    f, g = to_gf(modulus), to_gf(a)
+    order = n
+    for ell, e in sympy.factorint(n).items():
+        for _ in range(e):
+            if gf_pow_mod(g, order // ell, f, p, ZZ) != [1]:
+                break
+            order //= ell
+    return order
+
+
 def scalar_scan_residues(spec):
-    """Independent oracle: test g^i for membership in W one exponent at a time."""
+    """Independent oracle: test g^i for membership in W one exponent at a time,
+    with sympy's GF(p)[x] arithmetic modulo the spec's modulus."""
     p, m = spec.p, spec.m
-    field = _Field(p, spec.modulus_poly)
-    g = spec.generator
+    d = 3 * m
+    f, g = to_gf(spec.modulus_poly), to_gf(spec.generator)
+
+    def mul(a, b):
+        return gf_rem(gf_mul(a, b, p, ZZ), f, p, ZZ)
+
     pm = p**m
     q = pm * pm + pm + 1
-    omega = field.pow(g, q)
+    omega = gf_pow_mod(g, q, f, p, ZZ)
     basis = []
-    w = field.one
+    w = [1]
     for _ in range(m):
-        basis.append(w)
-        basis.append(field.mul(w, g))
-        w = field.mul(w, omega)
+        basis.append(from_gf(w, d))
+        basis.append(from_gf(mul(w, g), d))
+        w = mul(w, omega)
     subspace = _SubspaceTest(p, basis)
     assert subspace.rank == 2 * m
     residues = []
-    e = field.one
+    e = [1]
     for i in range(q):
-        if subspace.contains(e):
+        if subspace.contains(from_gf(e, d)):
             residues.append(i)
-        e = field.mul(e, g)
+        e = mul(e, g)
     return residues
 
 
@@ -286,6 +326,61 @@ class TestFieldSpec:
         spec = canonical_field_spec(2, m=2)
         assert len(spec.modulus_poly) == 7
         assert verify_field_spec(spec)
+
+    @pytest.mark.parametrize("p, degrees", [(2, range(1, 9)), (3, range(1, 6)), (5, range(1, 5)),
+                                            (7, (3,))])
+    def test_rabin_matches_sympy_on_every_monic_polynomial(self, p, degrees):
+        for d in degrees:
+            for n in range(p**d):
+                f = element(n, p, d) + (1,)
+                assert _is_irreducible(f, p) == gf_irreducible_p(to_gf(f), p, ZZ), f
+
+    def test_verify_rejects_bad_specs(self):
+        spec = canonical_field_spec(5)
+        reducible = (0, 4, 0, 1)  # x^3 - x
+        assert not verify_field_spec(FieldSpec(5, 1, reducible, spec.generator))
+        assert not verify_field_spec(FieldSpec(5, 1, spec.modulus_poly, (0, 0, 0)))
+        for g in ((1, 0, 0), (4, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0)):
+            primitive = element_order(g, spec.modulus_poly, 5) == 5**3 - 1
+            assert verify_field_spec(FieldSpec(5, 1, spec.modulus_poly, g)) == primitive
+        assert verify_field_spec(FieldSpec(5, 1, spec.modulus_poly, (1, 2, 0)))
+
+    @pytest.mark.parametrize(
+        "p, m", [(p, 1) for p in sympy.primerange(2, 30)] + [(2, 2), (3, 2), (2, 3)]
+    )
+    def test_canonical_choice_against_sympy(self, p, m):
+        """The modulus is the first irreducible candidate and the generator the first
+        element of full order, both in lexicographic order, by sympy's arithmetic."""
+        spec = canonical_field_spec(p, m)
+        d = 3 * m
+        n_f = sum(c * p**i for i, c in enumerate(spec.modulus_poly[:-1]))
+        for n in range(n_f):
+            assert not gf_irreducible_p(to_gf(element(n, p, d) + (1,)), p, ZZ)
+        assert gf_irreducible_p(to_gf(spec.modulus_poly), p, ZZ)
+        group_order = p**d - 1
+        n_g = sum(c * p**i for i, c in enumerate(spec.generator))
+        for n in range(1, n_g):  # includes the constants, which the search skips
+            assert element_order(element(n, p, d), spec.modulus_poly, p) < group_order
+        assert element_order(spec.generator, spec.modulus_poly, p) == group_order
+
+    def test_budget_edge_spec(self):
+        """21529 is the largest prime with p^3 <= 10^13, the default field budget."""
+        p = 21529
+        assert p**3 <= 10**13 < sympy.nextprime(p) ** 3
+        spec = canonical_field_spec(p)
+        assert gf_irreducible_p(to_gf(spec.modulus_poly), p, ZZ)
+        assert element_order(spec.generator, spec.modulus_poly, p) == p**3 - 1
+        assert verify_field_spec(spec)
+
+    def test_int64_overflow_refused_before_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(singer, "_is_irreducible", no_search)
+        monkeypatch.setattr(singer, "_factor_group_order", no_search)
+        p = sympy.nextprime(2**31)  # 3 * p^2 > 2^63
+        with pytest.raises(BudgetError, match="int64"):
+            canonical_field_spec(p, max_field_order=10**40)
 
 
 class TestSingerSetValidation:
