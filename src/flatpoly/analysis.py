@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import sici
 
 from .poly import (
     DefectPolynomial,
@@ -160,7 +159,7 @@ def _sparse_form(poly):
     if isinstance(poly, NewmanPolynomial):
         return np.array(poly.support), np.full(poly.size, poly.scale)
     if isinstance(poly, DefectPolynomial):
-        return np.arange(1, poly.q), np.array([float(c) for c in poly.coefficients])
+        return np.arange(1, poly.q), poly.coefficient_array()[1:]
     if isinstance(poly, dict):
         exps = np.array(sorted(poly))
         return exps, np.array([complex(poly[e]) for e in exps])
@@ -295,6 +294,29 @@ def _adaptive_panels(fun, edges, tol=1e-12, max_depth=24):
     return math.fsum(pieces)
 
 
+def _si_tail(y):
+    """pi/2 - Si(y) for y > 0 (Numerical Recipes 6.8 `cisi`; Abramowitz & Stegun 5.2):
+    the power series of Si up to y = 4, above it -Im E1(iy) by the modified-Lentz
+    continued fraction (at most ~50 terms), which never cancels against pi/2."""
+    if y <= 4.0:
+        si, term, n = y, y, 1
+        while abs(term) > 1e-17 * si:
+            term *= -y * y / ((n + 1) * (n + 2))
+            n += 2
+            si += term / n
+        return math.pi / 2 - si
+    b = complex(1.0, y)
+    c, d, h = math.inf, 1.0 / b, 1.0 / b
+    for n in range(1, 100):
+        b += 2.0
+        d = 1.0 / (b - n * n * d)
+        c = b - n * n / c
+        h *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            break
+    return h.real * math.sin(y) - h.imag * math.cos(y)  # -Im(h e^(-iy)), h = e^(iy) E1(iy)
+
+
 def _line_tail_mass(spec: KernelSpec, half_width):
     """Exact integral of K_s over |t| > half_width.
 
@@ -302,8 +324,7 @@ def _line_tail_mass(spec: KernelSpec, half_width):
     = sin^2(x)/x + pi/2 - Si(2x).
     """
     x = spec.s * half_width / 2.0
-    si, _ = sici(2.0 * x)
-    return 2.0 / np.pi * (np.sin(x) ** 2 / x + np.pi / 2.0 - si)
+    return 2.0 / np.pi * (np.sin(x) ** 2 / x + _si_tail(2.0 * x))
 
 
 @dataclass(frozen=True)

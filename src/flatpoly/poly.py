@@ -141,8 +141,13 @@ class DefectPolynomial:
         return self.eval(np.exp(2j * np.pi * r / self.q))
 
     def coefficient_array(self):
+        """Dense float coefficients of length q.  One IEEE division per coefficient
+        rounds as float(Fraction) does while numerator and denominator are below 2^53."""
+        num = np.array([x.numerator for x in self.coefficients], dtype=float)
+        den = np.array([x.denominator for x in self.coefficients], dtype=float)
+        exact = max(np.abs(num).max(initial=0), den.max(initial=0)) < 2**53
         c = np.zeros(self.q)
-        c[1:] = [float(x) for x in self.coefficients]
+        c[1:] = num / den if exact else [float(x) for x in self.coefficients]
         return c
 
 

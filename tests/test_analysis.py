@@ -1,11 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from flatpoly.analysis import (
     KernelSpec,
+    _line_tail_mass,
     _mean,
+    _si_tail,
     flatness,
     kernel_mass,
     kernel_tail_bound,
@@ -236,6 +239,41 @@ class TestKernel:
         rep = kernel_mass(KernelSpec(s))
         assert abs(rep.circle_mass - 1.0) < 1e-8
         assert abs(rep.line_mass - 1.0) < 1e-8
+
+
+class TestSincTail:
+    """pi/2 - Si(y) and the sinc^2 tail mass against 40-digit mpmath."""
+
+    # both sides of y = 4, where the power series hands over to the continued fraction,
+    # and of y = 2, where the textbook (Numerical Recipes) split is
+    Y = np.concatenate([np.geomspace(1e-6, 1e6, 2000),
+                        [2.0, np.nextafter(2.0, 0), np.nextafter(2.0, 3),
+                         4.0, np.nextafter(4.0, 0), np.nextafter(4.0, 5)]])
+
+    def test_si_tail_against_mpmath(self):
+        # pi/2 - Si(y) changes sign near y = 1.93, 4.79, ...; its envelope is min(1, 1/y)
+        with mpmath.workdps(40):
+            for y in self.Y:
+                ref = mpmath.pi / 2 - mpmath.si(mpmath.mpf(float(y)))
+                assert abs(_si_tail(float(y)) - ref) <= 4e-15 * min(1.0, 1.0 / y), y
+
+    def test_tail_mass_relative_accuracy(self):
+        # s = 2 makes x = half_width exactly; the tail sin^2(x)/x + pi/2 - Si(2x) is positive
+        spec = KernelSpec(2.0)
+        with mpmath.workdps(40):
+            for x in np.geomspace(1e-6, 1e6, 2000):
+                xm = mpmath.mpf(float(x))
+                ref = 2 / mpmath.pi * (mpmath.sin(xm) ** 2 / xm + mpmath.pi / 2 - mpmath.si(2 * xm))
+                assert abs(_line_tail_mass(spec, float(x)) - ref) <= 1e-14 * ref, x
+
+    def test_si_against_scipy(self):
+        # oracle only: scipy is a test dependency.  From y = 1 on Si(y) >= 0.94, so
+        # pi/2 - _si_tail(y) does not cancel
+        from scipy.special import sici
+
+        for y in self.Y[self.Y >= 1.0]:
+            si = sici(y)[0]
+            assert abs((math.pi / 2 - _si_tail(float(y))) - si) <= 1e-15 * si, y
 
 
 class TestRealLine:

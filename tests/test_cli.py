@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -221,9 +222,41 @@ class TestFlatRow:
         assert grids.count(16 * q) == 2  # P once, Q once
 
 
-def test_import_leaves_out_integrate_and_sympy():
+def _run_python(code):
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(flatpoly.__file__).parents[1]))
-    code = "import sys, flatpoly.cli; print(sorted(m for m in ('scipy.integrate', 'sympy') if m in sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_import_leaves_out_scipy_and_sympy():
+    code = ("import sys, flatpoly.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'sympy'))))")
+    assert _run_python(code).strip() == "[]"
+
+
+def test_runs_with_scipy_blocked():
+    """numpy is the only runtime dependency: with scipy unimportable, the kernel
+    tail users and every subcommand still run, so no lazy scipy import hides anywhere."""
+    code = textwrap.dedent("""
+        import os, sys
+        sys.modules["scipy"] = None  # any import of scipy or a submodule raises ImportError
+        from flatpoly import cli
+        from flatpoly.analysis import KernelSpec, kernel_mass, realline_flatness
+        from flatpoly.poly import build_polynomial
+        from flatpoly.singer import construct_singer
+
+        for s in (0.5, 3.0):
+            rep = kernel_mass(KernelSpec(s))
+            assert abs(rep.line_mass - 1.0) < 1e-8 and abs(rep.circle_mass - 1.0) < 1e-8, rep
+        rep = realline_flatness(build_polynomial(construct_singer(2)), 1.0, KernelSpec(1.0))
+        assert abs(rep.circle_value - rep.circle_truncated) <= rep.tail_bound, rep
+        runs = (["singer", "--p", "13"], ["flat", "--primes", "2,3", "--alpha", "1"],
+                ["mahler", "--primes", "2,3"], ["beta", "--primes", "2,3"],
+                ["riesz", "--primes", "2,3"], ["rankone", "--primes", "2,3"],
+                ["realline", "--primes", "2", "--alpha", "0.5", "--kernel-s", "3"])
+        assert [argv[0] for argv in runs] == list(cli.SUBCOMMANDS)
+        for argv in runs:
+            assert cli.main(argv + ["--output", os.devnull, "--no-timestamp"]) == 0, argv
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+    """)
+    assert _run_python(code).strip() == "['scipy']"  # only the blocking entry itself

@@ -159,6 +159,20 @@ class TestDefectPolynomial:
         assert isinstance(value, Fraction)
         assert DefectPolynomial(q=1, size=1, coefficients=()).value_at_one() == 0
 
+    def test_coefficient_array_matches_float_of_each_fraction(self, singer_cache):
+        Q = defect_poly(singer_cache(1009))
+        oracle = np.array([0.0] + [float(c) for c in Q.coefficients])
+        assert Q.coefficient_array().tobytes() == oracle.tobytes()
+
+    def test_coefficient_array_mixed_denominators(self):
+        # the second pass adds terms beyond 2^53, where one float division would round twice
+        coeffs = (Fraction(1, 3), Fraction(-5, 12), Fraction(0), Fraction(7, 10), Fraction(2),
+                  Fraction(-1, 3), Fraction(9, 8), Fraction(1, 7), Fraction(2**52 - 1, 2**52 - 3))
+        for tail in ((), (Fraction(2**53 + 1, 7), Fraction(1, 2**53 + 1))):
+            Q = DefectPolynomial(q=len(coeffs + tail) + 1, size=4, coefficients=coeffs + tail)
+            oracle = np.array([0.0] + [float(c) for c in coeffs + tail])
+            assert Q.coefficient_array().tobytes() == oracle.tobytes()
+
     def test_coefficients_are_uniform(self, singer_cache):
         Q = defect_poly(singer_cache(2))
         assert set(Q.coefficients) == {Fraction(1, 3)}

@@ -346,7 +346,7 @@ class TestFieldSpec:
         assert verify_field_spec(FieldSpec(5, 1, spec.modulus_poly, (1, 2, 0)))
 
     @pytest.mark.parametrize(
-        "p, m", [(p, 1) for p in sympy.primerange(2, 30)] + [(2, 2), (3, 2), (2, 3)]
+        "p, m", [(p, 1) for p in sympy.primerange(2, 30)] + [(2, 2), (3, 2), (5, 2), (2, 3)]
     )
     def test_canonical_choice_against_sympy(self, p, m):
         """The modulus is the first irreducible candidate and the generator the first
