@@ -155,17 +155,23 @@ class MZReport:
 
 
 def _sparse_form(poly):
-    """(exponents, coefficients) of a supported polynomial object."""
+    """Nonzero terms (exponents ascending, coefficients) of a polynomial object.
+
+    Accepts a NewmanPolynomial, a DefectPolynomial, an {exponent: coefficient}
+    dict, or a one-dimensional nonempty coefficient sequence, constant term first.
+    """
     if isinstance(poly, NewmanPolynomial):
         return np.array(poly.support), np.full(poly.size, poly.scale)
-    if isinstance(poly, DefectPolynomial):
-        return np.arange(1, poly.q), poly.coefficient_array()[1:]
     if isinstance(poly, dict):
-        exps = np.array(sorted(poly))
-        return exps, np.array([complex(poly[e]) for e in exps])
-    coeffs = np.asarray(poly)
-    exps = np.nonzero(coeffs)[0]
-    return exps, coeffs[exps]
+        exps = np.array(sorted(poly), dtype=np.int64)
+        coeffs = np.array([complex(poly[e]) for e in exps])
+    else:
+        coeffs = poly.coefficient_array() if isinstance(poly, DefectPolynomial) else np.asarray(poly)
+        if coeffs.ndim != 1 or coeffs.size == 0:
+            raise ValueError("expected a one-dimensional coefficient sequence")
+        exps = np.arange(coeffs.size)
+    keep = coeffs != 0
+    return exps[keep], coeffs[keep]
 
 
 def mz_ratio(poly, alpha, n, grid_size=None):
@@ -413,26 +419,22 @@ def realline_flatness(P: NewmanPolynomial, alpha, spec: KernelSpec, circle_grid=
     # high-curvature points near circle zeros of P.
     support = np.array(P.support)
 
-    def integrand(t):
-        values = np.exp(1j * t[:, None] * support).sum(axis=1) * P.scale
-        return np.abs(np.abs(values) - 1.0) ** alpha * periodized_kernel_truncated(spec, t)
+    def defect(t):  # |P(e^{it})| - 1 by direct summation over the support
+        return np.abs(np.exp(1j * t[:, None] * support).sum(axis=1)) * P.scale - 1.0
 
-    def defect(t):
-        return abs(np.exp(1j * t * support).sum()) * P.scale - 1.0
+    def integrand(t):
+        return np.abs(defect(t)) ** alpha * periodized_kernel_truncated(spec, t)
 
     crossings = np.nonzero(np.diff(np.sign(absP - 1.0)))[0]
-    kinks = []
-    for i in crossings:
-        lo, hi = theta[i], theta[i + 1]
-        flo = defect(lo)
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            fmid = defect(mid)
-            if flo * fmid <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        kinks.append(0.5 * (lo + hi))
+    lo, hi = theta[crossings], theta[crossings + 1]
+    flo = _eval_chunked(defect, lo)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        fmid = _eval_chunked(defect, mid)
+        left = flo * fmid <= 0
+        hi = np.where(left, mid, hi)
+        lo, flo = np.where(left, lo, mid), np.where(left, flo, fmid)
+    kinks = 0.5 * (lo + hi)
     base = np.concatenate(([0.0], kinks, [2 * np.pi]))
     # grade panels geometrically into each kink: |.|^alpha has unbounded
     # derivatives there for fractional alpha, and grading restores fast

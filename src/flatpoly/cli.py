@@ -21,7 +21,7 @@ from . import __version__
 from .errors import BudgetError
 from .singer import _is_prime, _scan_singer, canonical_field_spec, construct_singer, gap_statistic
 from .singer import normalize, verify_perfect_difference
-from .poly import build_polynomial, correlations, eval_grid, eval_support_grid
+from .poly import _perfect_defect_abs, build_polynomial, eval_grid
 from .analysis import KernelSpec, _flatness_from_abs, realline_flatness
 from .mahler import mahler_jensen, mahler_log
 from .riesz import check_dissociated, ergodicity_sum, make_plan, partial_coeffs, plan_to_json
@@ -149,12 +149,12 @@ def parse(argv):
     cmd = Command(
         subcommand=ns.subcommand,
         p=getattr(ns, "p", None),
-        primes=_int_list(ns.primes) if getattr(ns, "primes", None) else None,
+        primes=_int_list(ns.primes) if getattr(ns, "primes", None) is not None else None,
         m=ns.m,
         alpha=getattr(ns, "alpha", None),
         grid_multiplier=getattr(ns, "grid_multiplier", 16),
         rule=getattr(ns, "rule", None),
-        scales=_int_list(ns.scales) if getattr(ns, "scales", None) else None,
+        scales=_int_list(ns.scales) if getattr(ns, "scales", None) is not None else None,
         stages=getattr(ns, "stages", None),
         kernel_s=getattr(ns, "kernel_s", None),
         truncation=getattr(ns, "truncation", 32),
@@ -228,11 +228,7 @@ def _flat_row(p, m, alpha, grid_multiplier):
     absv = np.abs(eval_grid(P, grid).values)
     rep = _flatness_from_abs(P, alpha, absv)
     ml = mahler_log(P)
-    # Q's coefficients gamma_l / |S| from the integer counts; IEEE division
-    # rounds exactly as float(Fraction(gamma_l, |S|)) does
-    qcoeffs = np.array(correlations(sset).cyclic[1:]) / sset.size
-    qvals = eval_support_grid(np.arange(1, sset.q), qcoeffs, grid)
-    gap = np.abs(qvals) - np.abs(absv**2 - 1.0)
+    gap = _perfect_defect_abs(sset.q, sset.size, grid) - np.abs(absv**2 - 1.0)
     return {
         "p": rep.p,
         "q": rep.q,
@@ -259,7 +255,8 @@ def _run_flat(cmd):
             "defect_abs": "uniform-grid quadrature of | |P| - 1 |^alpha, pairwise sum",
             "mahler": "log-integral on a midpoint grid, " + MAHLER_DOUBLING,
             "s3_bound": "p^alpha/q + (q-1)/q (p+1)^-alpha with absolute constant 1",
-            "defect_dominance_min_gap": "min over grid of |Q(z)| - ||P(z)|^2 - 1| "
+            "defect_dominance_min_gap": "min over grid of |Q(z)| - ||P(z)|^2 - 1|, with |Q| in "
+                                        "closed form |sin((q-1)theta/2)| / (k |sin(theta/2)|) "
                                         "(observational; not asserted)",
         },
     }

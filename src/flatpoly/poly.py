@@ -37,9 +37,6 @@ __all__ = [
     "power_fourier_coefficients",
 ]
 
-# Below this grid size the FFT route falls back to direct summation.
-DIRECT_EVAL_CUTOFF = 64
-
 
 @dataclass(frozen=True)
 class NewmanPolynomial:
@@ -129,12 +126,7 @@ class DefectPolynomial:
         return Fraction(sum(c.numerator * (den // c.denominator) for c in self.coefficients), den)
 
     def eval(self, z):
-        acc = 0j
-        zpow = 1.0 + 0j
-        for c in self.coefficients:
-            zpow *= z
-            acc += float(c) * zpow
-        return acc
+        return np.polyval(self.coefficient_array()[::-1], z)
 
     def eval_root(self, r):
         """Value at exp(2*pi*i*r/q)."""
@@ -195,9 +187,8 @@ def defect_poly(sset: SingerSet):
 
 
 def eval_support_grid(exponents, coeffs, N, offset=0.0):
-    """values[j] = sum_k coeffs[k] exp(2*pi*i*(j+offset)*exponents[k]/N).
+    """values[j] = sum_k coeffs[k] exp(2*pi*i*(j+offset)*exponents[k]/N), by one FFT.
 
-    FFT route for N >= DIRECT_EVAL_CUTOFF, direct summation below it.
     Exponents must lie in [0, N) so the grid resolves the polynomial.
     """
     exponents = np.asarray(exponents, dtype=np.int64)
@@ -206,12 +197,27 @@ def eval_support_grid(exponents, coeffs, N, offset=0.0):
         raise ValueError(f"exponents must lie in [0, N) with N={N}")
     if offset:
         coeffs = coeffs * np.exp(2j * np.pi * offset * exponents / N)
-    if N < DIRECT_EVAL_CUTOFF:
-        j = np.arange(N)
-        return np.exp(2j * np.pi * np.outer(j, exponents) / N) @ coeffs
     dense = np.zeros(N, dtype=np.complex128)
     np.add.at(dense, exponents, coeffs)
     return np.fft.ifft(dense) * N
+
+
+def _perfect_defect_abs(q, size, N):
+    """|Q| at the N-th roots of unity for a perfect difference set of the given size mod q.
+
+    Every coefficient of Q is 1/size, so Q(z) = (z - z^q) / (size (1 - z)) and
+    |Q(e^(i theta))| = |sin((q-1) theta/2)| / (size |sin(theta/2)|), (q-1)/size at
+    theta = 0.  Both sine arguments are folded exactly in int64 into [0, pi/2]
+    before sin is called, so no large angle loses digits.
+    """
+    j = np.arange(1, N, dtype=np.int64)
+    a = np.minimum(j, N - j)  # |Q| is even in theta
+    r = a * (q - 1) % N
+    r = np.minimum(r, N - r)
+    out = np.empty(N)
+    out[0] = (q - 1) / size
+    out[1:] = np.sin(np.pi * r / N) / (size * np.sin(np.pi * a / N))
+    return out
 
 
 def eval_grid(P: NewmanPolynomial, N):

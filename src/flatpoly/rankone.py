@@ -21,6 +21,7 @@ correlation check bounds by n / h_K.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -156,15 +157,11 @@ def measure_growth(params):
     for st in params.stages:
         terms.append(sum(st.spacers, Fraction(0)) / (st.cutting * prev))
         prev = st.height
-    sums, acc = [], Fraction(0)
-    for t in terms:
-        acc += t
-        sums.append(acc)
     nondecreasing = all(terms[i + 1] >= terms[i] for i in range(len(terms) - 1))
     finite = terms[-1] == 0 or not nondecreasing
     return GrowthReport(
         terms=tuple(terms),
-        partial_sums=tuple(sums),
+        partial_sums=tuple(itertools.accumulate(terms)),
         terms_nondecreasing=nondecreasing,
         finite_measure=finite,
     )

@@ -280,14 +280,10 @@ def ergodicity_sum(plan):
         st, nxt = plan.stages[j], plan.stages[j + 1]
         terms.append(Fraction(st.singer.size * st.scale, nxt.scale) ** 2)
         terms_top.append(Fraction(st.singer.residues[-1] * st.scale, nxt.scale) ** 2)
-    sums, acc = [], Fraction(0)
-    for t in terms:
-        acc += t
-        sums.append(acc)
     default_rule = plan.rule == "margin"
     return ErgodicityReport(
         terms=tuple(terms),
-        partial_sums=tuple(sums),
+        partial_sums=tuple(itertools.accumulate(terms)),
         converged_below=Fraction(1, 3) if default_rule else None,
         criterion_met=default_rule,
         terms_top_frequency=tuple(terms_top),
@@ -315,16 +311,13 @@ def quasi_invariance_sum(plan, x):
         t = (st.scale * x) % 1
         dist = min(t, 1 - t)
         terms.append(Fraction(st.singer.size) ** 2 * dist * dist)
-    sums, acc = [], Fraction(0)
-    for t in terms:
-        acc += t
-        sums.append(acc)
+    sums = tuple(itertools.accumulate(terms))
     half = len(terms) // 2
     tail_growth = sums[-1] - sums[half - 1] if half >= 1 else sums[-1]
     return QuasiInvarianceReport(
         x=x,
         terms=tuple(terms),
-        partial_sums=tuple(sums),
+        partial_sums=sums,
         suggests_membership=tail_growth < Fraction(1, 10**9),
     )
 

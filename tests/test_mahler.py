@@ -31,6 +31,13 @@ class TestBasics:
         with pytest.raises(ValueError):
             mahler_jensen([0.0])
 
+    def test_not_a_coefficient_sequence_rejected(self):
+        for bad in ([], np.ones((2, 2))):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                mahler_log(bad)
+            with pytest.raises(ValueError, match="one-dimensional"):
+                mahler_jensen(bad)
+
     def test_degree_budget(self):
         coeffs = np.zeros(3000)
         coeffs[0] = coeffs[-1] = 1.0
@@ -81,6 +88,12 @@ class TestConvergenceDetail:
         detail = mahler_log(newman_from_support([0, MAHLER_GRID_CAP // 32 + 1])).detail
         assert detail == {"grid": MAHLER_GRID_CAP, "grids": [MAHLER_GRID_CAP],
                           "last_delta": None, "converged": False}
+
+    def test_explicit_grid_must_be_a_power_of_two(self):
+        # 1 + z vanishes at -1, a midpoint of every odd grid
+        assert mahler_log([1.0, 1.0], grid_size=4096).value == pytest.approx(1.0, abs=1e-3)
+        with pytest.raises(ValueError, match="power of two"):
+            mahler_log([1.0, 1.0], grid_size=4095)
 
     def test_explicit_grid(self, singer_cache):
         detail = mahler_log(build_polynomial(singer_cache(3)), grid_size=8192).detail

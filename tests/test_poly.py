@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from flatpoly.poly import (
     DefectPolynomial,
+    _perfect_defect_abs,
     build_polynomial,
     correlation_table,
     correlations,
@@ -186,6 +188,31 @@ class TestDefectPolynomial:
                 lhs = Q.eval_root(r)
                 rhs = abs(values[r]) ** 2 - 1
                 assert abs(lhs - rhs) < 1e-10
+
+
+class TestPerfectDefectAbs:
+    @pytest.mark.parametrize("p", [2, 7, 31, 307])
+    def test_closed_form_against_mpmath(self, p, singer_cache):
+        # |Q(e^(2 pi i j/N))| = |sin((q-1) pi j/N)| / (k |sin(pi j/N)|) at 40 digits; sinpi
+        # keeps the exact zeros (q-1)j = 0 mod N exact, where the bound demands 0
+        s = singer_cache(p)
+        N = 16 * s.q
+        got = _perfect_defect_abs(s.q, s.size, N)
+        rng = np.random.default_rng(p)
+        js = [1, 2, N // 2 + 1, N - 2, N - 1] + rng.integers(1, N, 60).tolist()
+        with mpmath.workdps(40):
+            for j in js:
+                ref = abs(mpmath.sinpi(mpmath.mpf((s.q - 1) * j) / N)) / (
+                    s.size * abs(mpmath.sinpi(mpmath.mpf(j) / N)))
+                assert abs(got[j] - ref) <= 8e-16 * ref, j
+        assert got[0] == (s.q - 1) / s.size
+
+    def test_matches_defect_poly_on_the_grid(self, singer_cache):
+        s = singer_cache(5)
+        N = 16 * s.q
+        Q = defect_poly(s)
+        oracle = np.abs(eval_support_grid(np.arange(1, s.q), Q.coefficient_array()[1:], N))
+        assert np.max(np.abs(_perfect_defect_abs(s.q, s.size, N) - oracle)) <= 1e-13
 
 
 class TestFourierIdentity:

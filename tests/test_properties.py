@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from flatpoly.analysis import l2_defect_sq_exact
 from flatpoly.poly import (
-    DIRECT_EVAL_CUTOFF,
     correlation_table,
     correlations,
     eval_grid,
@@ -109,7 +108,7 @@ def test_parseval_exact_l2_defect_equals_grid_mean(case, extra):
 
 
 @PROPERTY_SETTINGS
-@given(st.integers(DIRECT_EVAL_CUTOFF, 400), st.data())
+@given(st.integers(1, 400), st.data())
 def test_fft_route_matches_direct_summation(N, data):
     exps = data.draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=20))
     reals = st.floats(-2.0, 2.0, allow_nan=False)
