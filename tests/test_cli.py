@@ -26,6 +26,52 @@ def run_to_file(tmp_path, argv, name="report"):
         return code, fh.read()
 
 
+# Together these set every option of every subcommand away from its default.
+ROUND_TRIP_ARGVS = [
+    ["singer", "--p", "2"],
+    ["flat", "--primes", "2,3,5", "--alpha", "1"],
+    ["mahler", "--primes", "2,3"],
+    ["beta", "--primes", "2,3,5"],
+    ["riesz", "--primes", "2,3", "--stages", "2"],
+    ["rankone", "--primes", "2,3", "--scales", "1,8"],
+    ["realline", "--primes", "2", "--alpha", "1", "--kernel-s", "2"],
+    ["singer", "--p", "5", "--m", "2", "--format", "json", "-o", "r.json", "--no-timestamp"],
+    ["flat", "--primes", "2,3", "--m", "2", "--alpha", "0.5", "--grid-multiplier", "32",
+     "--format", "csv", "--output", "r.csv", "--no-timestamp"],
+    ["mahler", "--primes", "3", "--m", "2", "--format", "csv", "-o", "r.csv", "--no-timestamp"],
+    ["beta", "--primes", "3", "--m", "2", "--format", "csv", "-o", "r.csv", "--no-timestamp"],
+    ["riesz", "--primes", "2,3", "--scales", "1,8"],
+    ["riesz", "--primes", "2,3", "--m", "2", "--rule", "margin:3", "--stages", "1",
+     "--format", "json", "-o", "r.json", "--no-timestamp"],
+    ["rankone", "--primes", "2,3", "--m", "2", "--rule", "margin:3", "--stages", "1",
+     "--format", "json", "-o", "r.json", "--no-timestamp"],
+    ["realline", "--primes", "2", "--m", "2", "--alpha", "0.5", "--grid-multiplier", "8",
+     "--kernel-s", "0.5", "--truncation", "8", "--format", "csv", "-o", "r.csv",
+     "--no-timestamp"],
+]
+
+# Canonical command strings, pinned: every JSON report records one, so they must not drift.
+PINNED_COMMANDS = [
+    ("realline --primes 2 --m 1 --alpha 1.0 --grid-multiplier 16 --kernel-s 2.0 "
+     "--truncation 16 --format json --no-timestamp",
+     "realline --primes 2 --m 1 --alpha 1.0 --grid-multiplier 16 --kernel-s 2.0 "
+     "--truncation 16 --format json --no-timestamp"),
+    ("realline --primes 2,3,5 --alpha 0.5 --kernel-s 3",
+     "realline --primes 2,3,5 --m 1 --alpha 0.5 --grid-multiplier 16 --kernel-s 3.0 "
+     "--truncation 32 --format json"),
+    ("singer --p 5 --m 2 --no-timestamp", "singer --p 5 --m 2 --format json --no-timestamp"),
+    ("flat --primes 2,3 --alpha 0.5 --format csv -o r.csv",
+     "flat --primes 2,3 --m 1 --alpha 0.5 --grid-multiplier 16 --format csv --output r.csv"),
+    ("riesz --primes 2,3,5 --stages 2", "riesz --primes 2,3,5 --m 1 --rule margin --stages 2 "
+     "--format json"),
+    ("riesz --primes 2,3 --rule explicit --scales 1,8",
+     "riesz --primes 2,3 --m 1 --rule explicit --scales 1,8 --format json"),
+    ("rankone --primes 2,3 --scales 1,8", "rankone --primes 2,3 --m 1 --scales 1,8 --format json"),
+    ("rankone --primes 2,3,5,7,2", "rankone --primes 2,3,5,7,2 --m 1 --rule margin:2 --format json"),
+    ("beta --primes 13,61", "beta --primes 13,61 --m 1 --format json"),
+]
+
+
 class TestParse:
     def test_singer(self):
         cmd = parse(["singer", "--p", "2"])
@@ -71,21 +117,51 @@ class TestParse:
         assert parse(["rankone", "--primes", "2,3"]).rule == "margin:2"
         assert parse(["riesz", "--primes", "2,3"]).rule == "margin"
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["singer", "--p", "2"],
-            ["flat", "--primes", "2,3,5", "--alpha", "1"],
-            ["mahler", "--primes", "2,3"],
-            ["beta", "--primes", "2,3,5"],
-            ["riesz", "--primes", "2,3", "--stages", "2"],
-            ["rankone", "--primes", "2,3", "--scales", "1,8"],
-            ["realline", "--primes", "2", "--alpha", "1", "--kernel-s", "2"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", ROUND_TRIP_ARGVS)
     def test_canonical_round_trip(self, argv):
         cmd = parse(argv)
         assert parse(cmd.canonical_argv()) == cmd
+
+    def test_round_trip_sets_every_option(self):
+        """Each (subcommand, option) pair of the table is set away from its default by
+        some round-trip argv; --format can only be json outside the table subcommands."""
+        defaults = Command(subcommand="singer")
+        unset = set()
+        for flags, field, subcommands, _, _ in cli._OPTIONS:
+            for sub in subcommands:
+                cmds = [parse(argv) for argv in ROUND_TRIP_ARGVS
+                        if argv[0] == sub and set(flags.split()) & set(argv)]
+                if not any(getattr(cmd, field) != getattr(defaults, field) for cmd in cmds):
+                    if not (cmds and field == "fmt" and sub not in cli.CSV_COLUMNS):
+                        unset.add((sub, flags))
+        assert unset == set()
+
+    @pytest.mark.parametrize("argv, command", PINNED_COMMANDS)
+    def test_command_string_pinned(self, argv, command):
+        assert " ".join(parse(argv.split()).canonical_argv()) == command
+
+    def test_flag_of_another_subcommand_exits_2(self, capsys):
+        assert main(["singer", "--p", "2", "--alpha", "1"]) == 2
+        assert "--alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        ("realline --primes 2 --alpha 1 --kernel-s nan", "--kernel-s"),
+        ("realline --primes 2 --alpha 1 --kernel-s inf", "--kernel-s"),
+        ("riesz --primes 2 --rule bogus", "--rule"),
+        ("riesz --primes 2,3 --rule bogus", "--rule"),
+        ("riesz --primes 2,3 --rule margin:x", "--rule"),
+        ("rankone --primes 2,3 --rule margin:1", "--rule"),
+    ])
+    def test_bad_value_exits_2_naming_the_flag(self, argv, flag, capsys):
+        assert main(argv.split() + ["--no-timestamp"]) == 2
+        assert capsys.readouterr().err.startswith(f"flatpoly: {flag}: ")
+
+    @pytest.mark.parametrize("argv", ["riesz --primes 2,3 --rule margin:3",
+                                      "riesz --primes 2,3 --rule explicit --scales 1,8"])
+    def test_good_rules_run(self, argv, tmp_path):
+        code, text = run_to_file(tmp_path, argv.split())
+        assert code == 0
+        assert json.loads(text)["results"]["plan"]["rule"] == argv.split()[4]
 
 
 class TestExecute:

@@ -95,6 +95,21 @@ class TestConvergenceDetail:
         with pytest.raises(ValueError, match="power of two"):
             mahler_log([1.0, 1.0], grid_size=4095)
 
+    @pytest.mark.parametrize("grid_size", [4096, None])
+    def test_complex_coefficients_rejected(self, grid_size):
+        # z^2048 - i: M = 1, but z^2048 = i on half of the 4096-point grid
+        with pytest.raises(ValueError, match="mahler_jensen"):
+            mahler_log({0: -1j, 2048: 1.0}, grid_size=grid_size)
+
+    def test_jensen_takes_complex_coefficients(self):
+        # z^n - i for a degree whose companion matrix is quick to diagonalize
+        assert mahler_jensen({0: -1j, 16: 1.0}).value == pytest.approx(1.0, abs=1e-12)
+
+    def test_real_dict_accepted(self):
+        # the dict form is complex-typed with zero imaginary parts; 1 + z^3 has circle
+        # zeros, so the doubling converges only algebraically
+        assert mahler_log({0: 1.0, 3: 1.0}).value == pytest.approx(1.0, abs=1e-6)
+
     def test_explicit_grid(self, singer_cache):
         detail = mahler_log(build_polynomial(singer_cache(3)), grid_size=8192).detail
         assert detail == {"grid": 8192, "grids": [8192], "last_delta": None, "converged": None}

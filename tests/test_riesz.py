@@ -65,6 +65,16 @@ class TestMakePlan:
         with pytest.raises(ValueError):
             make_plan([2, 3], rule="bogus")
 
+    @pytest.mark.parametrize("rule", ["bogus", "margin:x", "margin:1", "explicit"])
+    def test_bad_rule_rejected_with_one_prime(self, rule):
+        # a one-prime plan never needs a multiplier; the rule is checked up front all the same
+        with pytest.raises(ValueError):
+            make_plan([2], rule=rule)
+
+    def test_good_rules_still_accepted(self):
+        assert make_plan([2, 3, 5], rule="margin:3").scales == (1, 12, 336)
+        assert make_plan([2, 3], rule="explicit", scales=[1, 8]).scales == (1, 8)
+
     def test_prime_power_stages(self):
         plan = make_plan([2, 3], rule="margin:2", m=2)
         assert all(st.singer.size == st.prime**2 + 1 for st in plan.stages)
@@ -250,6 +260,11 @@ class TestPlanJson:
         assert payload == {
             "primes": [2, 3], "m": 1, "rule": "margin:2", "scales": [1, 8], "seeds": None,
         }
+
+    def test_bogus_rule_rejected(self):
+        text = plan_to_json(make_plan([2])).replace('"margin"', '"bogus"')
+        with pytest.raises(ValueError, match="unknown scale rule"):
+            plan_from_json(text)
 
     def test_tampered_scales_rejected(self):
         text = plan_to_json(make_plan([2, 3])).replace("[1,24]", "[1,25]")
