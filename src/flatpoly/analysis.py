@@ -30,8 +30,7 @@ from .poly import (
     DefectPolynomial,
     GridValues,
     NewmanPolynomial,
-    eval_grid,
-    eval_support_grid,
+    _abs_support_grid,
 )
 
 __all__ = [
@@ -105,7 +104,7 @@ def flatness(P: NewmanPolynomial, alpha, grid_size=None):
     N = grid_size if grid_size is not None else 16 * P.q
     if N < 4 * P.q:
         raise ValueError(f"grid {N} too small; need at least 4q = {4 * P.q}")
-    return _flatness_from_abs(P, alpha, np.abs(eval_grid(P, N).values))
+    return _flatness_from_abs(P, alpha, _abs_support_grid(P.support, [P.scale] * P.size, N))
 
 
 def _flatness_from_abs(P: NewmanPolynomial, alpha, absv):
@@ -188,8 +187,8 @@ def mz_ratio(poly, alpha, n, grid_size=None):
     if degree >= n:
         raise ValueError(f"degree {degree} >= n = {n}: sample grid would alias")
     N = grid_size if grid_size is not None else max(2**14, 4 * (degree + 1))
-    discrete = _mean(np.abs(eval_support_grid(exps, coeffs, n)) ** alpha)
-    integral = _mean(np.abs(eval_support_grid(exps, coeffs, N)) ** alpha)
+    discrete = _mean(_abs_support_grid(exps, coeffs, n) ** alpha)
+    integral = _mean(_abs_support_grid(exps, coeffs, N) ** alpha)
     return MZReport(
         alpha=alpha,
         n=n,
@@ -405,7 +404,7 @@ def realline_flatness(P: NewmanPolynomial, alpha, spec: KernelSpec, circle_grid=
     if N < 8 * P.q:
         raise ValueError(f"grid {N} too small; need at least 8q = {8 * P.q}")
     theta = 2 * np.pi * (np.arange(N) + 0.5) / N
-    absP = np.abs(eval_support_grid(P.support, [P.scale] * P.size, N, offset=0.5))
+    absP = _abs_support_grid(P.support, [P.scale] * P.size, N, offset=0.5)
     f = np.abs(absP - 1.0) ** alpha
     circle_exact = _mean(f * periodized_kernel(spec, theta))
     circle_trunc = _mean(f * periodized_kernel_truncated(spec, theta))

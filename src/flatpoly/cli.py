@@ -21,7 +21,7 @@ from . import __version__
 from .errors import BudgetError
 from .singer import _check_pm, _scan_singer, canonical_field_spec, construct_singer, gap_statistic
 from .singer import normalize, verify_perfect_difference
-from .poly import _perfect_defect_abs, build_polynomial, eval_grid
+from .poly import _abs_support_grid, _perfect_defect_abs, build_polynomial
 from .analysis import KernelSpec, _flatness_from_abs, realline_flatness
 from .mahler import mahler_jensen, mahler_log
 from .riesz import _margin_constant, check_dissociated, ergodicity_sum, make_plan, partial_coeffs
@@ -196,7 +196,7 @@ def _flat_row(p, m, alpha, grid_multiplier):
     sset = construct_singer(p, m)
     P = build_polynomial(sset)
     grid = grid_multiplier * sset.q
-    absv = np.abs(eval_grid(P, grid).values)
+    absv = _abs_support_grid(P.support, [P.scale] * P.size, grid)
     rep = _flatness_from_abs(P, alpha, absv)
     ml = mahler_log(P)
     gap = _perfect_defect_abs(sset.q, sset.size, grid) - np.abs(absv**2 - 1.0)

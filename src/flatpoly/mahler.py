@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import _mean, _sparse_form
 from .errors import BudgetError
-from .poly import build_polynomial, eval_support_grid
+from .poly import _abs_support_grid, build_polynomial
 
 __all__ = ["MahlerReport", "mahler_log", "mahler_jensen", "riesz_mahler"]
 
@@ -54,11 +54,13 @@ def _log_abs_mean(exps, coeffs, N):
     The midpoints exp(i pi (2j+1)/N) are odd powers of a primitive 2N-th root
     of unity; for N a power of two each is itself primitive, with minimal
     polynomial z^N + 1 of degree N.  A polynomial with real coefficients
-    (floats are rationals) and degree < N, as eval_support_grid requires,
-    therefore has no zero on the grid, so log|P| needs no guard.
+    (floats are rationals) and degree < N, as _abs_support_grid requires,
+    therefore has no zero on the grid, so log|P| needs no guard.  The log
+    overwrites |P| in place, so the grid costs 8 bytes per point.
     """
-    absv = np.abs(eval_support_grid(exps, coeffs, N, offset=0.5))
-    return _mean(np.log(absv)), _mean(absv)
+    absv = _abs_support_grid(exps, coeffs, N, offset=0.5)
+    l1 = _mean(absv)
+    return _mean(np.log(absv, out=absv)), l1
 
 
 def mahler_log(P, grid_size=None):
@@ -72,8 +74,10 @@ def mahler_log(P, grid_size=None):
     met 1e-9, False when it stopped at the cap or the starting grid was
     already the cap, None for an explicit grid_size.  Every grid is a
     power of two, on which a real polynomial never vanishes (see
-    _log_abs_mean); an explicit grid_size must be one.  A coefficient with a
-    nonzero imaginary part raises ValueError: use mahler_jensen.
+    _log_abs_mean); an explicit grid_size must be one.  A grid costs 8 bytes
+    per point plus one block of row FFTs (poly._abs_support_grid), about
+    33 MB at the cap.  A coefficient with a nonzero imaginary part raises
+    ValueError: use mahler_jensen.
     """
     exps, coeffs = _nonzero_terms(P)
     if np.any(np.imag(coeffs)):
@@ -132,9 +136,9 @@ def mahler_jensen(P):
         outside = int(np.count_nonzero(moduli > 1.0))
         value *= float(np.prod(moduli[moduli > 1.0])) if outside else 1.0
     N = max(4096, 4 * (degree + 1))
-    absv = np.abs(eval_support_grid(exps, coeffs, N, offset=0.5))
+    l1 = _mean(_abs_support_grid(exps, coeffs, N, offset=0.5))
     return MahlerReport(q=getattr(P, "q", None), method="jensen", value=float(value),
-                        l1=_mean(absv), detail={"degree": degree, "roots_outside": outside})
+                        l1=l1, detail={"degree": degree, "roots_outside": outside})
 
 
 def riesz_mahler(plan, stages):

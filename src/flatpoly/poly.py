@@ -22,6 +22,8 @@ import numpy as np
 
 from .singer import SingerSet, _pair_counts
 
+_GRID_BLOCK = 2**16  # complex entries per batch of row FFTs in _abs_support_grid: 1 MB
+
 __all__ = [
     "NewmanPolynomial",
     "CorrelationTable",
@@ -189,7 +191,9 @@ def defect_poly(sset: SingerSet):
 def eval_support_grid(exponents, coeffs, N, offset=0.0):
     """values[j] = sum_k coeffs[k] exp(2*pi*i*(j+offset)*exponents[k]/N), by one FFT.
 
-    Exponents must lie in [0, N) so the grid resolves the polynomial.
+    Exponents must lie in [0, N) so the grid resolves the polynomial.  This is
+    the complex-valued route, 32 bytes per point; library |P| grids go through
+    _abs_support_grid, and this stays its oracle.
     """
     exponents = np.asarray(exponents, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -199,7 +203,44 @@ def eval_support_grid(exponents, coeffs, N, offset=0.0):
         coeffs = coeffs * np.exp(2j * np.pi * offset * exponents / N)
     dense = np.zeros(N, dtype=np.complex128)
     np.add.at(dense, exponents, coeffs)
-    return np.fft.ifft(dense) * N
+    values = np.fft.ifft(dense)
+    values *= N
+    return values
+
+
+def _abs_support_grid(exponents, coeffs, N, offset=0.0):
+    """|P| on the N-point grid: np.abs(eval_support_grid(exponents, coeffs, N, offset)).
+
+    With M the smallest divisor of N above the degree and L = N/M, grid index
+    j = L*b + a has P(e^(2 pi i (j+offset)/N)) = M * ifft_M(c_s e^(2 pi i (a+offset) s/N))[b],
+    so the grid is L length-M FFTs.  They run as 2-D FFTs over blocks of about
+    _GRID_BLOCK entries, each written as |.| straight into the float result: memory
+    is 8 bytes per point plus one block (at least one length-M row).  The twist
+    angle's numerator is reduced exactly in int64, a*s mod N, before offset*s is
+    added; that sum is exact for the offsets 1/2 and 1/4 (so at 1/2 the angle is
+    pi ((2a+1) s mod 2N) / N up to a whole turn), and sin/cos never see a large angle.
+    """
+    exponents = np.asarray(exponents, dtype=np.int64)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    if exponents.size and (exponents.min() < 0 or exponents.max() >= N):
+        raise ValueError(f"exponents must lie in [0, N) with N={N}")
+    s, inverse = np.unique(exponents, return_inverse=True)
+    c = np.zeros(s.size, dtype=np.complex128)
+    np.add.at(c, inverse, coeffs)
+    L = N // (int(s.max(initial=0)) + 1)
+    while N % L:
+        L -= 1
+    M = N // L
+    out = np.empty(N)
+    grid = out.reshape(M, L)  # grid[b, a] is grid index L*b + a
+    rows = max(1, _GRID_BLOCK // M)
+    block = np.zeros((min(rows, L), M), dtype=np.complex128)
+    for a0 in range(0, L, rows):
+        x = block[:min(rows, L - a0)]
+        a = np.arange(a0, a0 + len(x), dtype=np.int64)[:, None]
+        x[:, s] = c * np.exp((2j * np.pi / N) * (a * s % N + offset * s))
+        np.abs(np.fft.ifft(x, axis=1, norm="forward").T, out=grid[:, a0:a0 + len(x)])
+    return out
 
 
 def _perfect_defect_abs(q, size, N):

@@ -14,7 +14,13 @@ import flatpoly
 from flatpoly import analysis, cli, mahler, poly
 from flatpoly.analysis import flatness
 from flatpoly.cli import Command, UsageError, _flat_row, main, parse
-from flatpoly.poly import build_polynomial, defect_poly, eval_grid, eval_support_grid
+from flatpoly.poly import (
+    _abs_support_grid,
+    build_polynomial,
+    defect_poly,
+    eval_grid,
+    eval_support_grid,
+)
 
 
 def run_to_file(tmp_path, argv, name="report"):
@@ -299,13 +305,13 @@ class TestFlatRow:
 
         def counted(exponents, coeffs, N, offset=0.0):
             grids.append(N)
-            return eval_support_grid(exponents, coeffs, N, offset)
+            return _abs_support_grid(exponents, coeffs, N, offset)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the flat row needs no correlation table")
 
         for module in (poly, analysis, mahler, cli):
-            monkeypatch.setattr(module, "eval_support_grid", counted, raising=False)
+            monkeypatch.setattr(module, "_abs_support_grid", counted, raising=False)
             monkeypatch.setattr(module, "correlations", forbidden, raising=False)
         q = singer_cache(5).q
         _flat_row(5, 1, 1.0, 16)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -7,6 +8,7 @@ import pytest
 
 from flatpoly.poly import (
     DefectPolynomial,
+    _abs_support_grid,
     _perfect_defect_abs,
     build_polynomial,
     correlation_table,
@@ -92,6 +94,32 @@ class TestEvalGrid:
         for P, N in ((P7, 8), (P7, 101), (P13, 64)):
             mean_sq = np.mean(np.abs(eval_grid(P, N).values) ** 2)
             assert abs(mean_sq - 1.0) < 1e-12
+
+
+class TestAbsSupportGrid:
+    def test_memory_is_one_float_per_point(self):
+        # 2^22 points of a 3-term polynomial: the 32 MB result plus one block,
+        # against 192 MB for three N-long complex arrays
+        N, exps, coeffs = 2**22, [0, 1000, 4095], np.array([1.0, -0.5, 2.0])
+        tracemalloc.start()
+        try:
+            absv = _abs_support_grid(exps, coeffs, N, offset=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+        j = np.array([0, 1, 1023, 1024, 123457, N - 1])  # 1024 rows of length 4096
+        direct = np.abs(np.exp(2j * np.pi * np.outer(j + 0.5, exps) / N) @ coeffs)
+        assert np.max(np.abs(absv[j] - direct)) < 1e-12
+
+    def test_merges_repeated_exponents(self):
+        got = _abs_support_grid([3, 0, 3], [1.0, 2.0, 0.5], 10)
+        assert np.max(np.abs(got - np.abs(eval_support_grid([0, 3], [2.0, 1.5], 10)))) < 1e-14
+
+    @pytest.mark.parametrize("exps", [[0, 8], [-1, 2]])
+    def test_rejects_exponents_outside_the_grid(self, exps):
+        with pytest.raises(ValueError):
+            _abs_support_grid(exps, [1.0, 1.0], 8)
 
 
 class TestCorrelations:

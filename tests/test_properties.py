@@ -4,8 +4,8 @@ Supports are random subsets of [0, q); plans are assembled by hand from
 small Singer sets at arbitrary scales, so they need not be dissociated.
 Each property is checked against an independent route: the pair-count
 folding against its definition, the exact L2 defect against a grid
-mean, the FFT route against direct summation, and the integer Riesz
-coefficients against a convolution over Fractions.
+mean, the FFT route and the blocked |P| kernel against direct summation,
+and the integer Riesz coefficients against a convolution over Fractions.
 """
 
 from fractions import Fraction
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from flatpoly.analysis import l2_defect_sq_exact
 from flatpoly.poly import (
+    _abs_support_grid,
     correlation_table,
     correlations,
     eval_grid,
@@ -117,6 +118,34 @@ def test_fft_route_matches_direct_summation(N, data):
     got = eval_support_grid(exps, coeffs, N, offset=offset)
     direct = np.exp(2j * np.pi * np.outer(np.arange(N) + offset, exps) / N) @ coeffs
     assert np.max(np.abs(got - direct)) <= 1e-12 * (1 + np.sum(np.abs(coeffs)))
+
+
+@st.composite
+def grid_cases(draw):
+    """(N, exponents, coefficients, offset): any N up to 400, or N = 16q with degree < q."""
+    q = draw(st.sampled_from((0, 7, 13, 31, 57)))
+    N = 16 * q if q else draw(st.integers(1, 400))
+    exps = draw(st.lists(st.integers(0, (q or N) - 1), min_size=1, max_size=20))
+    reals = st.floats(-2.0, 2.0, allow_nan=False)
+    coeffs = [complex(draw(reals), draw(reals)) for _ in exps]
+    return N, exps, coeffs, draw(st.sampled_from((0.0, 0.5, 0.25)))
+
+
+@PROPERTY_SETTINGS
+@given(grid_cases())
+@example((397, [0, 5, 396], [1.0, -1.0, 0.5j], 0.5))  # N prime: one length-N row
+@example((64, [0, 63], [1.0, 1.0], 0.25))  # max exponent N - 1: one row
+@example((16 * 31, [1, 5, 11, 24, 25, 27], [0.5] * 6, 0.0))  # the p = 5 Singer set at 16q
+@example((400, [0, 2], [1.0, 3.0], 0.5))  # degree 2: 100 rows of length 4
+def test_abs_grid_kernel_matches_direct_summation(case):
+    N, exps, coeffs, offset = case
+    coeffs = np.array(coeffs, dtype=complex)
+    got = _abs_support_grid(exps, coeffs, N, offset=offset)
+    direct = np.abs(np.exp(2j * np.pi * np.outer(np.arange(N) + offset, exps) / N) @ coeffs)
+    oracle = np.abs(eval_support_grid(exps, coeffs, N, offset=offset))
+    bound = 1e-12 * (1 + np.sum(np.abs(coeffs)))
+    assert np.max(np.abs(got - direct)) <= bound
+    assert np.max(np.abs(got - oracle)) <= bound
 
 
 @PROPERTY_SETTINGS
