@@ -239,13 +239,37 @@ def periodized_kernel(spec: KernelSpec, theta):
 
 
 def periodized_kernel_truncated(spec: KernelSpec, theta):
-    """Direct sum 2pi sum_{|n| <= truncation} K_s(theta + 2pi n)."""
+    """Direct sum 2pi sum_{|n| <= truncation} K_s(theta + 2pi n).
+
+    With u = s theta/2 and phi_n = pi s n the n-th term is s sin^2(u + phi_n)/(u + phi_n)^2,
+    and sin(u + phi_n) = sin u cos phi_n + cos u sin phi_n, so every node takes two trig
+    evaluations whatever the truncation.  sin^2 has period pi, so s n is reduced mod 1
+    before it is multiplied by pi: sin phi_n is exactly 0 for integer s n.  Where
+    |u + phi_n| < 1 the addition formula would cancel, and the term is s sinc^2 as in
+    kernel_value, s at u + phi_n = 0.
+    """
     th = np.asarray(theta, dtype=float)
-    out = np.zeros_like(th)
-    for n in range(-spec.truncation, spec.truncation + 1):
-        out = out + kernel_value(spec, th + 2 * np.pi * n)
-    out = 2 * np.pi * out
-    return out if out.ndim else float(out)
+    u = 0.5 * spec.s * th.ravel()
+    sin_u, cos_u = np.sin(u), np.cos(u)
+    out = np.zeros_like(u)
+    step = np.pi * spec.s
+    lo, hi = (-1.0 - u.max(initial=0.0)) / step, (1.0 - u.min(initial=0.0)) / step
+    # the n for which |x| < 1 can occur; all of them if theta is not finite
+    shifts = range(-spec.truncation, spec.truncation + 1)
+    near_n = range(math.ceil(lo), math.floor(hi) + 1) if math.isfinite(lo + hi) else shifts
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 only where |x| < 1
+        for n in shifts:
+            phi = np.pi * ((spec.s * n) % 1.0)
+            x = u + step * n
+            term = sin_u * math.cos(phi) + cos_u * math.sin(phi)
+            term /= x
+            term *= term
+            if n in near_n:
+                near = np.abs(x) < 1.0
+                term[near] = np.sinc(x[near] / np.pi) ** 2
+            out += term
+    out *= spec.s
+    return out.reshape(th.shape) if th.ndim else float(out[0])
 
 
 def kernel_tail_bound(spec: KernelSpec):

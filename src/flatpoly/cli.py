@@ -21,7 +21,7 @@ from . import __version__
 from .errors import BudgetError
 from .singer import _check_pm, _scan_singer, canonical_field_spec, construct_singer, gap_statistic
 from .singer import normalize, verify_perfect_difference
-from .poly import _abs_support_grid, _perfect_defect_abs, build_polynomial
+from .poly import _GRID_BLOCK, _abs_support_grid, _perfect_defect_abs, build_polynomial
 from .analysis import KernelSpec, _flatness_from_abs, realline_flatness
 from .mahler import mahler_jensen, mahler_log
 from .riesz import _margin_constant, check_dissociated, ergodicity_sum, make_plan, partial_coeffs
@@ -199,7 +199,6 @@ def _flat_row(p, m, alpha, grid_multiplier):
     absv = _abs_support_grid(P.support, [P.scale] * P.size, grid)
     rep = _flatness_from_abs(P, alpha, absv)
     ml = mahler_log(P)
-    gap = _perfect_defect_abs(sset.q, sset.size, grid) - np.abs(absv**2 - 1.0)
     return {
         "p": rep.p,
         "q": rep.q,
@@ -212,8 +211,20 @@ def _flat_row(p, m, alpha, grid_multiplier):
         "mahler_converged": ml.detail["converged"],
         "s3_bound": rep.s3_bound,
         "l2_defect_closed": rep.l2_defect_closed,
-        "defect_dominance_min_gap": float(gap.min()),
+        "defect_dominance_min_gap": _min_dominance_gap(sset.q, sset.size, absv),
     }
+
+
+def _min_dominance_gap(q, size, absv):
+    """min over the grid of |Q| - ||P|^2 - 1|, block by block over j <= N/2: |Q| is even
+    in theta and the real-coefficient |P| grid is mirrored exactly, so j > N/2 repeats
+    these values and the min equals the whole grid's bit for bit."""
+    N, stop = len(absv), len(absv) // 2 + 1
+    gaps = []
+    for j0 in range(0, stop, _GRID_BLOCK):
+        j1 = min(j0 + _GRID_BLOCK, stop)
+        gaps.append((_perfect_defect_abs(q, size, N, j0, j1) - np.abs(absv[j0:j1] ** 2 - 1.0)).min())
+    return float(min(gaps))
 
 
 def _per_prime(methods):

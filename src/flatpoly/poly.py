@@ -23,6 +23,8 @@ import numpy as np
 from .singer import SingerSet, _pair_counts
 
 _GRID_BLOCK = 2**16  # complex entries per batch of row FFTs in _abs_support_grid: 1 MB
+_ROW_MIN, _ROW_MAX = 2**8, 2**14  # row lengths _abs_support_grid aims for
+_ROW_PRIME_MAX = 64  # largest prime factor of a fast row length
 
 __all__ = [
     "NewmanPolynomial",
@@ -208,17 +210,63 @@ def eval_support_grid(exponents, coeffs, N, offset=0.0):
     return values
 
 
+def _divisors(factors):
+    """Every divisor of the number with prime factorization {prime: exponent}, ascending."""
+    divs = [1]
+    for prime, e in factors.items():
+        divs = [d * prime**i for d in divs for i in range(e + 1)]
+    return sorted(divs)
+
+
+def _row_length(N, degree, terms):
+    """Row length M of _abs_support_grid's N-point grid.
+
+    The candidates are the divisors of N of at most _ROW_MAX with every prime factor at
+    most _ROW_PRIME_MAX and at least the term count: the smallest one at or above
+    clamp(degree + 1, _ROW_MIN, _ROW_MAX), else the largest one, else the smallest divisor
+    of N above the degree.  N is factored by trial division, O(sqrt(N)) steps.
+    """
+    factors, n, d = {}, N, 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    smooth = {prime: e for prime, e in factors.items() if prime <= _ROW_PRIME_MAX}
+    fast = [m for m in _divisors(smooth) if terms <= m <= _ROW_MAX]
+    target = min(max(degree + 1, _ROW_MIN), _ROW_MAX)
+    above = [m for m in fast if m >= target]
+    if above:
+        return above[0]
+    if fast:
+        return fast[-1]
+    return next(m for m in _divisors(factors) if m > degree)
+
+
 def _abs_support_grid(exponents, coeffs, N, offset=0.0):
     """|P| on the N-point grid: np.abs(eval_support_grid(exponents, coeffs, N, offset)).
 
-    With M the smallest divisor of N above the degree and L = N/M, grid index
-    j = L*b + a has P(e^(2 pi i (j+offset)/N)) = M * ifft_M(c_s e^(2 pi i (a+offset) s/N))[b],
-    so the grid is L length-M FFTs.  They run as 2-D FFTs over blocks of about
-    _GRID_BLOCK entries, each written as |.| straight into the float result: memory
-    is 8 bytes per point plus one block (at least one length-M row).  The twist
-    angle's numerator is reduced exactly in int64, a*s mod N, before offset*s is
-    added; that sum is exact for the offsets 1/2 and 1/4 (so at 1/2 the angle is
-    pi ((2a+1) s mod 2N) / N up to a whole turn), and sin/cos never see a large angle.
+    Fold.  With L = N/M, grid index j = L*b + a has
+    P(e^(2 pi i (j+offset)/N)) = sum_m x_a[m] e^(2 pi i m b/M), where x_a[m] sums the twisted
+    terms c_s e^(2 pi i (a+offset) s/N) over s = m mod M: row a is one length-M FFT, and M
+    need not exceed the degree.  M comes from _row_length: a divisor of N of at most
+    _ROW_MAX with small prime factors and at least as many bins as terms, so the rows are
+    fast FFTs that stay in cache.  The twist of row a0 + t is the product of
+    e^(2 pi i (a0 s mod N + offset s)/N) and e^(2 pi i (t s mod N)/N), each numerator
+    reduced exactly in int64 (offset*s is exact for the offsets 1/2 and 1/4), so no trig
+    call sees a large angle; the second factor is shared by every block.
+
+    Mirror.  For real coefficients |P(e^(-i theta))| = |P(e^(i theta))|.  At offset 0,
+    N - (L*b + a) = L*(M-1-b) + (L-a), so rows 0 .. L//2 are computed; at offset 1/2,
+    N-1 - (L*b + a) = L*(M-1-b) + (L-1-a), so rows 0 .. ceil(L/2)-1 are.  The other rows
+    are reversed copies, and each self-paired row copies its own first half, so the result
+    is exactly symmetric: out[-j] == out[j] at offset 0, out[N-1-j] == out[j] at 1/2.
+    Offset 1/4 and complex coefficients compute every row.
+
+    Memory: 8 bytes per point for the result, plus about one block of _GRID_BLOCK complex
+    entries for the rows in flight (twists, bins, FFT output, one mirrored slab).
     """
     exponents = np.asarray(exponents, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -227,37 +275,58 @@ def _abs_support_grid(exponents, coeffs, N, offset=0.0):
     s, inverse = np.unique(exponents, return_inverse=True)
     c = np.zeros(s.size, dtype=np.complex128)
     np.add.at(c, inverse, coeffs)
-    L = N // (int(s.max(initial=0)) + 1)
-    while N % L:
-        L -= 1
-    M = N // L
+    M = _row_length(N, int(s.max(initial=0)), s.size)
+    L = N // M
+    sigma = None if np.any(c.imag) else {0.0: 0, 0.5: 1}.get(offset)
+    h = L if sigma is None else (L - sigma) // 2 + 1  # rows computed by FFT
     out = np.empty(N)
     grid = out.reshape(M, L)  # grid[b, a] is grid index L*b + a
-    rows = max(1, _GRID_BLOCK // M)
-    block = np.zeros((min(rows, L), M), dtype=np.complex128)
-    for a0 in range(0, L, rows):
-        x = block[:min(rows, L - a0)]
-        a = np.arange(a0, a0 + len(x), dtype=np.int64)[:, None]
-        x[:, s] = c * np.exp((2j * np.pi / N) * (a * s % N + offset * s))
-        np.abs(np.fft.ifft(x, axis=1, norm="forward").T, out=grid[:, a0:a0 + len(x)])
+    rows = max(1, min(_GRID_BLOCK // M, h))
+    t = np.arange(rows, dtype=np.int64)[:, None]
+    step = np.exp((2j * np.pi / N) * (t * s % N))
+    # bins of the real and imaginary parts of the folded rows, as one float array
+    bins = (2 * (t * M + s % M))[:, :, None] + np.arange(2)
+    for a0 in range(0, h, rows):
+        n = min(rows, h - a0)
+        twist = step[:n] * (c * np.exp((2j * np.pi / N) * (a0 * s % N + offset * s)))
+        x = np.bincount(bins[:n].ravel(), twist.view(np.float64).ravel(), 2 * n * M)
+        x = x.view(np.complex128).reshape(n, M)
+        np.abs(np.fft.ifft(x, axis=1, norm="forward").T, out=grid[:, a0:a0 + n])
+    if sigma is not None:
+        flipped = grid[::-1, ::-1]  # flipped[:, a - 1 + sigma] is row L - a - sigma reversed
+        width = max(1, _GRID_BLOCK // M)
+        for a0 in range(h, L, width):
+            a1 = min(a0 + width, L)
+            grid[:, a0:a1] = flipped[:, a0 - 1 + sigma:a1 - 1 + sigma]
+        # self-paired rows: row 0 at offset 0 pairs b with M-b, a middle row b with M-1-b
+        selfpaired = [grid[1:, 0]] if sigma == 0 else []
+        if (L + sigma) % 2 == 0:
+            selfpaired.append(grid[:, (L - sigma) // 2])
+        for row in selfpaired:
+            half = len(row) // 2
+            row[len(row) - half:] = row[:half][::-1]
     return out
 
 
-def _perfect_defect_abs(q, size, N):
-    """|Q| at the N-th roots of unity for a perfect difference set of the given size mod q.
+def _perfect_defect_abs(q, size, N, start=0, stop=None):
+    """|Q| at the N-th roots of unity e^(2 pi i j/N), start <= j < stop (default N), for a
+    perfect difference set of the given size mod q.
 
     Every coefficient of Q is 1/size, so Q(z) = (z - z^q) / (size (1 - z)) and
     |Q(e^(i theta))| = |sin((q-1) theta/2)| / (size |sin(theta/2)|), (q-1)/size at
     theta = 0.  Both sine arguments are folded exactly in int64 into [0, pi/2]
-    before sin is called, so no large angle loses digits.
+    before sin is called, so no large angle loses digits, and the value at j equals
+    the value at N - j bit for bit.
     """
-    j = np.arange(1, N, dtype=np.int64)
+    stop = N if stop is None else stop
+    out = np.empty(stop - start)
+    j = np.arange(max(start, 1), stop, dtype=np.int64)
     a = np.minimum(j, N - j)  # |Q| is even in theta
     r = a * (q - 1) % N
     r = np.minimum(r, N - r)
-    out = np.empty(N)
-    out[0] = (q - 1) / size
-    out[1:] = np.sin(np.pi * r / N) / (size * np.sin(np.pi * a / N))
+    out[len(out) - len(j):] = np.sin(np.pi * r / N) / (size * np.sin(np.pi * a / N))
+    if start == 0 < stop:
+        out[0] = (q - 1) / size
     return out
 
 

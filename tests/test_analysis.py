@@ -233,6 +233,19 @@ class TestKernel:
             trunc = periodized_kernel_truncated(spec, theta)
             assert np.max(np.abs(exact - trunc)) < kernel_tail_bound(spec)
 
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.7, 3.0])
+    def test_truncated_sum_matches_the_sinc_sum(self, s):
+        # oracle: the term-by-term sum of kernel_value; the routine shares two trig
+        # evaluations per node and must agree, also next to the poles at 0 and 2 pi
+        spec = KernelSpec(s)
+        rng = np.random.default_rng(7)
+        theta = np.concatenate([[0.5, 0.0, 1e-12, 1e-7, np.pi, 2 * np.pi - 1e-9, 2 * np.pi, -3.0, 9.0],
+                                rng.uniform(0, 2 * np.pi, 20000)])
+        oracle = 2 * np.pi * sum(kernel_value(spec, theta + 2 * np.pi * n)
+                                 for n in range(-spec.truncation, spec.truncation + 1))
+        assert np.max(np.abs(periodized_kernel_truncated(spec, theta) - oracle)) <= 1e-13
+        assert periodized_kernel_truncated(spec, 0.5) == pytest.approx(oracle[0], abs=1e-13)
+
     def test_fejer_special_case(self):
         # integer s periodizes to the classical kernel (sin(s t/2)/sin(t/2))^2 / s
         theta = np.linspace(0.1, 2 * np.pi - 0.1, 23)

@@ -16,6 +16,7 @@ from flatpoly.analysis import flatness
 from flatpoly.cli import Command, UsageError, _flat_row, main, parse
 from flatpoly.poly import (
     _abs_support_grid,
+    _perfect_defect_abs,
     build_polynomial,
     defect_poly,
     eval_grid,
@@ -299,6 +300,16 @@ class TestFlatRow:
         oracle = float((np.abs(qvals) - np.abs(np.abs(values) ** 2 - 1.0)).min())
         gap = _flat_row(p, 1, 1.0, 16)["defect_dominance_min_gap"]
         assert abs(gap - oracle) <= 1e-13 * (sset.q - 1) / sset.size
+
+    @pytest.mark.parametrize("p", [5, 31, 101])
+    def test_dominance_gap_is_the_whole_grid_min(self, p, singer_cache):
+        # the row reads half the grid block by block; the whole-grid expression is exact
+        sset = singer_cache(p)
+        grid = 16 * sset.q
+        P = build_polynomial(sset)
+        absv = _abs_support_grid(P.support, [P.scale] * P.size, grid)
+        whole = float((_perfect_defect_abs(sset.q, sset.size, grid) - np.abs(absv**2 - 1.0)).min())
+        assert _flat_row(p, 1, 1.0, 16)["defect_dominance_min_gap"] == whole
 
     def test_one_evaluation_at_the_flat_grid(self, monkeypatch, singer_cache):
         grids = []

@@ -10,6 +10,7 @@ from flatpoly.poly import (
     DefectPolynomial,
     _abs_support_grid,
     _perfect_defect_abs,
+    _row_length,
     build_polynomial,
     correlation_table,
     correlations,
@@ -111,6 +112,54 @@ class TestAbsSupportGrid:
         j = np.array([0, 1, 1023, 1024, 123457, N - 1])  # 1024 rows of length 4096
         direct = np.abs(np.exp(2j * np.pi * np.outer(j + 0.5, exps) / N) @ coeffs)
         assert np.max(np.abs(absv[j] - direct)) < 1e-12
+
+    def test_fold_path_memory_and_values(self, singer_cache):
+        # p = 307 at 16q: rows of M = 2064 fold 308 terms of degree 94k; the result
+        # (11.5 MB) plus one block of rows in flight
+        s = singer_cache(307)
+        N, c = 16 * s.q, np.full(s.size, 1 / np.sqrt(s.size))
+        tracemalloc.start()
+        try:
+            absv = _abs_support_grid(s.residues, c, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * N + 4 * 2**20
+        oracle = np.abs(eval_support_grid(s.residues, c, N))
+        assert np.max(np.abs(absv - oracle)) <= 1e-12 * (1 + c.sum())
+
+    @pytest.mark.parametrize("p, m16q, m22", [(31, 48, 1024), (211, 14911, 2**14), (307, 2064, 2**14)])
+    def test_row_length_on_the_benchmark_grids(self, p, m16q, m22, singer_cache):
+        s = singer_cache(p)
+        assert _row_length(16 * s.q, s.residues[-1], s.size) == m16q
+        assert _row_length(2**22, s.residues[-1], s.size) == m22
+
+    @pytest.mark.parametrize("N, degree, terms, M", [
+        (2**22, 6, 3, 256),  # tiny degree: rows of the smallest fast length, not length 7
+        (3 * 2**15, 20000, 10, 2**14),  # the smallest fast divisor at the clamped target
+        (64 * 8191, 100000, 20, 64),  # every fast divisor below the degree: the largest
+        (64 * 8191, 100000, 100, 16 * 8191),  # too few fast bins for the terms: above the degree
+        (397, 396, 3, 397),  # N prime: one row
+        (397, 0, 1, 1),  # one term: N rows of one bin
+    ])
+    def test_row_length_rule(self, N, degree, terms, M):
+        assert _row_length(N, degree, terms) == M
+
+    @pytest.mark.parametrize("N, exps", [
+        (16 * 94557, [0, 17, 94556]),  # M = 2064 folds the terms, L = 733 rows
+        (3 * 2**15, [1, 5000, 20000]),  # M = 2^14 folds the terms, L = 6
+        (5 * 2**12, [0, 7, 300]),  # M = 320, L = 64
+        (3 * 2**8, [0, 2]),  # M = 256, L = 3
+        (397, [0, 5, 396]),  # N prime: M = N, L = 1
+    ])
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_real_grids_are_exactly_symmetric(self, N, exps, offset):
+        coeffs = np.array([1.0, -0.7, 0.3])[:len(exps)]
+        absv = _abs_support_grid(exps, coeffs, N, offset)
+        mirrored = absv[::-1] if offset else np.roll(absv[::-1], 1)  # theta -> -theta
+        assert absv.tobytes() == mirrored.tobytes()
+        oracle = np.abs(eval_support_grid(exps, coeffs, N, offset))
+        assert np.max(np.abs(absv - oracle)) <= 1e-12 * (1 + np.abs(coeffs).sum())
 
     def test_merges_repeated_exponents(self):
         got = _abs_support_grid([3, 0, 3], [1.0, 2.0, 0.5], 10)
@@ -234,6 +283,15 @@ class TestPerfectDefectAbs:
                     s.size * abs(mpmath.sinpi(mpmath.mpf(j) / N)))
                 assert abs(got[j] - ref) <= 8e-16 * ref, j
         assert got[0] == (s.q - 1) / s.size
+
+    @pytest.mark.parametrize("p", [5, 31])
+    def test_blocks_equal_the_whole_grid(self, p, singer_cache):
+        s = singer_cache(p)
+        N = 16 * s.q
+        whole = _perfect_defect_abs(s.q, s.size, N)
+        blocks = [_perfect_defect_abs(s.q, s.size, N, j, min(j + 1000, N)) for j in range(0, N, 1000)]
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        assert whole[1:].tobytes() == whole[:0:-1].tobytes()  # even in theta, bit for bit
 
     def test_matches_defect_poly_on_the_grid(self, singer_cache):
         s = singer_cache(5)

@@ -131,20 +131,39 @@ def grid_cases(draw):
     return N, exps, coeffs, draw(st.sampled_from((0.0, 0.5, 0.25)))
 
 
+SINGER_2, SINGER_307 = construct_singer(2).residues, construct_singer(307).residues
+
+
 @PROPERTY_SETTINGS
 @given(grid_cases())
 @example((397, [0, 5, 396], [1.0, -1.0, 0.5j], 0.5))  # N prime: one length-N row
+@example((397, [0, 5, 396], [1.0, -1.0, 0.5], 0.0))  # N prime, real: one row, mirrored in itself
 @example((64, [0, 63], [1.0, 1.0], 0.25))  # max exponent N - 1: one row
 @example((16 * 31, [1, 5, 11, 24, 25, 27], [0.5] * 6, 0.0))  # the p = 5 Singer set at 16q
-@example((400, [0, 2], [1.0, 3.0], 0.5))  # degree 2: 100 rows of length 4
+@example((400, [0, 2], [1.0, 3.0], 0.5))  # degree 2: one row of the fast length 400
+@example((16 * 94557, SINGER_307, [308**-0.5] * 308, 0.0))  # p = 307 at 16q: fold, L = 733 odd
+@example((16 * 94557, SINGER_307, [308**-0.5] * 308, 0.5))
+@example((16 * 94557, SINGER_307, [308**-0.5] * 308, 0.25))  # fold, every row computed
+@example((64 * 8191, [0, 9, 70000, 99999], [1.0, -2.0, 0.5, 1.5], 0.5))  # fast rows all below the degree
+@example((3 * 2**15, [1, 5000, 20000], [1.0, -0.7, 0.3], 0.0))  # fold, L = 6 even
+@example((3 * 2**15, [1, 5000, 20000], [1.0, -0.7, 0.3], 0.5))
+@example((5 * 2**12, [0, 7, 300], [1.0, 0.25, -1.0], 0.0))  # L = 64 even
+@example((3 * 2**8, [0, 2], [1.0, 3.0], 0.5))  # L = 3 odd
+@example((4096, [0, 16], [-1j, 1.0], 0.5))  # z^16 - i on mahler_jensen's L1 grid: complex
+@example((2**22, SINGER_2, [3**-0.5] * 3, 0.5))  # p = 2 on the 2^22 Mahler cap
 def test_abs_grid_kernel_matches_direct_summation(case):
     N, exps, coeffs, offset = case
     coeffs = np.array(coeffs, dtype=complex)
     got = _abs_support_grid(exps, coeffs, N, offset=offset)
-    direct = np.abs(np.exp(2j * np.pi * np.outer(np.arange(N) + offset, exps) / N) @ coeffs)
     oracle = np.abs(eval_support_grid(exps, coeffs, N, offset=offset))
+    # direct sums at every point of small grids, else at both ends and 2000 drawn points;
+    # the angle's numerator j*s is reduced mod N exactly first
+    rng = np.random.default_rng(N)
+    j = np.arange(N) if N <= 4096 else np.r_[0:64, N - 64:N, rng.integers(0, N, 2000)]
+    turns = (np.outer(j, exps) % N + offset * np.asarray(exps)) / N
+    direct = np.abs(np.exp(2j * np.pi * turns) @ coeffs)
     bound = 1e-12 * (1 + np.sum(np.abs(coeffs)))
-    assert np.max(np.abs(got - direct)) <= bound
+    assert np.max(np.abs(got[j] - direct)) <= bound
     assert np.max(np.abs(got - oracle)) <= bound
 
 
