@@ -15,7 +15,7 @@ from flatpoly import (
     construct_singer,
     correlations,
     defect_poly,
-    eval_grid,
+    eval_support_grid,
     flatness,
     l2_defect_exact,
     lp_norm,
@@ -23,7 +23,7 @@ from flatpoly import (
 
 s = construct_singer(2)
 P = build_polynomial(s)
-values = eval_grid(P, s.q).values
+values = eval_support_grid(P.support, [P.scale] * P.size, s.q)  # P at the 7th roots
 
 print("p = 2, q = 7, S =", s.residues)
 print("|P(z_r)|^2 at the 7th roots of unity:")
@@ -33,11 +33,12 @@ table = correlations(s)
 print("cyclic correlation counts:", table.cyclic, " (all ones away from 0)")
 
 Q = defect_poly(s)
-print("Q(1) =", Q.value_at_one(), "   Q(z_1) =", complex(round(Q.eval_root(1).real, 12)))
+Q_roots = eval_support_grid(np.arange(1, s.q), Q.coefficient_array()[1:], s.q)
+print("Q(1) =", Q.value_at_one(), "   Q(z_1) =", complex(round(Q_roots[1].real, 12)))
 
 print()
 print("L2 norm is exactly 1 (Parseval on any grid beyond the degree):")
-print("  (1/N) sum |P|^2 =", lp_norm(eval_grid(P, 64), 2.0))
+print("  (1/N) sum |P|^2 =", lp_norm(eval_support_grid(P.support, [P.scale] * P.size, 64), 2.0))
 
 print()
 print("Flatness defects fall as p grows (alpha = 1):")

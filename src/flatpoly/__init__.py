@@ -23,16 +23,13 @@ from .singer import (
 from .poly import (
     CorrelationTable,
     DefectPolynomial,
-    GridValues,
     NewmanPolynomial,
     build_polynomial,
     correlation_table,
     correlations,
     defect_poly,
-    eval_grid,
     eval_support_grid,
     newman_from_support,
-    power_fourier_coefficients,
 )
 from .analysis import (
     FlatnessReport,

@@ -26,12 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import (
-    DefectPolynomial,
-    GridValues,
-    NewmanPolynomial,
-    _abs_support_grid,
-)
+from .poly import DefectPolynomial, NewmanPolynomial, _abs_support_grid
 
 __all__ = [
     "FlatnessReport",
@@ -71,8 +66,7 @@ def lp_norm(values, alpha):
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    v = values.values if isinstance(values, GridValues) else np.asarray(values)
-    return _mean(np.abs(v) ** alpha)
+    return _mean(np.abs(np.asarray(values)) ** alpha)
 
 
 @dataclass(frozen=True)
@@ -108,9 +102,20 @@ def flatness(P: NewmanPolynomial, alpha, grid_size=None):
 
 
 def _flatness_from_abs(P: NewmanPolynomial, alpha, absv):
-    """FlatnessReport from |P| on the uniform grid of len(absv) points."""
-    defect_sq = _mean(np.abs(absv**2 - 1.0) ** alpha) ** (1.0 / alpha)
-    defect_abs = _mean(np.abs(absv - 1.0) ** alpha) ** (1.0 / alpha)
+    """FlatnessReport from |P| on the uniform grid of len(absv) points.
+
+    Both defects reuse one N-long temporary in place, so the report costs one
+    more float per point than the grid itself.
+    """
+    t = np.square(absv)
+    t -= 1.0
+    np.abs(t, out=t)
+    t **= alpha
+    defect_sq = _mean(t) ** (1.0 / alpha)
+    np.subtract(absv, 1.0, out=t)
+    np.abs(t, out=t)
+    t **= alpha
+    defect_abs = _mean(t) ** (1.0 / alpha)
     pm = P.size - 1
     return FlatnessReport(
         p=pm,
@@ -157,11 +162,15 @@ def _sparse_form(poly):
     """Nonzero terms (exponents ascending, coefficients) of a polynomial object.
 
     Accepts a NewmanPolynomial, a DefectPolynomial, an {exponent: coefficient}
-    dict, or a one-dimensional nonempty coefficient sequence, constant term first.
+    dict whose exponents are non-negative integers, or a one-dimensional nonempty
+    coefficient sequence, constant term first.
     """
     if isinstance(poly, NewmanPolynomial):
         return np.array(poly.support), np.full(poly.size, poly.scale)
     if isinstance(poly, dict):
+        bad = [e for e in poly if not isinstance(e, (int, np.integer)) or e < 0]
+        if bad:
+            raise ValueError(f"exponents must be non-negative integers, got {bad}")
         exps = np.array(sorted(poly), dtype=np.int64)
         coeffs = np.array([complex(poly[e]) for e in exps])
     else:

@@ -44,9 +44,10 @@ CSV_COLUMNS = {
 
 
 # Method text of every mahler_log column; the row says whether it converged.
-MAHLER_DOUBLING = ("grid doubling until the mean of log|P| moves by less than 1e-9, "
-                   "capped at 2^22 points; mahler_converged is false where it reached "
-                   "the cap without meeting 1e-9")
+MAHLER_DOUBLING = ("grid doubling from the smallest power of two >= max(4096, 16(degree + 1)) "
+                   "until the mean of log|P| moves by less than 1e-9, while the grid is "
+                   "below 2^22 points; mahler_converged is false where the doubling "
+                   "stopped without meeting 1e-9")
 
 
 class UsageError(ValueError):

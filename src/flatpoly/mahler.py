@@ -36,7 +36,7 @@ class MahlerReport:
     q: int | None
     method: str
     value: float
-    l1: float
+    l1: float | None  # grid mean of |P| (mahler_log); None from mahler_jensen
     detail: dict
 
 
@@ -66,18 +66,20 @@ def _log_abs_mean(exps, coeffs, N):
 def mahler_log(P, grid_size=None):
     """Mahler measure as exp of the grid mean of log|P|.
 
-    With grid_size=None the grid is doubled until the mean of log|P|
-    moves by less than 1e-9, capped at 2^22 points (near-circle roots can
-    require more); an explicit grid_size is used as given.  detail holds
-    the final grid, the grids tried, the last change of the mean
-    (None after a single grid) and converged: True when the doubling
-    met 1e-9, False when it stopped at the cap or the starting grid was
-    already the cap, None for an explicit grid_size.  Every grid is a
-    power of two, on which a real polynomial never vanishes (see
-    _log_abs_mean); an explicit grid_size must be one.  A grid costs 8 bytes
-    per point plus one block of row FFTs (poly._abs_support_grid), about
-    33 MB at the cap.  A coefficient with a nonzero imaginary part raises
-    ValueError: use mahler_jensen.
+    With grid_size=None the first grid is the smallest power of two at or
+    above max(4096, 16 (degree + 1)), and it is doubled until the mean of
+    log|P| moves by less than 1e-9, while it is below MAHLER_GRID_CAP = 2^22
+    points (near-circle roots can require more).  From degree 2^18 on the
+    first grid already exceeds the cap and is the only one.  An explicit
+    grid_size is used as given.  detail holds the final grid, the grids
+    tried, the last change of the mean (None after a single grid) and
+    converged: True when the doubling met 1e-9, False when it stopped at
+    the cap or the first grid was at or above it, None for an explicit
+    grid_size.  Every grid is a power of two, on which a real polynomial
+    never vanishes (see _log_abs_mean); an explicit grid_size must be one.
+    A grid costs 8 bytes per point plus one block of row FFTs
+    (poly._abs_support_grid), about 33 MB at the cap.  A coefficient with a
+    nonzero imaginary part raises ValueError: use mahler_jensen.
     """
     exps, coeffs = _nonzero_terms(P)
     if np.any(np.imag(coeffs)):
@@ -117,7 +119,8 @@ def mahler_jensen(P):
     Roots come from companion-matrix eigenvalues of the coefficients; the
     companion matrix is normalized by the leading coefficient, so for a
     NewmanPolynomial it is that of the integer 0/1 support polynomial.  An
-    empty product is 1, so a constant a has measure |a|.
+    empty product is 1, so a constant a has measure |a|.  No grid is evaluated,
+    so l1 is None; mahler_log reports it.
     """
     exps, coeffs = _nonzero_terms(P)
     degree = int(exps[-1])
@@ -135,10 +138,8 @@ def mahler_jensen(P):
         moduli = np.abs(roots)
         outside = int(np.count_nonzero(moduli > 1.0))
         value *= float(np.prod(moduli[moduli > 1.0])) if outside else 1.0
-    N = max(4096, 4 * (degree + 1))
-    l1 = _mean(_abs_support_grid(exps, coeffs, N, offset=0.5))
     return MahlerReport(q=getattr(P, "q", None), method="jensen", value=float(value),
-                        l1=l1, detail={"degree": degree, "roots_outside": outside})
+                        l1=None, detail={"degree": degree, "roots_outside": outside})
 
 
 def riesz_mahler(plan, stages):

@@ -15,12 +15,12 @@ every r != 0, which is what makes |P|^2 close to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .singer import SingerSet, _pair_counts
+from .singer import SingerSet, _factorint, _pair_counts
 
 _GRID_BLOCK = 2**16  # complex entries per batch of row FFTs in _abs_support_grid: 1 MB
 _ROW_MIN, _ROW_MAX = 2**8, 2**14  # row lengths _abs_support_grid aims for
@@ -30,15 +30,12 @@ __all__ = [
     "NewmanPolynomial",
     "CorrelationTable",
     "DefectPolynomial",
-    "GridValues",
     "build_polynomial",
     "newman_from_support",
     "correlations",
     "correlation_table",
     "defect_poly",
-    "eval_grid",
     "eval_support_grid",
-    "power_fourier_coefficients",
 ]
 
 
@@ -129,13 +126,6 @@ class DefectPolynomial:
         den = math.lcm(*{c.denominator for c in self.coefficients})
         return Fraction(sum(c.numerator * (den // c.denominator) for c in self.coefficients), den)
 
-    def eval(self, z):
-        return np.polyval(self.coefficient_array()[::-1], z)
-
-    def eval_root(self, r):
-        """Value at exp(2*pi*i*r/q)."""
-        return self.eval(np.exp(2j * np.pi * r / self.q))
-
     def coefficient_array(self):
         """Dense float coefficients of length q.  One IEEE division per coefficient
         rounds as float(Fraction) does while numerator and denominator are below 2^53."""
@@ -145,14 +135,6 @@ class DefectPolynomial:
         c = np.zeros(self.q)
         c[1:] = num / den if exact else [float(x) for x in self.coefficients]
         return c
-
-
-@dataclass(frozen=True, eq=False)
-class GridValues:
-    """Values values[j] = P(exp(2*pi*i*j/N)) on the uniform N-point grid."""
-
-    N: int
-    values: np.ndarray = field(repr=False)
 
 
 def build_polynomial(sset: SingerSet):
@@ -224,16 +206,9 @@ def _row_length(N, degree, terms):
     The candidates are the divisors of N of at most _ROW_MAX with every prime factor at
     most _ROW_PRIME_MAX and at least the term count: the smallest one at or above
     clamp(degree + 1, _ROW_MIN, _ROW_MAX), else the largest one, else the smallest divisor
-    of N above the degree.  N is factored by trial division, O(sqrt(N)) steps.
+    of N above the degree.
     """
-    factors, n, d = {}, N, 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
+    factors = _factorint(N)
     smooth = {prime: e for prime, e in factors.items() if prime <= _ROW_PRIME_MAX}
     fast = [m for m in _divisors(smooth) if terms <= m <= _ROW_MAX]
     target = min(max(degree + 1, _ROW_MIN), _ROW_MAX)
@@ -329,19 +304,3 @@ def _perfect_defect_abs(q, size, N, start=0, stop=None):
         out[0] = (q - 1) / size
     return out
 
-
-def eval_grid(P: NewmanPolynomial, N):
-    """Evaluate P at the N-th roots of unity (N >= q required)."""
-    if N < P.q:
-        raise ValueError(f"grid size {N} is smaller than the modulus q={P.q}")
-    values = eval_support_grid(P.support, [P.scale] * P.size, N)
-    return GridValues(N=N, values=values)
-
-
-def power_fourier_coefficients(grid: GridValues):
-    """Fourier coefficients of |P|^2 from grid values.
-
-    Returns an array chat of length N with chat[l mod N] the coefficient
-    of z^l; exact (up to rounding) when N exceeds twice the degree.
-    """
-    return np.fft.fft(np.abs(grid.values) ** 2) / grid.N

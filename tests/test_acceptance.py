@@ -30,7 +30,6 @@ from flatpoly.poly import (
     build_polynomial,
     correlations,
     defect_poly,
-    eval_grid,
     eval_support_grid,
 )
 from flatpoly.rankone import base_occurrences, correlation, derive_map_params
@@ -78,7 +77,7 @@ def build_report():
     for p in ROOT_LAW_PRIMES:
         s = construct_singer(p)
         P = build_polynomial(s)
-        values = eval_grid(P, s.q).values
+        values = eval_support_grid(P.support, [P.scale] * P.size, s.q)
         sq = np.abs(values) ** 2
         dev_root = float(np.max(np.abs(sq[1:] - p / (p + 1))))
         Q = defect_poly(s)

@@ -26,7 +26,7 @@ from flatpoly.poly import (
     correlation_table,
     correlations,
     defect_poly,
-    eval_grid,
+    eval_support_grid,
     newman_from_support,
 )
 from fractions import Fraction
@@ -67,11 +67,12 @@ class TestLpNorm:
             assert lp_norm(np.ones(32, dtype=complex), alpha) == pytest.approx(1.0, abs=1e-15)
 
     def test_parseval(self, P7):
-        assert lp_norm(eval_grid(P7, 64), 2.0) == pytest.approx(1.0, abs=1e-10)
+        values = eval_support_grid(P7.support, [P7.scale] * P7.size, 64)
+        assert lp_norm(values, 2.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_alpha1_against_direct_oracle(self, P7):
         N = 2**14
-        got = lp_norm(eval_grid(P7, N), 1.0)
+        got = lp_norm(eval_support_grid(P7.support, [P7.scale] * P7.size, N), 1.0)
         want = dense_oracle_mean(P7.support, P7.scale, N, lambda a: a)
         assert abs(got - want) < 1e-8
 

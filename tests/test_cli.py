@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import os
@@ -19,7 +20,6 @@ from flatpoly.poly import (
     _perfect_defect_abs,
     build_polynomial,
     defect_poly,
-    eval_grid,
     eval_support_grid,
 )
 
@@ -294,7 +294,8 @@ class TestFlatRow:
         # the row takes |Q| from its closed form, so the two agree to rounding
         sset = singer_cache(p)
         grid = 16 * sset.q
-        values = eval_grid(build_polynomial(sset), grid).values
+        P = build_polynomial(sset)
+        values = eval_support_grid(P.support, [P.scale] * P.size, grid)
         Q = defect_poly(sset)
         qvals = eval_support_grid(np.arange(1, sset.q), Q.coefficient_array()[1:], grid)
         oracle = float((np.abs(qvals) - np.abs(np.abs(values) ** 2 - 1.0)).min())
@@ -340,6 +341,13 @@ def test_import_leaves_out_scipy_and_sympy():
     code = ("import sys, flatpoly.cli; "
             "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'sympy'))))")
     assert _run_python(code).strip() == "[]"
+
+
+@pytest.mark.parametrize("layer",
+                         ["singer", "poly", "analysis", "mahler", "riesz", "rankone", "cli"])
+def test_every_exported_name_exists(layer):
+    module = importlib.import_module(f"flatpoly.{layer}")
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 def test_runs_with_scipy_blocked():

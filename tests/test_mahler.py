@@ -5,6 +5,7 @@ import pytest
 
 from flatpoly.errors import BudgetError
 from flatpoly.mahler import MAHLER_GRID_CAP, mahler_jensen, mahler_log, riesz_mahler
+from flatpoly.analysis import mz_ratio
 from flatpoly.poly import build_polynomial, newman_from_support
 from flatpoly.riesz import make_plan
 
@@ -32,11 +33,15 @@ class TestBasics:
             mahler_jensen([0.0])
 
     def test_not_a_coefficient_sequence_rejected(self):
-        for bad in ([], np.ones((2, 2))):
-            with pytest.raises(ValueError, match="one-dimensional"):
-                mahler_log(bad)
-            with pytest.raises(ValueError, match="one-dimensional"):
-                mahler_jensen(bad)
+        # a dict exponent 0.5 would truncate to 0, and -1 would wrap to the top coefficient
+        cases = [([], "one-dimensional"), (np.ones((2, 2)), "one-dimensional"),
+                 ({0.5: 1.0, 0: 3.0}, "non-negative integers"),
+                 ({0.5: 1.0, 1: 3.0}, "non-negative integers"),
+                 ({-1: 2.0, 1: 1.0}, "non-negative integers")]
+        for bad, match in cases:
+            for route in (mahler_log, mahler_jensen, lambda P: mz_ratio(P, 1.5, 8)):
+                with pytest.raises(ValueError, match=match):
+                    route(bad)
 
     def test_degree_budget(self):
         coeffs = np.zeros(3000)
@@ -54,6 +59,7 @@ class TestCrossMethod:
         assert abs(log_rep.value - jen_rep.value) < 1e-6
         assert log_rep.method == "log-integral"
         assert jen_rep.method == "jensen"
+        assert jen_rep.l1 is None  # only the log-integral route evaluates a grid
 
     def test_chain_m_le_l1_le_one(self, singer_cache):
         for p in (2, 3, 5, 7, 11, 13):
@@ -88,6 +94,11 @@ class TestConvergenceDetail:
         detail = mahler_log(newman_from_support([0, MAHLER_GRID_CAP // 32 + 1])).detail
         assert detail == {"grid": MAHLER_GRID_CAP, "grids": [MAHLER_GRID_CAP],
                           "last_delta": None, "converged": False}
+
+    def test_start_above_cap_is_the_only_grid(self):
+        # from degree 2^18 on 16 (degree + 1) > 2^22: one grid above the cap, unconverged
+        detail = mahler_log(newman_from_support([0, MAHLER_GRID_CAP // 16 + 1])).detail
+        assert detail == {"grid": 2**23, "grids": [2**23], "last_delta": None, "converged": False}
 
     def test_explicit_grid_must_be_a_power_of_two(self):
         # 1 + z vanishes at -1, a midpoint of every odd grid

@@ -15,11 +15,19 @@ from flatpoly.poly import (
     correlation_table,
     correlations,
     defect_poly,
-    eval_grid,
     eval_support_grid,
     newman_from_support,
-    power_fourier_coefficients,
 )
+
+
+def grid_values(P, N):
+    """P at the N-th roots of unity, by the library's complex grid route."""
+    return eval_support_grid(P.support, [P.scale] * P.size, N)
+
+
+def defect_at_roots(Q):
+    """Q at every q-th root of unity, e^(2 pi i r/q) for r = 0 .. q-1."""
+    return eval_support_grid(np.arange(1, Q.q), Q.coefficient_array()[1:], Q.q)
 
 
 def direct_values(support, scale, N):
@@ -49,7 +57,7 @@ class TestNewman:
         assert P7.size * P7.scale_sq == 1
 
     def test_value_at_one(self, P7):
-        value = eval_grid(P7, 7).values[0]
+        value = grid_values(P7, 7)[0]
         assert value == pytest.approx(math.sqrt(3), abs=1e-12)
 
     def test_validation(self):
@@ -61,26 +69,26 @@ class TestNewman:
 
 class TestEvalGrid:
     def test_root_of_unity_law(self, P7):
-        sq = np.abs(eval_grid(P7, 7).values) ** 2
+        sq = np.abs(grid_values(P7, 7)) ** 2
         assert sq[0] == pytest.approx(3.0, abs=1e-12)
         assert np.max(np.abs(sq[1:] - 2 / 3)) < 1e-10
 
     def test_cross_check_defect(self, P7):
-        sq = np.abs(eval_grid(P7, 7).values) ** 2
+        sq = np.abs(grid_values(P7, 7)) ** 2
         assert np.max(np.abs(sq[1:] - 1 - (-1 / 3))) < 1e-10
 
     def test_subgrid_consistency(self, P7):
-        v7 = eval_grid(P7, 7).values
-        v14 = eval_grid(P7, 14).values
+        v7 = grid_values(P7, 7)
+        v14 = grid_values(P7, 14)
         assert np.max(np.abs(v14[::2] - v7)) < 1e-12
 
-    def test_requires_n_at_least_q(self, P7):
+    def test_requires_n_above_the_degree(self, P7):
         with pytest.raises(ValueError):
-            eval_grid(P7, 6)
+            grid_values(P7, P7.degree)
 
     @pytest.mark.parametrize("N", [7, 63, 64, 100, 1024])
     def test_matches_direct_summation(self, P7, N):
-        got = eval_grid(P7, N).values
+        got = grid_values(P7, N)
         want = direct_values(P7.support, P7.scale, N)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
@@ -93,7 +101,7 @@ class TestEvalGrid:
 
     def test_parseval(self, P7, P13):
         for P, N in ((P7, 8), (P7, 101), (P13, 64)):
-            mean_sq = np.mean(np.abs(eval_grid(P, N).values) ** 2)
+            mean_sq = np.mean(np.abs(grid_values(P, N)) ** 2)
             assert abs(mean_sq - 1.0) < 1e-12
 
 
@@ -220,14 +228,12 @@ class TestDefectPolynomial:
     def test_values_at_roots_p2(self, singer_cache):
         Q = defect_poly(singer_cache(2))
         assert Q.value_at_one() == 2
-        for r in range(1, 7):
-            assert abs(Q.eval_root(r) - (-1 / 3)) < 1e-10
+        assert np.max(np.abs(defect_at_roots(Q)[1:] - (-1 / 3))) < 1e-10
 
     def test_values_at_roots_p3(self, singer_cache):
         Q = defect_poly(singer_cache(3))
         assert Q.value_at_one() == 3
-        for r in range(1, 13):
-            assert abs(Q.eval_root(r) - (-1 / 4)) < 1e-10
+        assert np.max(np.abs(defect_at_roots(Q)[1:] - (-1 / 4))) < 1e-10
 
     def test_value_at_one_mixed_denominators(self):
         coeffs = (Fraction(1, 3), Fraction(-5, 12), Fraction(0), Fraction(7, 10), Fraction(2),
@@ -260,11 +266,9 @@ class TestDefectPolynomial:
         for p in (2, 3, 5):
             s = singer_cache(p)
             Q = defect_poly(s)
-            values = eval_grid(build_polynomial(s), s.q).values
-            for r in range(s.q):
-                lhs = Q.eval_root(r)
-                rhs = abs(values[r]) ** 2 - 1
-                assert abs(lhs - rhs) < 1e-10
+            lhs = defect_at_roots(Q)
+            rhs = np.abs(grid_values(build_polynomial(s), s.q)) ** 2 - 1
+            assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 class TestPerfectDefectAbs:
@@ -308,6 +312,6 @@ class TestFourierIdentity:
             P = build_polynomial(s)
             t = correlations(s)
             N = 2 * s.q + 5
-            chat = power_fourier_coefficients(eval_grid(P, N))
+            chat = np.fft.fft(np.abs(grid_values(P, N)) ** 2) / N  # coefficient of z^l at l mod N
             for l in range(-(s.q - 1), s.q):
                 assert abs(chat[l % N] - t.c(l) / t.size) < 1e-10

@@ -19,7 +19,6 @@ from flatpoly.poly import (
     _abs_support_grid,
     correlation_table,
     correlations,
-    eval_grid,
     eval_support_grid,
     newman_from_support,
 )
@@ -102,7 +101,8 @@ def test_parseval_exact_l2_defect_equals_grid_mean(case, extra):
     # (|P|^2 - 1)^2 has degree 2(q-1) < N, so the N-point mean is exact
     support, q = case
     N = 2 * q + extra
-    values = eval_grid(newman_from_support(support, q), N).values
+    P = newman_from_support(support, q)
+    values = eval_support_grid(P.support, [P.scale] * P.size, N)
     mean = float(np.mean((np.abs(values) ** 2 - 1.0) ** 2))
     exact = l2_defect_sq_exact(correlation_table(support, q))
     assert abs(mean - float(exact)) <= 1e-12
