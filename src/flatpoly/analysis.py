@@ -182,12 +182,13 @@ def _sparse_form(poly):
     return exps[keep], coeffs[keep]
 
 
-def mz_ratio(poly, alpha, n, grid_size=None):
+def mz_ratio(poly, alpha, n):
     """Discrete n-point alpha-mean of |P| against its quadrature integral.
 
     Requires degree(P) <= n - 1 (no aliasing on the sample grid) and
     alpha > 1.  For alpha = 2 and degree < n the ratio is 1 up to
-    rounding, by discrete Parseval.
+    rounding, by discrete Parseval.  The integral is the mean over
+    max(2^14, 4(degree + 1)) points, reported as grid_size.
     """
     if alpha <= 1:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
@@ -195,7 +196,7 @@ def mz_ratio(poly, alpha, n, grid_size=None):
     degree = int(exps.max()) if exps.size else 0
     if degree >= n:
         raise ValueError(f"degree {degree} >= n = {n}: sample grid would alias")
-    N = grid_size if grid_size is not None else max(2**14, 4 * (degree + 1))
+    N = max(2**14, 4 * (degree + 1))
     discrete = _mean(_abs_support_grid(exps, coeffs, n) ** alpha)
     integral = _mean(_abs_support_grid(exps, coeffs, N) ** alpha)
     return MZReport(
@@ -290,6 +291,7 @@ def kernel_tail_bound(spec: KernelSpec):
     return 2.0 / (np.pi**2 * spec.s * (spec.truncation - 1))
 
 
+_KERNEL_MASS_GRID = 4096  # points of kernel_mass's circle route
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL32 = np.polynomial.legendre.leggauss(32)
 
@@ -365,6 +367,13 @@ def _line_tail_mass(spec: KernelSpec, half_width):
     return 2.0 / np.pi * (np.sin(x) ** 2 / x + _si_tail(2.0 * x))
 
 
+def _line_window(spec: KernelSpec):
+    """The truncation window [-2 pi T, 2 pi (T+1)) of periodized_kernel_truncated, and the
+    K_s mass outside it: the mean of the two one-sided tails, as the window is asymmetric."""
+    window = (-2 * np.pi * spec.truncation, 2 * np.pi * (spec.truncation + 1))
+    return window, (_line_tail_mass(spec, -window[0]) + _line_tail_mass(spec, window[1])) / 2.0
+
+
 @dataclass(frozen=True)
 class KernelMassReport:
     s: float
@@ -374,21 +383,18 @@ class KernelMassReport:
     tail_mass: float
 
 
-def kernel_mass(spec: KernelSpec, circle_grid=4096):
+def kernel_mass(spec: KernelSpec):
     """Total mass of K_s computed two ways; both should equal 1.
 
-    Circle route: mean of the exact periodization over a uniform grid.
+    Circle route: mean of the exact periodization on _KERNEL_MASS_GRID midpoints.
     Line route: adaptive Gauss-Legendre panels, one initial panel per
     period of the truncation window, plus the analytic sinc^2 tail.
     """
-    theta = 2 * np.pi * (np.arange(circle_grid) + 0.5) / circle_grid
+    theta = 2 * np.pi * (np.arange(_KERNEL_MASS_GRID) + 0.5) / _KERNEL_MASS_GRID
     circle = _mean(periodized_kernel(spec, theta))
     periods = 2 * np.pi * np.arange(-spec.truncation, spec.truncation + 2)
     line = _adaptive_panels(lambda t: kernel_value(spec, t), periods)
-    window = (-2 * np.pi * spec.truncation, 2 * np.pi * (spec.truncation + 1))
-    # the asymmetric window [-2piT, 2pi(T+1)) matches the truncated periodization
-    tail = (_line_tail_mass(spec, 2 * np.pi * spec.truncation)
-            + _line_tail_mass(spec, 2 * np.pi * (spec.truncation + 1))) / 2.0
+    window, tail = _line_window(spec)
     return KernelMassReport(
         s=spec.s,
         circle_mass=circle,
@@ -479,8 +485,7 @@ def realline_flatness(P: NewmanPolynomial, alpha, spec: KernelSpec, circle_grid=
         edges.extend([a] + lower + [a + 0.5 * length] + upper)
     edges.append(2 * np.pi)
     line_value = _adaptive_panels(integrand, np.array(edges)) / (2 * np.pi)
-    window = (-2 * np.pi * spec.truncation, 2 * np.pi * (spec.truncation + 1))
-    tail_mass = (_line_tail_mass(spec, -window[0]) + _line_tail_mass(spec, window[1])) / 2.0
+    window, tail_mass = _line_window(spec)
     sup = float(f.max())
     return RealLineReport(
         alpha=alpha,

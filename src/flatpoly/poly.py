@@ -165,11 +165,12 @@ def correlations(sset: SingerSet):
 
 
 def defect_poly(sset: SingerSet):
-    table = correlations(sset)
-    # one Fraction per distinct count: a Singer set has a single one, 1
-    ratio = {g: Fraction(g, table.size) for g in set(table.cyclic[1:])}
-    coeffs = tuple(ratio[g] for g in table.cyclic[1:])
-    return DefectPolynomial(q=sset.q, size=table.size, coefficients=coeffs)
+    gamma = _pair_counts(sset.residues, sset.q, cyclic=True)[1:]
+    # one Fraction per distinct count, each in [0, |S|]: a Singer set has a single one, 1
+    ratio = np.empty(sset.size + 1, dtype=object)
+    for g in np.flatnonzero(np.bincount(gamma)):
+        ratio[g] = Fraction(int(g), sset.size)
+    return DefectPolynomial(q=sset.q, size=sset.size, coefficients=tuple(ratio[gamma].tolist()))
 
 
 def eval_support_grid(exponents, coeffs, N, offset=0.0):

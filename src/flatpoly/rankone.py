@@ -90,29 +90,22 @@ class FlowParams:
 
 
 def derive_map_params(plan):
-    """Cutting and spacer parameters realizing the plan's frequencies."""
-    h = 1
+    """Cutting and spacer parameters realizing the plan's frequencies and its heights h_j."""
+    h = plan.base_height
     stages = []
     for st in plan.stages:
         s = st.singer.residues
-        spacers = []
-        for i in range(1, len(s)):
-            a = (s[i] - s[i - 1]) * st.scale - h
-            if a < 0:
-                raise ValueError(
-                    f"negative spacer at stage p={st.prime}: scale {st.scale} "
-                    f"is below the previous height {h}"
-                )
-            spacers.append(a)
-        spacers.append(0)
-        r = len(s)
-        h_freq = s[-1] * st.scale + h
-        h_stack = r * h + sum(spacers)
-        assert h_freq == h_stack  # the two recursions agree by telescoping
-        stages.append(StageParams(cutting=r, spacers=tuple(spacers), height=h_freq,
+        spacers = tuple((b - a) * st.scale - h for a, b in zip(s, s[1:])) + (0,)
+        if min(spacers) < 0:
+            raise ValueError(
+                f"negative spacer at stage p={st.prime}: scale {st.scale} "
+                f"is below the previous height {h}"
+            )
+        assert len(s) * h + sum(spacers) == st.height  # stacking form, by telescoping
+        stages.append(StageParams(cutting=len(s), spacers=spacers, height=st.height,
                                   scale=st.scale))
-        h = h_freq
-    return RankOneParams(base_height=1, stages=tuple(stages))
+        h = st.height
+    return RankOneParams(base_height=plan.base_height, stages=tuple(stages))
 
 
 def derive_flow_params(plan, tau):
@@ -188,6 +181,16 @@ class Tower:
         return int(np.count_nonzero(self.origins == j)) * self.width
 
 
+def _cut_and_stack(levels, spacers, fill):
+    """One stage of cutting and stacking: a copy of the column `levels` under each spacer,
+    spacer i being spacers[i] new levels valued `fill`."""
+    parts = []
+    for a in spacers:
+        parts.append(levels)
+        parts.append(np.full(a, fill, dtype=levels.dtype))
+    return np.concatenate(parts)
+
+
 def build_tower(params, K):
     """Materialize the stage-K tower with per-level origin bookkeeping."""
     if not 0 <= K <= len(params.stages):
@@ -202,11 +205,7 @@ def build_tower(params, K):
     for j in range(1, K + 1):
         st = params.stages[j - 1]
         width /= st.cutting
-        parts = []
-        for a in st.spacers:
-            parts.append(origins)
-            parts.append(np.full(a, j, dtype=np.int16))
-        origins = np.concatenate(parts)
+        origins = _cut_and_stack(origins, st.spacers, j)
         spacer_mass += sum(st.spacers) * width
     tower = Tower(
         stage=K,
@@ -245,13 +244,8 @@ def _base_level_mask(params, k, K):
     h_k = params.stages[k - 1].height if k > 0 else params.base_height
     mask = np.zeros(h_k, dtype=bool)
     mask[0] = True
-    for j in range(k + 1, K + 1):
-        st = params.stages[j - 1]
-        parts = []
-        for a in st.spacers:
-            parts.append(mask)
-            parts.append(np.zeros(a, dtype=bool))
-        mask = np.concatenate(parts)
+    for st in params.stages[k:K]:
+        mask = _cut_and_stack(mask, st.spacers, False)
     return mask
 
 
@@ -278,10 +272,8 @@ def correlation(params, k, K, n):
     h_K = params.stages[K - 1].height
     if not 0 <= n < h_K:
         raise ValueError(f"n must lie in [0, {h_K})")
-    copies = 1
-    for j in range(k, K):
-        copies *= params.stages[j].cutting
     offsets = base_occurrences(params, k, K)
+    copies = len(offsets)  # prod r_j over stages k+1 .. K
     offset_set = set(offsets)
     pairs = sum(1 for o in offsets if o + n in offset_set)
     mask = _base_level_mask(params, k, K)

@@ -101,7 +101,8 @@ def make_plan(primes, rule="margin", m=1, scales=None):
 
     Explicit `scales` override the rule (recorded as rule "explicit")
     and are validated against the growth requirement
-    N_j >= N_{j-1} * max(S_{j-1}).
+    N_j >= N_{j-1} * max(S_{j-1}).  A prime that repeats reuses its
+    Singer set.
     """
     primes = tuple(int(p) for p in primes)
     if not primes:
@@ -110,7 +111,7 @@ def make_plan(primes, rule="margin", m=1, scales=None):
         if rule == "explicit":
             raise ValueError("rule 'explicit' requires scales")
         c = _margin_constant(rule)  # checked up front, so a one-prime plan checks it too
-    sets = [construct_singer(p, m) for p in primes]
+    sets = {p: construct_singer(p, m) for p in dict.fromkeys(primes)}
     if scales is not None:
         scales = tuple(int(N) for N in scales)
         if len(scales) != len(primes):
@@ -118,29 +119,23 @@ def make_plan(primes, rule="margin", m=1, scales=None):
         if scales[0] < 1:
             raise ValueError("the first scale must be at least 1")
         rule = "explicit"
-        for j in range(1, len(scales)):
-            floor = scales[j - 1] * sets[j - 1].residues[-1]
-            if scales[j] < floor:
+    stages = []
+    h = RieszPlan.base_height
+    for j, p in enumerate(primes):
+        prev = stages[-1].singer if j else None
+        if scales is None:
+            # N_{j+1} = m_j h_j, with multiplier m_j = 2^j |S_j| under "margin" (stages from 1)
+            N = (c or 2**j * prev.size) * h if j else 1
+        else:
+            N = scales[j]
+            floor = scales[j - 1] * prev.residues[-1] if j else N
+            if N < floor:
                 raise ValueError(
-                    f"scale N_{j + 1} = {scales[j]} violates the growth rule: "
+                    f"scale N_{j + 1} = {N} violates the growth rule: "
                     f"need at least N_{j} * max(S_{j}) = {floor}"
                 )
-        stage_scales = scales
-    else:
-        stage_scales = []
-        h = 1
-        for j, sset in enumerate(sets, start=1):
-            # N_j = m_{j-1} h_{j-1}, with multiplier m_{j-1} = 2^(j-1) |S_{j-1}| under "margin"
-            N = 1 if j == 1 else (c or 2 ** (j - 1) * sets[j - 2].size) * h
-            stage_scales.append(N)
-            h = sset.residues[-1] * N + h
-        stage_scales = tuple(stage_scales)
-
-    stages = []
-    h = 1
-    for sset, N in zip(sets, stage_scales):
-        h = sset.residues[-1] * N + h
-        stages.append(PlanStage(prime=sset.p, m=m, singer=sset, scale=N, height=h))
+        h = sets[p].residues[-1] * N + h  # h_j = max(S_j) N_j + h_{j-1}
+        stages.append(PlanStage(prime=p, m=m, singer=sets[p], scale=N, height=h))
     return RieszPlan(stages=tuple(stages), rule=rule, m=m)
 
 
@@ -230,7 +225,7 @@ def _stage_map(st):
             for l, c in enumerate(table.aperiodic, start=-(table.q - 1)) if c}
 
 
-def partial_coeffs(plan, k, budget=COEFF_BUDGET):
+def partial_coeffs(plan, k):
     """Sparse convolution of the stage pair-count maps, exact integers.
 
     Stage j contributes frequency N_j*l with count c_l over the
@@ -238,7 +233,9 @@ def partial_coeffs(plan, k, budget=COEFF_BUDGET):
     counts and the denominator is prod |S_j|.  For a dissociated plan the
     coefficient at 0 is exactly 1; a larger value is the diagnostic that
     representations collided (reported via dissociation_consistent, not
-    an error).
+    an error).  BudgetError is raised before a stage's convolution when
+    the product of the two supports, the size a dissociated stage
+    produces, exceeds COEFF_BUDGET.
     """
     if not 1 <= k <= len(plan.stages):
         raise ValueError(f"k must lie in [1, {len(plan.stages)}]")
@@ -246,13 +243,14 @@ def partial_coeffs(plan, k, budget=COEFF_BUDGET):
     denominator = 1
     for st in plan.stages[:k]:
         stage_map = _stage_map(st)
+        size = len(acc) * len(stage_map)
+        if size > COEFF_BUDGET:
+            raise BudgetError(f"{size} frequencies exceed the budget {COEFF_BUDGET}")
         new = {}
         for f1, v1 in acc.items():
             for f2, v2 in stage_map.items():
                 f = f1 + f2
                 new[f] = new.get(f, 0) + v1 * v2
-        if len(new) > budget:
-            raise BudgetError(f"{len(new)} frequencies exceed the budget {budget}")
         acc = new
         denominator *= st.singer.size
     return SparseCoefficients(stages=k, coefficients=acc, denominator=denominator)

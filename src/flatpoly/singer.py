@@ -47,9 +47,9 @@ __all__ = [
     "DEFAULT_MAX_FIELD_ORDER",
 ]
 
-# Desk-scale cap on p^(3m).  Memory sets the documented range p <= 7919, m = 1: construct_singer
-# peaks at ~10.5 bytes per residue mod q, 660 MB at p = 7919, and verify_perfect_difference's
-# q-long counts tuple lifts that to ~1.0 GB; construct plus verify take 5-7 s there (2-core x86).
+# Desk-scale cap on p^(3m), read at call time.  Memory sets the documented range p <= 7919, m = 1:
+# construct_singer, and so the singer report, peaks at ~10.5 bytes per residue mod q, 660 MB at
+# p = 7919; a direct verify_perfect_difference call's q-long counts tuple lifts that to ~1.0 GB.
 DEFAULT_MAX_FIELD_ORDER = 10**13
 
 _SCAN_BLOCK = 1 << 16  # exponents per block of the Singer scan
@@ -215,15 +215,14 @@ class DifferenceReport:
 # Operations
 # ---------------------------------------------------------------------------
 
-def canonical_field_spec(p, m=1, max_field_order=DEFAULT_MAX_FIELD_ORDER):
+def canonical_field_spec(p, m=1):
     """Deterministic GF(p^(3m)): first irreducible modulus, smallest primitive generator."""
     _check_pm(p, m)
     d = 3 * m
     order = p**d
-    if order > max_field_order:
-        raise BudgetError(
-            f"field order p^(3m) = {order} exceeds the factorization budget {max_field_order}"
-        )
+    budget = DEFAULT_MAX_FIELD_ORDER
+    if order > budget:
+        raise BudgetError(f"field order p^(3m) = {order} exceeds the factorization budget {budget}")
     if d * p * p >= 2**63:  # bounds every row-by-column sum of the int64 matrices mod p
         raise BudgetError(f"3m * p^2 = {d * p * p} overflows int64 arithmetic mod p")
     # p = 2 mod 3: cubing permutes GF(p), so each x^(3m) + c, c = -r^3, has the factor x^m - r
@@ -307,14 +306,14 @@ def _scan_singer(spec):
     return SingerSet(p=p, m=m, q=q, residues=tuple(residues), normalized=False)
 
 
-def construct_singer(p, m=1, max_field_order=DEFAULT_MAX_FIELD_ORDER):
+def construct_singer(p, m=1):
     """Build the canonical normalized Singer set for the prime p (exponent m).
 
     Deterministic across runs: the field, the generator, and hence the
     residues are all canonical.  Raises ValueError for non-prime p and
-    BudgetError when p^(3m) exceeds `max_field_order`.
+    BudgetError when p^(3m) exceeds DEFAULT_MAX_FIELD_ORDER.
     """
-    return normalize(_scan_singer(canonical_field_spec(p, m, max_field_order=max_field_order)))
+    return normalize(_scan_singer(canonical_field_spec(p, m)))
 
 
 def _pair_counts(support, q, cyclic=False):
@@ -365,6 +364,8 @@ def normalize(sset):
 
     The ordered pair with difference 1 is unique in a perfect difference
     set, so the normalized translate is unique; the map is idempotent.
+    ValueError names the least residue whose difference count is not one,
+    so a returned set has passed the exhaustive difference check.
     """
     counts, first = _difference_counts(sset.residues, sset.q)
     if first is not None:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import flatpoly
-from flatpoly import analysis, cli, mahler, poly
+from flatpoly import analysis, cli, mahler, poly, singer
 from flatpoly.analysis import flatness
 from flatpoly.cli import Command, UsageError, _flat_row, main, parse
 from flatpoly.poly import (
@@ -180,6 +180,31 @@ class TestExecute:
         assert report["results"]["gap_statistic"] == 4
         assert report["tool"]["name"] == "flatpoly"
         assert "timestamp" not in report
+
+    def test_singer_report_counts_differences_once(self, tmp_path, monkeypatch):
+        calls = []
+        pair_counts = singer._pair_counts
+
+        def counted(support, q, cyclic=False):
+            calls.append((q, cyclic))
+            return pair_counts(support, q, cyclic)
+
+        monkeypatch.setattr(singer, "_pair_counts", counted)
+        code, text = run_to_file(tmp_path, ["singer", "--p", "7"])
+        assert code == 0
+        assert json.loads(text)["results"]["difference_counts_all_one"] is True
+        assert calls == [(57, True)]
+
+    def test_singer_report_carries_the_normalize_error(self, tmp_path, monkeypatch):
+        residues = (0, 1, 2)  # differences 1 and -1 occur twice, 3 and 4 never
+        monkeypatch.setattr(cli, "_scan_singer",
+                            lambda spec: singer.SingerSet(p=2, m=1, q=7, residues=residues))
+        code, text = run_to_file(tmp_path, ["singer", "--p", "2"])
+        assert code == 1
+        report = json.loads(text)
+        assert "results" not in report
+        assert report["error"] == {"type": "ValueError",
+                                   "message": "not a perfect difference set (residue 1 has count 2)"}
 
     def test_flat_csv_row(self, tmp_path):
         code, text = run_to_file(tmp_path, ["flat", "--primes", "2", "--alpha", "2",

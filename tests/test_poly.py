@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from flatpoly import poly
 from flatpoly.poly import (
     DefectPolynomial,
     _abs_support_grid,
@@ -18,6 +19,9 @@ from flatpoly.poly import (
     eval_support_grid,
     newman_from_support,
 )
+from flatpoly.singer import SingerSet
+
+NON_PERFECT = SingerSet(p=2, m=1, q=7, residues=(0, 1, 2))  # cyclic counts 2, 1, 0, 0, 1, 2
 
 
 def grid_values(P, N):
@@ -28,6 +32,12 @@ def grid_values(P, N):
 def defect_at_roots(Q):
     """Q at every q-th root of unity, e^(2 pi i r/q) for r = 0 .. q-1."""
     return eval_support_grid(np.arange(1, Q.q), Q.coefficient_array()[1:], Q.q)
+
+
+def defect_oracle(sset):
+    """Q's coefficients gamma_r / |S|, r = 1 .. q-1, read off the correlation table."""
+    table = correlations(sset)
+    return tuple(Fraction(g, table.size) for g in table.cyclic[1:])
 
 
 def direct_values(support, scale, N):
@@ -257,6 +267,32 @@ class TestDefectPolynomial:
             Q = DefectPolynomial(q=len(coeffs + tail) + 1, size=4, coefficients=coeffs + tail)
             oracle = np.array([0.0] + [float(c) for c in coeffs + tail])
             assert Q.coefficient_array().tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 31, 1009])
+    def test_matches_correlation_route(self, p, singer_cache):
+        s = singer_cache(p)
+        Q = defect_poly(s)
+        assert (Q.q, Q.size) == (s.q, s.size)
+        assert Q.coefficients == defect_oracle(s)
+        assert {type(c) for c in Q.coefficients} == {Fraction}
+
+    def test_non_perfect_set(self):
+        Q = defect_poly(NON_PERFECT)
+        assert Q.coefficients == defect_oracle(NON_PERFECT)
+        assert Q.coefficients == (Fraction(2, 3), Fraction(1, 3), 0, 0, Fraction(1, 3), Fraction(2, 3))
+        assert {type(c) for c in Q.coefficients} == {Fraction}
+
+    def test_reads_no_correlation_table(self, monkeypatch, singer_cache):
+        calls = []
+
+        def counted(support, q):
+            calls.append(q)
+            return correlation_table(support, q)
+
+        monkeypatch.setattr(poly, "correlation_table", counted)
+        defect_poly(singer_cache(7))
+        defect_poly(NON_PERFECT)
+        assert calls == []
 
     def test_coefficients_are_uniform(self, singer_cache):
         Q = defect_poly(singer_cache(2))

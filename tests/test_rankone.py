@@ -28,6 +28,23 @@ def params23(plan23):
     return derive_map_params(plan23)
 
 
+# margin, margin:2 and explicit-scale plans; the last three repeat a prime
+PLAN_CASES = [
+    ([2, 3, 5], {"rule": "margin"}),
+    ([2, 3], {"rule": "margin:2"}),
+    ([2, 3], {"scales": [1, 14]}),
+    ([2, 3, 2], {"rule": "margin"}),
+    ([2, 3, 2], {"rule": "margin:2"}),
+    ([2, 3, 2], {"scales": [1, 4, 60]}),
+]
+
+
+@pytest.fixture(scope="module")
+def case_plans():
+    plans = [make_plan(primes, **kwargs) for primes, kwargs in PLAN_CASES]
+    return [(plan, derive_map_params(plan)) for plan in plans]
+
+
 def zero_spacer_plan():
     """Degenerate two-element stage whose spacers all vanish."""
     sset = SingerSet(p=1, m=1, q=3, residues=(0, 1))
@@ -53,10 +70,11 @@ class TestDeriveMapParams:
         with pytest.raises(ValueError):
             derive_map_params(plan)
 
-    def test_dual_recursion(self):
-        for rule in ("margin", "margin:2"):
-            plan = make_plan([2, 3, 5, 7], rule=rule)
-            params = derive_map_params(plan)
+    def test_dual_recursion(self, case_plans):
+        plans = [make_plan([2, 3, 5, 7], rule=rule) for rule in ("margin", "margin:2")]
+        for plan, params in [(plan, derive_map_params(plan)) for plan in plans] + case_plans:
+            assert params.heights == plan.heights
+            assert params.base_height == plan.base_height
             h = params.base_height
             for st, pst in zip(params.stages, plan.stages):
                 top = pst.singer.residues[-1]
@@ -150,6 +168,11 @@ class TestTower:
         assert tower.total_measure == Fraction(19, 3)
         assert tower.spacer_measure(2) == Fraction(60, 12)
 
+    def test_level_count_is_the_plan_height(self, case_plans):
+        for plan, params in case_plans:
+            for K in range(1, len(plan.stages) + 1):
+                assert build_tower(params, K).level_count == plan.heights[K - 1]
+
     def test_measure_closed_form(self, params23):
         tower = build_tower(params23, 2)
         assert tower.total_measure == 1 + tower.spacer_measure(1) + tower.spacer_measure(2)
@@ -177,11 +200,14 @@ class TestBaseOccurrences:
         occ = base_occurrences(params, 0, 3)
         assert len(occ) == 3 * 4 * 6
 
-    def test_matches_recursive_mask(self, params23):
+    def test_matches_recursive_mask(self, case_plans):
         # sumset route vs cut-and-stack replay route
-        for k, K in ((0, 1), (0, 2), (1, 2)):
-            mask = _base_level_mask(params23, k, K)
-            assert tuple(np.nonzero(mask)[0]) == base_occurrences(params23, k, K)
+        for _, params in case_plans:
+            for K in range(1, len(params.stages) + 1):
+                for k in range(K):
+                    mask = _base_level_mask(params, k, K)
+                    assert len(mask) == params.heights[K - 1]
+                    assert tuple(np.nonzero(mask)[0]) == base_occurrences(params, k, K)
 
     def test_bounds(self, params23):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from flatpoly import riesz
 from flatpoly.errors import BudgetError
 from flatpoly.poly import eval_support_grid
 from flatpoly.riesz import (
@@ -74,6 +75,36 @@ class TestMakePlan:
     def test_good_rules_still_accepted(self):
         assert make_plan([2, 3, 5], rule="margin:3").scales == (1, 12, 336)
         assert make_plan([2, 3], rule="explicit", scales=[1, 8]).scales == (1, 8)
+
+    def test_repeated_primes_construct_once(self, monkeypatch):
+        built = []
+
+        def counted(p, m=1):
+            built.append((p, m))
+            return construct_singer(p, m)
+
+        monkeypatch.setattr(riesz, "construct_singer", counted)
+        plan = make_plan([2, 3, 5, 2, 3])
+        assert built == [(2, 1), (3, 1), (5, 1)]
+        assert plan.primes == (2, 3, 5, 2, 3)
+        assert plan.stages[3].singer is plan.stages[0].singer
+
+    @pytest.mark.parametrize("primes, kwargs, message", [
+        # each case but the last breaks two rules; the error is the one checked first
+        ([], {"rule": "bogus"}, "need at least one prime"),
+        ([4], {"rule": "explicit"}, "rule 'explicit' requires scales"),
+        ([4], {"rule": "margin:1"}, "margin multiplier must be >= 2, got 1"),
+        ([2, 4], {"scales": [1]}, "p must be prime, got 4"),
+        ([2, 3, 5], {"scales": [0, 2]}, "need one scale per prime"),
+        ([2, 3, 5], {"scales": [0, 2, 1]}, "the first scale must be at least 1"),
+        ([2, 3, 5], {"scales": [1, 2, 1]},
+         r"scale N_2 = 2 violates the growth rule: need at least N_1 \* max\(S_1\) = 3"),
+        ([2, 3, 5], {"scales": [1, 3, 1]},
+         r"scale N_3 = 1 violates the growth rule: need at least N_2 \* max\(S_2\) = 27"),
+    ])
+    def test_error_order(self, primes, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_plan(primes, **kwargs)
 
     def test_prime_power_stages(self):
         plan = make_plan([2, 3], rule="margin:2", m=2)
@@ -177,6 +208,21 @@ class TestPartialCoeffs:
     def test_stage_bounds(self):
         with pytest.raises(ValueError):
             partial_coeffs(make_plan([2]), 2)
+
+    def test_budget_fails_before_the_convolution(self, monkeypatch):
+        # 7 * 13 = 91 frequencies, exactly what the dissociated plan would produce
+        monkeypatch.setattr(riesz, "COEFF_BUDGET", 90)
+        with pytest.raises(BudgetError, match="^91 frequencies exceed the budget 90$"):
+            partial_coeffs(make_plan([2, 3]), 2)
+        # scales (1, 2) collide: the convolution would make fewer than 91 frequencies
+        plan = manual_plan([2, 3], [1, 2])
+        monkeypatch.setattr(riesz, "COEFF_BUDGET", 10**6)
+        assert len(partial_coeffs(plan, 2).coefficients) <= 90
+        monkeypatch.setattr(riesz, "COEFF_BUDGET", 90)
+        with pytest.raises(BudgetError, match="^91 frequencies"):
+            partial_coeffs(plan, 2)
+        monkeypatch.setattr(riesz, "COEFF_BUDGET", 91)
+        assert partial_coeffs(make_plan([2, 3]), 2).total_mass == 12
 
 
 class TestErgodicity:

@@ -150,9 +150,10 @@ class TestConstruct:
         with pytest.raises(ValueError):
             construct_singer(1)
 
-    def test_budget(self):
-        with pytest.raises(BudgetError):
-            construct_singer(101, max_field_order=10**5)
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(singer, "DEFAULT_MAX_FIELD_ORDER", 10**5)
+        with pytest.raises(BudgetError, match="budget 100000"):
+            construct_singer(101)
 
     def test_deterministic(self):
         assert construct_singer(11) == construct_singer(11)
@@ -378,9 +379,10 @@ class TestFieldSpec:
 
         monkeypatch.setattr(singer, "_is_irreducible", no_search)
         monkeypatch.setattr(singer, "_factor_group_order", no_search)
+        monkeypatch.setattr(singer, "DEFAULT_MAX_FIELD_ORDER", 10**40)
         p = sympy.nextprime(2**31)  # 3 * p^2 > 2^63
         with pytest.raises(BudgetError, match="int64"):
-            canonical_field_spec(p, max_field_order=10**40)
+            canonical_field_spec(p)
 
 
 class TestSingerSetValidation:
