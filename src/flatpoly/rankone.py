@@ -21,13 +21,16 @@ correlation check bounds by n / h_K.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import BudgetError
+from .riesz import _stage_product
 
 __all__ = [
     "StageParams",
@@ -69,11 +72,7 @@ class RankOneParams:
         """Start levels of the stage-j columns; equal to N_j * S_j."""
         st = self.stages[j]
         prev = self.stages[j - 1].height if j > 0 else self.base_height
-        offs, pos = [], 0
-        for i in range(st.cutting):
-            offs.append(pos)
-            pos += prev + st.spacers[i]
-        return tuple(offs)
+        return tuple(itertools.accumulate((prev + a for a in st.spacers[:-1]), initial=0))
 
 
 @dataclass(frozen=True)
@@ -145,19 +144,12 @@ class GrowthReport:
 def measure_growth(params):
     if not params.stages:
         raise ValueError("need at least one stage")
-    terms = []
-    prev = params.base_height
-    for st in params.stages:
-        terms.append(sum(st.spacers, Fraction(0)) / (st.cutting * prev))
-        prev = st.height
+    prevs = (params.base_height,) + params.heights[:-1]
+    terms = [sum(st.spacers, Fraction(0)) / (st.cutting * h) for st, h in zip(params.stages, prevs)]
     nondecreasing = all(terms[i + 1] >= terms[i] for i in range(len(terms) - 1))
     finite = terms[-1] == 0 or not nondecreasing
-    return GrowthReport(
-        terms=tuple(terms),
-        partial_sums=tuple(itertools.accumulate(terms)),
-        terms_nondecreasing=nondecreasing,
-        finite_measure=finite,
-    )
+    return GrowthReport(terms=tuple(terms), partial_sums=tuple(itertools.accumulate(terms)),
+                        terms_nondecreasing=nondecreasing, finite_measure=finite)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,6 +173,11 @@ class Tower:
         return int(np.count_nonzero(self.origins == j)) * self.width
 
 
+def _check_tower_budget(height):
+    if height > TOWER_BUDGET:
+        raise BudgetError(f"height {height} exceeds the tower budget {TOWER_BUDGET}")
+
+
 def _cut_and_stack(levels, spacers, fill):
     """One stage of cutting and stacking: a copy of the column `levels` under each spacer,
     spacer i being spacers[i] new levels valued `fill`."""
@@ -195,10 +192,8 @@ def build_tower(params, K):
     """Materialize the stage-K tower with per-level origin bookkeeping."""
     if not 0 <= K <= len(params.stages):
         raise ValueError(f"K must lie in [0, {len(params.stages)}]")
-    if K and params.stages[K - 1].height > TOWER_BUDGET:
-        raise BudgetError(
-            f"height {params.stages[K - 1].height} exceeds the tower budget {TOWER_BUDGET}"
-        )
+    if K:
+        _check_tower_budget(params.stages[K - 1].height)
     origins = np.zeros(params.base_height, dtype=np.int16)
     width = Fraction(1)
     spacer_mass = Fraction(0)
@@ -207,13 +202,8 @@ def build_tower(params, K):
         width /= st.cutting
         origins = _cut_and_stack(origins, st.spacers, j)
         spacer_mass += sum(st.spacers) * width
-    tower = Tower(
-        stage=K,
-        level_count=len(origins),
-        width=width,
-        total_measure=len(origins) * width,
-        origins=origins,
-    )
+    tower = Tower(stage=K, level_count=len(origins), width=width,
+                  total_measure=len(origins) * width, origins=origins)
     assert tower.total_measure == 1 + spacer_mass
     return tower
 
@@ -223,30 +213,31 @@ def base_occurrences(params, k, K):
     of the column-offset sets of stages k+1 .. K."""
     if not 0 <= k < K <= len(params.stages):
         raise ValueError(f"need 0 <= k < K <= {len(params.stages)}")
-    count = 1
-    for j in range(k, K):
-        count *= params.stages[j].cutting
+    count = math.prod(st.cutting for st in params.stages[k:K])
     if count > OCCURRENCE_BUDGET:
         raise BudgetError(f"{count} occurrences exceed the budget {OCCURRENCE_BUDGET}")
-    offsets = [0]
-    for j in range(k, K):
-        cols = params.column_offsets(j)
-        offsets = [o + c for o in offsets for c in cols]
-    return tuple(sorted(offsets))
+    cols = [params.column_offsets(j) for j in range(k, K)]
+    return tuple(np.sort(_stage_product(cols, np.add, params.stages[K - 1].height)).tolist())
 
 
-def _base_level_mask(params, k, K):
-    """Boolean levels of the stage-K tower that are stage-k base copies.
+@functools.lru_cache(maxsize=1)
+def _tower_replay(params, k, K):
+    """(offsets, mask): the sorted base_occurrences and the boolean levels of the
+    stage-K tower that are stage-k base copies, both read-only.
 
-    Built by replaying the cut-and-stack recursion (not the sumset), so
-    it is an independent route to the same set of levels.
+    The mask is built by replaying the cut-and-stack recursion (not the sumset),
+    so it is an independent route to the same set of levels.  Cached, so a sweep
+    over n for one (k, K) replays the tower once.
     """
+    _check_tower_budget(params.stages[K - 1].height)
     h_k = params.stages[k - 1].height if k > 0 else params.base_height
     mask = np.zeros(h_k, dtype=bool)
     mask[0] = True
     for st in params.stages[k:K]:
         mask = _cut_and_stack(mask, st.spacers, False)
-    return mask
+    offsets = np.array(base_occurrences(params, k, K))
+    mask.flags.writeable = offsets.flags.writeable = False
+    return offsets, mask
 
 
 @dataclass(frozen=True)
@@ -272,21 +263,13 @@ def correlation(params, k, K, n):
     h_K = params.stages[K - 1].height
     if not 0 <= n < h_K:
         raise ValueError(f"n must lie in [0, {h_K})")
-    offsets = base_occurrences(params, k, K)
-    copies = len(offsets)  # prod r_j over stages k+1 .. K
-    offset_set = set(offsets)
-    pairs = sum(1 for o in offsets if o + n in offset_set)
-    mask = _base_level_mask(params, k, K)
-    if n:
-        hits = int(np.count_nonzero(mask[: h_K - n] & mask[n:]))
-        excluded = int(np.count_nonzero(mask[h_K - n:]))
-    else:
-        hits = int(np.count_nonzero(mask))
-        excluded = 0
-    return CorrelationCheck(
-        n=n,
-        empirical=Fraction(hits, copies),
-        predicted=Fraction(pairs, copies),
-        tolerance=Fraction(n, h_K),
-        excluded_mass=Fraction(excluded, copies),
-    )
+    offsets, mask = _tower_replay(params, k, K)
+    copies = offsets.size  # prod r_j over stages k+1 .. K
+    shifted = offsets + n
+    at = np.minimum(np.searchsorted(offsets, shifted), copies - 1)  # offsets are sorted
+    pairs = int(np.count_nonzero(offsets[at] == shifted))
+    hits = int(np.count_nonzero(mask[: h_K - n] & mask[n:]))
+    excluded = int(np.count_nonzero(mask[h_K - n:]))
+    return CorrelationCheck(n=n, empirical=Fraction(hits, copies),
+                            predicted=Fraction(pairs, copies), tolerance=Fraction(n, h_K),
+                            excluded_mass=Fraction(excluded, copies))

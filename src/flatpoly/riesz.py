@@ -14,18 +14,24 @@ rank-one construction; it forces the quasi-invariance series
 sum ((p_j+1) N_j / N_{j+1})^2 under the geometric bound sum 4^{-j}.
 "margin:<c>" uses the constant multiplier c >= 2 instead (still
 1-dissociated, but with no closed-form tail bound for the series).
+
+Dissociation sums, partial-product coefficients and the rank-one tower's
+base-copy offsets take one element per stage: one numpy outer-product
+kernel enumerates them, in int64, or in Python ints past 2^63.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BudgetError
-from .poly import correlations
-from .singer import SingerSet, construct_singer
+from .singer import SingerSet, _pair_counts, construct_singer
 
 __all__ = [
     "PlanStage",
@@ -166,23 +172,23 @@ def check_dissociated(plan, stages=None, mode="differences"):
     if mode == "sums":
         blocks = [st.frequencies for st in plan.stages[:k]]
     elif mode == "differences":
-        blocks = [list(_stage_map(st)) for st in plan.stages[:k]]
+        blocks = [_stage_map(st)[0] for st in plan.stages[:k]]
     else:
         raise ValueError(f"mode must be 'sums' or 'differences', got {mode!r}")
-    total = 1
-    for b in blocks:
-        total *= len(b)
+    total = math.prod(len(b) for b in blocks)
     if total > DISSOCIATION_BUDGET:
         raise BudgetError(f"{total} tuples exceed the brute-force budget {DISSOCIATION_BUDGET}")
-    seen = {}
-    for combo in itertools.product(*blocks):
-        value = sum(combo)
-        if value in seen and seen[value] != combo:
-            return DissociationCertificate(
-                stages_checked=k, mode=mode, valid=False,
-                collision=(seen[value], combo, value),
-            )
-        seen[value] = combo
+    bound = sum(st.scale * (st.singer.q - 1) for st in plan.stages[:k])  # caps every |sum|
+    sums = _stage_product(blocks, np.add, bound)
+    _, first, inverse = np.unique(sums, return_index=True, return_inverse=True)
+    first = first[inverse]  # index of each sum's first occurrence
+    repeats = np.flatnonzero(first != np.arange(total))
+    if repeats.size:  # witness: the first tuple whose sum already occurred, and that sum's first
+        i, shape = repeats[0], [len(b) for b in blocks]
+        earlier, later = (tuple(int(x[j]) for x, j in zip(blocks, np.unravel_index(t, shape)))
+                          for t in (first[i], i))
+        return DissociationCertificate(stages_checked=k, mode=mode, valid=False,
+                                       collision=(earlier, later, int(sums[i])))
     return DissociationCertificate(stages_checked=k, mode=mode, valid=True, collision=None)
 
 
@@ -218,11 +224,24 @@ class SparseCoefficients:
         return Fraction(sum(self.coefficients.values()), self.denominator)
 
 
+def _stage_product(blocks, ufunc, bound):
+    """ufunc over one element of each block, for every choice in itertools.product
+    order (the last block varies fastest), as one flat array.  Exact: int64 when
+    bound, a cap on every |value| along the way, is below 2^63, else Python ints."""
+    dtype = np.int64 if bound < 2**63 else object
+    out = np.array(blocks[0], dtype=dtype)
+    for block in blocks[1:]:
+        out = ufunc.outer(out, np.array(block, dtype=dtype)).ravel()
+    return out
+
+
 def _stage_map(st):
-    """{N_j * l: c_l} over the nonzero aperiodic correlations of S_j, ascending."""
-    table = correlations(st.singer)
-    return {st.scale * l: c
-            for l, c in enumerate(table.aperiodic, start=-(table.q - 1)) if c}
+    """(frequencies, counts): N_j * l ascending over the l with a nonzero
+    aperiodic pair count c_l of S_j, and those counts (int64)."""
+    q = st.singer.q
+    counts = _pair_counts(st.singer.residues, q)
+    l = np.flatnonzero(counts)
+    return _stage_product([l - (q - 1), [st.scale]], np.multiply, st.scale * (q - 1)), counts[l]
 
 
 def partial_coeffs(plan, k):
@@ -239,21 +258,23 @@ def partial_coeffs(plan, k):
     """
     if not 1 <= k <= len(plan.stages):
         raise ValueError(f"k must lie in [1, {len(plan.stages)}]")
-    acc = {0: 1}
-    denominator = 1
-    for st in plan.stages[:k]:
-        stage_map = _stage_map(st)
-        size = len(acc) * len(stage_map)
+    stages = plan.stages[:k]
+    denominator = math.prod(st.singer.size for st in stages)
+    # |frequency| <= sum_j N_j (q_j - 1), and the numerators sum to denominator^2
+    bound = max(sum(st.scale * (st.singer.q - 1) for st in stages), denominator**2)
+    freqs, numerators = [0], [1]
+    for st in stages:
+        stage_freqs, stage_counts = _stage_map(st)
+        size = len(freqs) * len(stage_freqs)
         if size > COEFF_BUDGET:
             raise BudgetError(f"{size} frequencies exceed the budget {COEFF_BUDGET}")
-        new = {}
-        for f1, v1 in acc.items():
-            for f2, v2 in stage_map.items():
-                f = f1 + f2
-                new[f] = new.get(f, 0) + v1 * v2
-        acc = new
-        denominator *= st.singer.size
-    return SparseCoefficients(stages=k, coefficients=acc, denominator=denominator)
+        products = _stage_product([numerators, stage_counts], np.multiply, bound)
+        freqs, inverse = np.unique(_stage_product([freqs, stage_freqs], np.add, bound),
+                                   return_inverse=True)
+        numerators = np.zeros(freqs.size, dtype=products.dtype)
+        np.add.at(numerators, inverse, products)
+    coefficients = dict(zip(freqs.tolist(), numerators.tolist()))
+    return SparseCoefficients(stages=k, coefficients=coefficients, denominator=denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +300,9 @@ class ErgodicityReport:
 def ergodicity_sum(plan):
     if len(plan.stages) < 2:
         raise ValueError("need at least two stages")
-    terms, terms_top = [], []
-    for j in range(len(plan.stages) - 1):
-        st, nxt = plan.stages[j], plan.stages[j + 1]
-        terms.append(Fraction(st.singer.size * st.scale, nxt.scale) ** 2)
-        terms_top.append(Fraction(st.singer.residues[-1] * st.scale, nxt.scale) ** 2)
+    pairs = list(zip(plan.stages, plan.stages[1:]))
+    terms = [Fraction(st.singer.size * st.scale, nxt.scale) ** 2 for st, nxt in pairs]
+    terms_top = [Fraction(st.singer.residues[-1] * st.scale, nxt.scale) ** 2 for st, nxt in pairs]
     default_rule = plan.rule == "margin"
     return ErgodicityReport(
         terms=tuple(terms),
@@ -310,11 +329,8 @@ class QuasiInvarianceReport:
 
 def quasi_invariance_sum(plan, x):
     x = Fraction(x)
-    terms = []
-    for st in plan.stages:
-        t = (st.scale * x) % 1
-        dist = min(t, 1 - t)
-        terms.append(Fraction(st.singer.size) ** 2 * dist * dist)
+    dists = [min(t, 1 - t) for t in ((st.scale * x) % 1 for st in plan.stages)]
+    terms = [Fraction(st.singer.size) ** 2 * d * d for st, d in zip(plan.stages, dists)]
     sums = tuple(itertools.accumulate(terms))
     half = len(terms) // 2
     tail_growth = sums[-1] - sums[half - 1] if half >= 1 else sums[-1]

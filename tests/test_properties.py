@@ -5,9 +5,12 @@ small Singer sets at arbitrary scales, so they need not be dissociated.
 Each property is checked against an independent route: the pair-count
 folding against its definition, the exact L2 defect against a grid
 mean, the FFT route and the blocked |P| kernel against direct summation,
-and the integer Riesz coefficients against a convolution over Fractions.
+the integer Riesz coefficients against a convolution over Fractions, and
+the plan layer's numpy enumerations against plain Python loops.
 """
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +25,16 @@ from flatpoly.poly import (
     eval_support_grid,
     newman_from_support,
 )
-from flatpoly.riesz import PlanStage, RieszPlan, _stage_map, partial_coeffs
+from flatpoly.rankone import base_occurrences, derive_map_params
+from flatpoly.riesz import (
+    DissociationCertificate,
+    PlanStage,
+    RieszPlan,
+    _stage_map,
+    check_dissociated,
+    make_plan,
+    partial_coeffs,
+)
 from flatpoly.singer import construct_singer
 
 # few examples and a fixed seed keep the tier-1 run fast and repeatable
@@ -81,6 +93,100 @@ def fraction_partial_coeffs(plan, k):
                 new[f] = new.get(f, Fraction(0)) + v1 * v2
         acc = new
     return acc
+
+
+def python_stage_map(stage):
+    """Oracle: {N_j l: c_l}, ascending, by counting the pairwise differences."""
+    freqs = stage.frequencies
+    return dict(sorted(Counter(a - b for a in freqs for b in freqs).items()))
+
+
+def python_check_dissociated(plan, k, mode):
+    """Oracle: every tuple in itertools.product order; the witness is the first
+    tuple whose sum already occurred, with that sum's first tuple."""
+    if mode == "sums":
+        blocks = [stage.frequencies for stage in plan.stages[:k]]
+    else:
+        blocks = [list(python_stage_map(stage)) for stage in plan.stages[:k]]
+    seen = {}
+    for combo in itertools.product(*blocks):
+        value = sum(combo)
+        if value in seen and seen[value] != combo:
+            return DissociationCertificate(k, mode, False, (seen[value], combo, value))
+        seen[value] = combo
+    return DissociationCertificate(k, mode, True, None)
+
+
+def python_partial_coeffs(plan, k):
+    """Oracle: (numerators, denominator) by a dict convolution of the stage maps."""
+    acc, denominator = {0: 1}, 1
+    for stage in plan.stages[:k]:
+        new = {}
+        for f1, v1 in acc.items():
+            for f2, v2 in python_stage_map(stage).items():
+                new[f1 + f2] = new.get(f1 + f2, 0) + v1 * v2
+        acc = new
+        denominator *= stage.singer.size
+    return acc, denominator
+
+
+def python_base_occurrences(params, k, K):
+    """Oracle: the sumset of the column offsets of stages k+1 .. K, sorted."""
+    offsets = [0]
+    for j in range(k, K):
+        offsets = [o + c for o in offsets for c in params.column_offsets(j)]
+    return tuple(sorted(offsets))
+
+
+def all_python_ints(values):
+    return all(all_python_ints(v) if isinstance(v, tuple) else type(v) is int for v in values)
+
+
+@st.composite
+def rule_plans(draw):
+    """Plans from the margin, margin:c and explicit rules, primes repeating; explicit
+    scales, unchecked against the growth rule, reach both sides of 2^63."""
+    m = draw(st.sampled_from((1, 2)))
+    primes = draw(st.lists(st.sampled_from((2, 3, 5) if m == 1 else (2, 3)),
+                           min_size=1, max_size=3))
+    rule = draw(st.sampled_from(("margin", "margin:c", "explicit")))
+    if rule == "margin":
+        return make_plan(primes, m=m)
+    if rule == "margin:c":
+        return make_plan(primes, rule=f"margin:{draw(st.integers(2, 6))}", m=m)
+    scale = st.one_of(st.integers(1, 40), st.integers(2**56, 2**62))
+    scales = draw(st.lists(scale, min_size=len(primes), max_size=len(primes)))
+    return manual_plan([(p, m) for p in primes], scales)
+
+
+@PROPERTY_SETTINGS
+@given(rule_plans())
+@example(NON_DISSOCIATED)  # scales (1, 2)
+@example(make_plan([2, 3], scales=[1, 3]))  # collides at the growth-rule boundary
+@example(make_plan([2, 3, 2], rule="margin:2"))
+@example(make_plan([2, 3], scales=[1, 2**58]))  # int64
+@example(make_plan([2, 3], scales=[1, 2**62]))  # sums past 2^63: Python ints
+@example(make_plan([2, 3], scales=[1, 10**19]))
+@example(manual_plan([(2, 1), (2, 1)], [2**61, 2**62]))  # collides past 2^63
+def test_plan_kernel_routes_equal_the_python_loops(plan):
+    assume(np.prod([stage.singer.q for stage in plan.stages]) <= 30_000)
+    K = len(plan.stages)
+    for mode in ("sums", "differences"):
+        cert = check_dissociated(plan, mode=mode)
+        assert cert == python_check_dissociated(plan, K, mode)
+        assert cert.collision is None or all_python_ints(cert.collision)
+    for k in range(1, K + 1):
+        coeffs = partial_coeffs(plan, k)
+        assert (coeffs.coefficients, coeffs.denominator) == python_partial_coeffs(plan, k)
+        assert all_python_ints(tuple(coeffs.coefficients.items()) + (coeffs.denominator,))
+    try:
+        params = derive_map_params(plan)
+    except ValueError:  # a negative spacer: no tower to take offsets in
+        return
+    for K_ in range(1, K + 1):
+        for k in range(K_):
+            occ = base_occurrences(params, k, K_)
+            assert occ == python_base_occurrences(params, k, K_) and all_python_ints(occ)
 
 
 @PROPERTY_SETTINGS
@@ -188,5 +294,6 @@ def test_integer_coefficients_equal_the_fraction_oracle(plan):
 @example(NON_DISSOCIATED)
 def test_stage_map_keys_are_the_sorted_difference_block(plan):
     for stage in plan.stages:
-        freqs = stage.frequencies
-        assert list(_stage_map(stage)) == sorted({a - b for a in freqs for b in freqs})
+        freqs, counts = _stage_map(stage)
+        assert dict(zip(freqs.tolist(), counts.tolist())) == python_stage_map(stage)
+        assert freqs.tolist() == sorted({a - b for a in stage.frequencies for b in stage.frequencies})

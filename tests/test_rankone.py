@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from flatpoly import rankone
 from flatpoly.errors import BudgetError
 from flatpoly.rankone import (
-    _base_level_mask,
+    _tower_replay,
     base_occurrences,
     build_tower,
     correlation,
@@ -205,7 +206,7 @@ class TestBaseOccurrences:
         for _, params in case_plans:
             for K in range(1, len(params.stages) + 1):
                 for k in range(K):
-                    mask = _base_level_mask(params, k, K)
+                    mask = _tower_replay(params, k, K)[1]
                     assert len(mask) == params.heights[K - 1]
                     assert tuple(np.nonzero(mask)[0]) == base_occurrences(params, k, K)
 
@@ -253,12 +254,42 @@ class TestCorrelation:
         with pytest.raises(ValueError):
             correlation(params23, 0, 2, 76)
 
+    def test_sweep_replays_the_tower_once_per_stage_pair(self, monkeypatch):
+        params = derive_map_params(make_plan([2, 3, 5], rule="margin:2"))
+        calls = []
+
+        def counted(levels, spacers, fill):
+            calls.append(len(levels))
+            return stack(levels, spacers, fill)
+
+        stack = rankone._cut_and_stack
+        monkeypatch.setattr(rankone, "_cut_and_stack", counted)
+        _tower_replay.cache_clear()
+        for k, K in ((0, 3), (1, 3), (2, 3), (0, 2)):
+            before = len(calls)
+            for i in range(200):
+                correlation(params, k, K, i * params.heights[K - 1] // 200)
+            assert len(calls) - before == K - k  # one replay: one cut per stage
+        offsets, mask = _tower_replay(params, 0, 2)  # the cached replay: no new cut
+        assert len(calls) == 3 + 2 + 1 + 2
+        with pytest.raises(ValueError):
+            mask[0] = False  # shared across calls, so read-only
+        with pytest.raises(ValueError):
+            offsets[0] = 1
+
+    def test_budget(self):
+        # h_5 = 2551727478300 levels; the check comes before any level is allocated
+        params = derive_map_params(make_plan([2, 3, 5, 7, 11]))
+        message = f"height {params.heights[-1]} exceeds the tower budget {rankone.TOWER_BUDGET}"
+        with pytest.raises(BudgetError, match=f"^{message}$"):
+            correlation(params, 0, 5, 0)
+
 
 class TestLevelShiftSimulation:
     def test_shifted_masks_reproduce_histogram(self, params23):
         # applying the level shift n times and measuring overlap equals the
         # offset-difference histogram, up to mass that exits the top
-        mask = _base_level_mask(params23, 0, 2)
+        mask = _tower_replay(params23, 0, 2)[1]
         occ = base_occurrences(params23, 0, 2)
         hist = Counter(a - b for a in occ for b in occ)
         h = params23.stages[1].height
