@@ -133,10 +133,17 @@ def _flatness_from_abs(P: NewmanPolynomial, alpha, absv):
 def l2_defect_sq_exact(table):
     """Exact || |P|^2 - 1 ||_2^2 = sum_{l != 0} c_l^2 / |S|^2 from counts.
 
-    The l = 0 term is c_0^2 = |S|^2, so it is subtracted from the full sum.
+    The l = 0 term is c_0^2 = |S|^2, so it is subtracted from the full sum.  The
+    squares are summed in int64, exact while sum c_l^2 <= |S| sum c_l = |S|^3 is below
+    2^63, and in Python ints past that bound.
     """
-    k2 = table.size**2
-    return Fraction(sum(c * c for c in table.aperiodic) - k2, k2)
+    k = table.size
+    if k**3 < 2**63:
+        counts = np.asarray(table.aperiodic, dtype=np.int64)
+        total = int(np.dot(counts, counts))
+    else:
+        total = sum(c * c for c in table.aperiodic)
+    return Fraction(total - k * k, k * k)
 
 
 def l2_defect_exact(table):

@@ -44,10 +44,11 @@ CSV_COLUMNS = {
 
 
 # Method text of every mahler_log column; the row says whether it converged.
-MAHLER_DOUBLING = ("grid doubling from the smallest power of two >= max(4096, 16(degree + 1)) "
-                   "until the mean of log|P| moves by less than 1e-9, while the grid is "
-                   "below 2^22 points; mahler_converged is false where the doubling "
-                   "stopped without meeting 1e-9")
+MAHLER_NEAR_ROOT = ("one grid of N = the smallest power of two >= max(4096, 16(degree + 1)) "
+                    "points, minus the closed-form grid error of each root within 30/N of "
+                    "the circle, the roots read off the grid; the error is the change "
+                    "against the same correction on N/2 points, and mahler_converged is "
+                    "true where it is below 1e-9")
 
 
 class UsageError(ValueError):
@@ -238,7 +239,7 @@ def _per_prime(methods):
     "defect_sq": "uniform-grid quadrature of | |P|^2 - 1 |^alpha, pairwise sum; "
                  "tolerance 1e-6 against dense-evaluation oracle",
     "defect_abs": "uniform-grid quadrature of | |P| - 1 |^alpha, pairwise sum",
-    "mahler": "log-integral on a midpoint grid, " + MAHLER_DOUBLING,
+    "mahler": "log-integral on a midpoint grid, " + MAHLER_NEAR_ROOT,
     "s3_bound": "p^alpha/q + (q-1)/q (p+1)^-alpha with absolute constant 1",
     "defect_dominance_min_gap": "min over grid of |Q(z)| - ||P(z)|^2 - 1|, with |Q| in "
                                 "closed form |sin((q-1)theta/2)| / (k |sin(theta/2)|) "
@@ -249,7 +250,7 @@ def _run_flat(cmd, p):
 
 
 @_per_prime({
-    "mahler_log": "exp of midpoint-grid mean of log|P|, " + MAHLER_DOUBLING,
+    "mahler_log": "exp of midpoint-grid mean of log|P|, " + MAHLER_NEAR_ROOT,
     "mahler_jensen": "companion-matrix roots; |lead| * prod |root| over |root| > 1",
     "cross_method_gap": "tolerance 1e-6",
 })
@@ -268,8 +269,9 @@ def _run_mahler(cmd, p):
 
 
 @_per_prime({
-    "l1": "midpoint-grid quadrature mean of |P|",
-    "mahler": "log-integral, " + MAHLER_DOUBLING,
+    "l1": "midpoint-grid quadrature mean of |P| on the mahler grid, minus the leading-order "
+          "grid error of each root within 30/N of the circle",
+    "mahler": "log-integral, " + MAHLER_NEAR_ROOT,
     "note": "suprema over the family tend to 1; tabulated only, not asserted",
 })
 def _run_beta(cmd, p):

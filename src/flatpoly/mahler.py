@@ -7,6 +7,21 @@ Both read the polynomial through `analysis._sparse_form`: a
 NewmanPolynomial, a DefectPolynomial, an {exponent: coefficient} dict
 or a plain coefficient sequence (constant term first).
 
+The log-integral route is one midpoint grid with the grid error of the
+roots near the circle subtracted.  log|P| = log|lead| + sum over the
+roots r of log|e^(i theta) - r|, and for r = rho e^(i phi) the mean of
+log|e^(i theta) - r| over the N midpoints theta_j = 2 pi (j + 1/2) / N
+is its integral log max(1, rho) plus exactly
+
+    (1/N) log|1 + e^(-N |log rho|) e^(i N phi)|,
+
+the same for rho and 1/rho and below e^-30 / N once N |log rho| reaches
+NEAR_ROOT_WINDOW.  The roots inside the window are read off the grid
+itself (`_near_roots`), with no pass over the terms of P per root.  The
+grid mean of |P| gets the matching correction: near a root
+|P| ~ A |e^(i theta) - r|, whose grid error is a lattice sum
+(`_lattice_error`).
+
 For a generalized Riesz product built from unit-norm analytic
 polynomials, the Mahler measure of the product density factors as the
 product of the squared stage measures; `riesz_mahler` evaluates those
@@ -16,19 +31,28 @@ because z -> z^N preserves the circle average of log|P|.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .analysis import _mean, _sparse_form
 from .errors import BudgetError
-from .poly import _abs_support_grid, build_polynomial
+from .poly import _GRID_BLOCK, _abs_support_grid, build_polynomial
 
 __all__ = ["MahlerReport", "mahler_log", "mahler_jensen", "riesz_mahler"]
 
-JENSEN_DEGREE_BUDGET = 2048
-MAHLER_GRID_CAP = 2**22  # largest grid of mahler_log's doubling
+# q - 1 at p = 43, the largest oracle case.  On a 2-core x86-64 host np.roots took 5.1 s on
+# that (degree-1872) Singer polynomial and 25 s on z^1892 - i, whose companion matrix is complex.
+JENSEN_DEGREE_BUDGET = 1892
+NEAR_ROOT_WINDOW = 30  # an N-point grid corrects the roots with N |log|r|| below this
+MAHLER_TOL = 1e-9  # converged: the corrected mean of log|P| moves less than this from N/2 to N
+_STENCIL = 10  # m: a near root is read off the interpolant of |P|^2 through 2m grid nodes
+_SNAP = 256  # an interpolant minimum within _SNAP rounding units of 0 is a root on the circle
+_SEED_BLOCK = 2**11  # grid minima per batch of stencils in _near_roots
+_LATTICE_TERMS = 8  # nodes on each side of the cone's tip summed by _lattice_error
 
 
 @dataclass(frozen=True)
@@ -36,7 +60,7 @@ class MahlerReport:
     q: int | None
     method: str
     value: float
-    l1: float | None  # grid mean of |P| (mahler_log); None from mahler_jensen
+    l1: float | None  # near-root-corrected grid mean of |P| (mahler_log); None from mahler_jensen
     detail: dict
 
 
@@ -48,8 +72,8 @@ def _nonzero_terms(P):
     return exps, coeffs
 
 
-def _log_abs_mean(exps, coeffs, N):
-    """Means of log|P| and |P| over the N-point midpoint grid.
+def _grid_means(exps, coeffs, N, find_roots=False):
+    """Means of log|P| and |P| over the N-point midpoint grid, and _near_roots of it if asked.
 
     The midpoints exp(i pi (2j+1)/N) are odd powers of a primitive 2N-th root
     of unity; for N a power of two each is itself primitive, with minimal
@@ -60,26 +84,29 @@ def _log_abs_mean(exps, coeffs, N):
     """
     absv = _abs_support_grid(exps, coeffs, N, offset=0.5)
     l1 = _mean(absv)
-    return _mean(np.log(absv, out=absv)), l1
+    roots = _near_roots(absv) if find_roots else None
+    return _mean(np.log(absv, out=absv)), l1, roots
 
 
 def mahler_log(P, grid_size=None):
-    """Mahler measure as exp of the grid mean of log|P|.
+    """Mahler measure as exp of the mean of log|P| over a midpoint grid, corrected near roots.
 
-    With grid_size=None the first grid is the smallest power of two at or
-    above max(4096, 16 (degree + 1)), and it is doubled until the mean of
-    log|P| moves by less than 1e-9, while it is below MAHLER_GRID_CAP = 2^22
-    points (near-circle roots can require more).  From degree 2^18 on the
-    first grid already exceeds the cap and is the only one.  An explicit
-    grid_size is used as given.  detail holds the final grid, the grids
-    tried, the last change of the mean (None after a single grid) and
-    converged: True when the doubling met 1e-9, False when it stopped at
-    the cap or the first grid was at or above it, None for an explicit
-    grid_size.  Every grid is a power of two, on which a real polynomial
-    never vanishes (see _log_abs_mean); an explicit grid_size must be one.
-    A grid costs 8 bytes per point plus one block of row FFTs
-    (poly._abs_support_grid), about 33 MB at the cap.  A coefficient with a
-    nonzero imaginary part raises ValueError: use mahler_jensen.
+    With grid_size=None the grid has N points, N the smallest power of two at or above
+    max(4096, 16 (degree + 1)).  Every root r with N |log|r|| < NEAR_ROOT_WINDOW is read
+    off the grid (_near_roots); its exact grid error is subtracted from the mean of
+    log|P|, and its leading-order grid error from the mean of |P|, l1.  The same
+    correction on the N/2-point grid gives the error.  detail holds grid N, grids
+    [N, N/2], near_roots (the roots corrected on the N-point grid, conjugates included),
+    error and l1_error (how far the corrected mean of log|P|, and l1, moved from N/2 to
+    N points) and converged (error < MAHLER_TOL = 1e-9).  A root the grid does not
+    resolve, e.g. a repeated root on the circle, is left uncorrected, and error shows it.
+
+    An explicit grid_size is the plain grid mean, with no correction: detail has grids
+    [grid_size] and None for near_roots, error, l1_error and converged.  Every grid is a
+    power of two, on which a real polynomial never vanishes (see _grid_means); an
+    explicit grid_size must be one.  Memory: 8 bytes per point of the largest grid, plus
+    one block of row FFTs (poly._abs_support_grid) and of _SEED_BLOCK stencils.  A
+    coefficient with a nonzero imaginary part raises ValueError: use mahler_jensen.
     """
     exps, coeffs = _nonzero_terms(P)
     if np.any(np.imag(coeffs)):
@@ -89,28 +116,198 @@ def mahler_log(P, grid_size=None):
     if grid_size is not None:
         if grid_size < 1 or grid_size & (grid_size - 1):
             raise ValueError(f"grid_size must be a power of two, got {grid_size}")
-        mean_log, l1 = _log_abs_mean(exps, coeffs, grid_size)
+        mean_log, l1, _ = _grid_means(exps, coeffs, grid_size)
         return MahlerReport(q=q, method="log-integral", value=math.exp(mean_log), l1=l1,
-                            detail={"grid": grid_size, "grids": [grid_size],
-                                    "last_delta": None, "converged": None})
+                            detail={"grid": grid_size, "grids": [grid_size], "near_roots": None,
+                                    "error": None, "l1_error": None, "converged": None})
     N = 4096
     while N < 16 * (exps[-1] + 1):
         N *= 2
-    grids = [N]
-    mean_log, l1 = _log_abs_mean(exps, coeffs, N)
-    delta, converged = None, False
-    while N < MAHLER_GRID_CAP:
-        N *= 2
-        grids.append(N)
-        new_mean, l1 = _log_abs_mean(exps, coeffs, N)
-        delta = abs(new_mean - mean_log)
-        mean_log = new_mean
-        if delta < 1e-9:
-            converged = True
-            break
+    mean_log, l1, roots = _grid_means(exps, coeffs, N, find_roots=True)
+    log_fix, l1_fix, count = _corrections(roots, N)
+    mean_log, l1 = mean_log - log_fix, l1 - l1_fix
+    half_log, half_l1, _ = _grid_means(exps, coeffs, N // 2)
+    half_log_fix, half_l1_fix, _ = _corrections(roots, N // 2)
+    error = abs(mean_log - (half_log - half_log_fix))
+    l1_error = abs(l1 - (half_l1 - half_l1_fix))
     return MahlerReport(q=q, method="log-integral", value=math.exp(mean_log), l1=l1,
-                        detail={"grid": N, "grids": grids, "last_delta": delta,
-                                "converged": converged})
+                        detail={"grid": N, "grids": [N, N // 2], "near_roots": count,
+                                "error": error, "l1_error": l1_error,
+                                "converged": error < MAHLER_TOL})
+
+
+def _corrections(roots, N):
+    """Grid errors of the roots with N |log|r|| < NEAR_ROOT_WINDOW on the N-point midpoint grid.
+
+    roots = (turns, ell, amp, weight) from _near_roots.  Returns the error of the mean
+    of log|P|, exact per root, the leading-order error of the mean of |P|, and how many
+    roots were corrected.  With N phi / 2 pi = n + f (f its fractional part) the midpoint
+    nodes sit at N (theta - phi) / 2 pi = j + a, a = frac(1/2 - f), so the |P| error is
+    A times (2 pi sqrt(rho) / N^2) _lattice_error(N delta / 2 pi, a), delta = |1 - rho| /
+    sqrt(rho): |e^(i theta) - r| ~ sqrt(rho) sqrt(delta^2 + (theta - phi)^2) at the root.
+    """
+    near = N * roots[1] < NEAR_ROOT_WINDOW
+    turns, ell, amp, weight = (x[near] for x in roots)
+    cycles = N * turns  # exact: N is a power of two
+    f = cycles - np.floor(cycles)
+    log_fix = np.log(np.abs(1 + np.exp(-N * ell + 2j * np.pi * f))) / N
+    nu = N * np.sinh(ell / 2) / np.pi
+    l1_fix = amp * np.exp(-ell / 2) * (2 * np.pi / N**2) * _lattice_error(nu, np.mod(0.5 - f, 1.0))
+    return float(weight @ log_fix), float(weight @ l1_fix), int(weight.sum())
+
+
+def _lattice_error(nu, a):
+    """Z(nu, a): the unit-lattice midpoint error of the cone sqrt(nu^2 + y^2), nodes y = j + a.
+
+    Z = sum over m != 0 of the cone's Fourier transform at m times e^(2 pi i m a)
+    (Poisson), with transform -(nu / pi |m|) K_1(2 pi nu |m|), and Z(0, a) = -B_2(a).
+    In real space it is the sum over the nodes |j + a| <= K minus the integral over
+    [-K, K], less Euler-Maclaurin's boundary terms at +-K for the two tails (the odd-order
+    ones cancel, the cone being even); K = _LATTICE_TERMS keeps it within 6e-10 of Z
+    for nu <= 10, and an N-point grid needs nu < NEAR_ROOT_WINDOW / 2 pi.
+    """
+    K = _LATTICE_TERMS
+    nodes = np.sqrt(nu[:, None] ** 2 + (np.arange(-K, K) + a[:, None]) ** 2).sum(axis=1)
+    s = np.hypot(nu, K)
+    integral = K * s + nu**2 * (np.log(K + s) - np.log(np.maximum(nu, np.finfo(float).tiny)))
+    b2 = a * a - a + 1 / 6
+    b4 = a**2 * (a - 1) ** 2 - 1 / 30
+    b6 = a**6 - 3 * a**5 + 2.5 * a**4 - 0.5 * a**2 + 1 / 42
+    tails = (b2 * K / s - b4 * nu**2 * K / (4 * s**5)
+             + b6 * nu**2 * K * (3 * nu**2 - 4 * K**2) / (24 * s**9))
+    return nodes - integral - tails
+
+
+def _near_roots(absv):
+    """Roots of P with N |log|r|| < 2 NEAR_ROOT_WINDOW, read off the N-point grid absv = |P|.
+
+    |P(e^(i theta))|^2 continues to an analytic function of theta that a root
+    r = rho e^(i phi) makes vanish at phi -+ i log rho.  A local minimum of the grid is a
+    seed unless the parabola through its three nodes puts its zeros more than twice the
+    window off the axis.  The 2m nodes around a seed (m = _STENCIL) give the interpolant
+    p(u) of |P|^2, u = (theta - c) / h, h = 2 pi / N, c the midpoint of the minimum's
+    cell.  Newton on p' finds p's minimum x.  If p(x) is within rounding of 0 the root is
+    on the circle (there |P|^2 has a double zero, which rounding would split by its
+    square root), else Newton on p from x + i sqrt(p(x) / (p''(x) / 2)) finds its zero
+    a + ib: phi = c + h a, |log rho| = h |b|.  Dividing p by (u - a)^2 + b^2 leaves H h^2,
+    and
+    A = sqrt(H / (rho' (1 + ell^2 / 24))) is the amplitude in |P| ~ A |e^(i theta) - r'|,
+    r' = rho' e^(i phi) the root or its mirror 1/conj(r), whichever is inside the disk.
+    Newton runs that have not settled are dropped, so an unresolved root is missed, not
+    misplaced; a missed root, or one found from two seeds, moves the N and N/2 grids apart.
+
+    The grid of a real polynomial is mirror-symmetric, so only the minima of its first
+    half are seeds.  Returns arrays (turns, ell, amp, weight): phi / 2 pi in [0, 1/2],
+    |log rho|, A, and 2 for a root that stands for its conjugate as well, 1 for a real root.
+    Stencils go in batches of _SEED_BLOCK, so no N-long temporary is made.
+    """
+    N, m = len(absv), _STENCIL
+    h = 2 * np.pi / N
+    W = _interpolation_matrix()
+    noise = _SNAP * np.finfo(float).eps * np.abs(W[0])  # rounding of p near the middle, per |P|^2
+    window = 2 * NEAR_ROOT_WINDOW / (2 * np.pi)  # in grid steps
+    seeds = _grid_minima(absv, -m, N // 2 + m)
+    below, at, above = (absv[(seeds + k) % N] ** 2 for k in (-1, 0, 1))
+    curv = (below + above) / 2 - at  # > 0 at a minimum
+    # that parabola's zeros lie b steps off the axis, b^2 = (its minimum) / curv
+    seeds = seeds[at - (above - below) ** 2 / (16 * curv) < (2 * window) ** 2 * curv]
+    powers = np.arange(2 * m)[:, None]
+    found = []
+    for s in np.split(seeds, range(_SEED_BLOCK, seeds.size, _SEED_BLOCK)):
+        upper = absv[(s + 1) % N] <= absv[(s - 1) % N]  # the minimum is in [s, s+1], else [s-1, s]
+        j0 = s - 1 + upper
+        F = absv[(j0 + np.arange(1 - m, m + 1)[:, None]) % N] ** 2
+        C = W @ F  # C[k]: coefficient of u^k in p, one column per seed
+        D1 = C[1:] * powers[1:]  # in p'
+        D2 = D1[1:] * powers[1:-1]  # in p''
+        x = np.where(upper, -0.5, 0.5)
+        for _ in range(4):
+            U = _powers(x, 2 * m)
+            d1, d2 = _polyval(D1, U), _polyval(D2, U)
+            x -= np.divide(d1, d2, out=np.zeros_like(d1), where=d2 > 0)
+            np.clip(x, -1.5, 1.5, out=x)
+        U = _powers(x, 2 * m)
+        f, d2 = _polyval(C, U), _polyval(D2, U)
+        ok = d2 > 0
+        off = ok & (f > noise @ F)
+        z = x.astype(complex)
+        zo = x[off] + 1j * np.sqrt(2 * f[off] / d2[off])
+        Co, D1o = C[:, off].astype(complex), D1[:, off].astype(complex)
+        step = np.zeros_like(zo)
+        for _ in range(6):
+            U = _powers(zo, 2 * m)
+            step = _polyval(Co, U) / _polyval(D1o, U)
+            zo -= step
+        z[off] = zo
+        ok[off] &= np.abs(step) < 1e-7
+        a, b = z.real, np.abs(z.imag)
+        ok &= (np.abs(a) <= 2) & (b < window)
+        a, b, C, j0 = a[ok], b[ok], C[:, ok], j0[ok]
+        ell = h * b
+        H = _polyval(_deflate(C, a, b), _powers(a, 2 * m)) / h**2
+        amp = np.sqrt(np.maximum(H, 0) / (np.exp(-ell) * (1 + ell**2 / 24)))
+        found.append(np.stack([(j0 + 1 + a) / N, ell, amp]))
+    turns, ell, amp = np.concatenate(found, axis=1)
+    tol = 1e-7 / N
+    real = (np.abs(turns) <= tol) | (np.abs(turns - 0.5) <= tol)
+    keep = (turns >= -tol) & (turns <= 0.5 + tol)  # the seeds past either end see mirror images
+    return turns[keep], ell[keep], amp[keep], np.where(real, 1.0, 2.0)[keep]
+
+
+def _grid_minima(absv, start, stop):
+    """Indices j in [start, stop), taken cyclically, with absv[j] < absv[j-1] and
+    absv[j] <= absv[j+1]; block by block, so the temporaries stay one block long."""
+    N = len(absv)
+    minima = [np.zeros(0, dtype=np.int64)]
+    for b0 in range(start, stop, _GRID_BLOCK):
+        b1 = min(b0 + _GRID_BLOCK, stop)
+        v = absv[np.arange(b0 - 1, b1 + 1) % N]
+        minima.append(b0 + np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:])))
+    return np.concatenate(minima)
+
+
+@functools.cache
+def _interpolation_matrix():
+    """W with W @ values = the monomial coefficients (constant first) of the polynomial
+    through (u_t, values[t]), u_t = t - m + 1/2 for t < 2m.  In v = 2u the nodes are odd
+    integers, so each Lagrange basis is an integer polynomial over an integer: exact until
+    one rounding per entry."""
+    m = _STENCIL
+    nodes = range(1 - 2 * m, 2 * m, 2)
+    W = np.empty((2 * m, 2 * m))
+    for t, vt in enumerate(nodes):
+        basis, scale = [1], 1  # prod over s != t of (v - v_s), and of (v_t - v_s)
+        for vs in nodes:
+            if vs != vt:
+                basis = [shifted - vs * same for shifted, same in zip([0] + basis, basis + [0])]
+                scale *= vt - vs
+        W[:, t] = [Fraction(c * 2**k, scale) for k, c in enumerate(basis)]
+    return W
+
+
+def _powers(u, n):
+    """Rows u^0 .. u^(n-1) of the one-dimensional array u."""
+    U = np.empty((n, u.size), dtype=u.dtype)
+    U[0] = 1
+    for k in range(1, n):
+        np.multiply(U[k - 1], u, out=U[k])
+    return U
+
+
+def _polyval(C, U):
+    """sum_k C[k] u^k per column, from the powers U of _powers (extra rows unread)."""
+    return np.einsum("kn,kn->n", C, U[:len(C)])
+
+
+def _deflate(C, a, b):
+    """Coefficients of p / ((u - a)^2 + b^2), by synthetic division from the top; the
+    divided-out zeros are the ones nearest u = 0, for which that order is stable."""
+    n = len(C)
+    s1, s0 = 2 * a, -(a * a + b * b)
+    Q = np.zeros((n, len(a)))
+    for k in range(n - 3, -1, -1):
+        Q[k] = C[k + 2] + s1 * Q[k + 1] + s0 * Q[k + 2]
+    return Q[:n - 2]
 
 
 def mahler_jensen(P):
@@ -120,7 +317,9 @@ def mahler_jensen(P):
     companion matrix is normalized by the leading coefficient, so for a
     NewmanPolynomial it is that of the integer 0/1 support polynomial.  An
     empty product is 1, so a constant a has measure |a|.  No grid is evaluated,
-    so l1 is None; mahler_log reports it.
+    so l1 is None; mahler_log reports it.  The route is the oracle of
+    mahler_log, and a degree above JENSEN_DEGREE_BUDGET raises BudgetError
+    before np.roots runs.
     """
     exps, coeffs = _nonzero_terms(P)
     degree = int(exps[-1])

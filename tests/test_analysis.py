@@ -22,6 +22,7 @@ from flatpoly.analysis import (
     realline_flatness,
 )
 from flatpoly.poly import (
+    CorrelationTable,
     build_polynomial,
     correlation_table,
     correlations,
@@ -164,6 +165,18 @@ class TestL2DefectExact:
         for p in (2, 3, 5, 7, 11, 13):
             t = correlations(singer_cache(p))
             assert l2_defect_sq_exact(t) == Fraction(p, p + 1)
+
+    def test_dense_support_squares_sum_exactly(self):
+        # c_l = k - |l| for k consecutive residues: sum c_l^2 = k (2k^2 + 1) / 3, past 2^32
+        k = 2000
+        t = correlation_table(range(k), 2 * k)
+        assert l2_defect_sq_exact(t) == Fraction(k * (2 * k * k + 1) // 3 - k * k, k * k)
+
+    def test_sum_past_the_int64_bound_stays_exact(self):
+        # |S|^3 >= 2^63 sums in Python ints; c_0^2 = |S|^4 = 2^84 alone would wrap int64
+        k, c = 2**21, 3 * 2**40
+        t = CorrelationTable(q=2, size=k, aperiodic=(c, k, c), cyclic=(k, 2 * c))
+        assert l2_defect_sq_exact(t) == Fraction(2 * c * c, k * k)
 
 
 class TestMZ:

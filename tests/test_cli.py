@@ -256,18 +256,19 @@ class TestExecute:
         assert text.splitlines()[0] == "p,q,l1,mahler"
 
     def test_mahler_convergence_reported(self, tmp_path):
-        # p = 7 meets 1e-9 before the 2^22 cap; p = 101 reaches the cap first
-        _, text = run_to_file(tmp_path, ["beta", "--primes", "7,101"])
+        # p = 11 has a zero on the circle and p = 101 thousands near it: both meet 1e-9
+        _, text = run_to_file(tmp_path, ["beta", "--primes", "7,11,101"])
         results = json.loads(text)["results"]
-        assert [row["mahler_converged"] for row in results["rows"]] == [True, False]
-        assert "2^22" in results["methods"]["mahler"]
+        assert [row["mahler_converged"] for row in results["rows"]] == [True, True, True]
+        assert "30/N" in results["methods"]["mahler"]
         assert "mahler_converged" in results["methods"]["mahler"]
         for argv, method in ((["flat", "--primes", "7", "--alpha", "1"], "mahler"),
-                             (["mahler", "--primes", "7"], "mahler_log")):
+                             (["mahler", "--primes", "7,11"], "mahler_log")):
             _, text = run_to_file(tmp_path, argv, argv[0])
             results = json.loads(text)["results"]
-            assert results["rows"][0]["mahler_converged"] is True
-            assert "2^22" in results["methods"][method]
+            assert all(row["mahler_converged"] is True for row in results["rows"])
+            assert results["methods"][method].endswith(cli.MAHLER_NEAR_ROOT)
+        assert all(row["cross_method_gap"] <= 1e-9 for row in results["rows"])
 
     def test_realline_report(self, tmp_path):
         code, text = run_to_file(
@@ -353,7 +354,7 @@ class TestFlatRow:
         q = singer_cache(5).q
         _flat_row(5, 1, 1.0, 16)
         assert grids.count(16 * q) == 1  # P once; |Q| in closed form
-        assert all(N >= 4096 for N in grids if N != 16 * q)  # the rest is mahler_log
+        assert sorted(N for N in grids if N != 16 * q) == [2048, 4096]  # mahler_log's N and N/2
 
 
 def _run_python(code):

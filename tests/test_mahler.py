@@ -1,12 +1,15 @@
+import math
 import random
 
 import numpy as np
 import pytest
+from scipy.special import ellipe
 
 from flatpoly.errors import BudgetError
-from flatpoly.mahler import MAHLER_GRID_CAP, mahler_jensen, mahler_log, riesz_mahler
+from flatpoly import mahler
+from flatpoly.mahler import JENSEN_DEGREE_BUDGET, mahler_jensen, mahler_log, riesz_mahler
 from flatpoly.analysis import mz_ratio
-from flatpoly.poly import build_polynomial, newman_from_support
+from flatpoly.poly import _abs_support_grid, build_polynomial, newman_from_support
 from flatpoly.riesz import make_plan
 
 
@@ -49,6 +52,14 @@ class TestBasics:
         with pytest.raises(BudgetError):
             mahler_jensen(coeffs)
 
+    def test_degree_budget_fails_before_root_finding(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.roots ran past the budget")
+
+        monkeypatch.setattr(np, "roots", forbidden)
+        with pytest.raises(BudgetError, match=str(JENSEN_DEGREE_BUDGET)):
+            mahler_jensen({0: 1.0, JENSEN_DEGREE_BUDGET + 1: 1.0})
+
 
 class TestCrossMethod:
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -70,35 +81,56 @@ class TestCrossMethod:
     def test_circle_root_polynomial(self):
         # 1 + z has its only root on the unit circle; M = 1 exactly
         rep = mahler_log([1.0, 1.0])
-        assert rep.value == pytest.approx(1.0, abs=1e-6)
+        assert rep.value == pytest.approx(1.0, abs=1e-12)
         assert mahler_jensen([1.0, 1.0]).value == pytest.approx(1.0, abs=1e-9)
+
+
+def first_grid(P):
+    """mahler_log's default N: the smallest power of two >= max(4096, 16(degree + 1))."""
+    return max(4096, 1 << (16 * (P.degree + 1) - 1).bit_length())
+
+
+def doubling_oracle(P, cap=2**22):
+    """The grid doubling mahler_log ran before the near-root correction: plain grid means
+    from the first grid, doubled until the mean of log|P| moves by less than 1e-9.  None
+    where the grid reaches cap first, as it did for p = 11, 19 and 37 and up."""
+    N = first_grid(P)
+    mean = math.log(mahler_log(P, grid_size=N).value)
+    while N < cap:
+        N *= 2
+        previous, mean = mean, math.log(mahler_log(P, grid_size=N).value)
+        if abs(mean - previous) < 1e-9:
+            return math.exp(mean)
+    return None
 
 
 class TestConvergenceDetail:
     def test_converges_p7(self, singer_cache):
-        detail = mahler_log(build_polynomial(singer_cache(7))).detail
+        P = build_polynomial(singer_cache(7))
+        detail = mahler_log(P).detail
         assert detail["converged"] is True
-        assert detail["last_delta"] < 1e-9
-        assert detail["grids"][-1] == detail["grid"] < MAHLER_GRID_CAP
-        assert all(b == 2 * a for a, b in zip(detail["grids"], detail["grids"][1:]))
+        assert detail["error"] < 1e-9
+        assert detail["grids"] == [detail["grid"], detail["grid"] // 2]
+        assert detail["grid"] == first_grid(P) == 4096
+        assert detail["near_roots"] > 0
 
-    def test_cap_reported_p101(self, singer_cache):
+    def test_converges_p101(self, singer_cache):
+        # the doubling stopped at its 2^22 cap here, 7.5e-8 short of 1e-9 per doubling
         detail = mahler_log(build_polynomial(singer_cache(101))).detail
-        assert detail["converged"] is False
-        assert detail["last_delta"] >= 1e-9
-        assert detail["grids"][-1] == detail["grid"] == MAHLER_GRID_CAP
-        assert len(detail["grids"]) > 1
+        assert detail["converged"] is True
+        assert detail["error"] < 1e-9
+        assert detail["grids"] == [2**18, 2**17]
 
-    def test_start_at_cap_is_unconverged(self):
-        # 16 (degree + 1) > 2^21: the first grid is the cap, so nothing is compared
-        detail = mahler_log(newman_from_support([0, MAHLER_GRID_CAP // 32 + 1])).detail
-        assert detail == {"grid": MAHLER_GRID_CAP, "grids": [MAHLER_GRID_CAP],
-                          "last_delta": None, "converged": False}
+    def test_default_evaluates_two_grids(self, monkeypatch, singer_cache):
+        grids = []
 
-    def test_start_above_cap_is_the_only_grid(self):
-        # from degree 2^18 on 16 (degree + 1) > 2^22: one grid above the cap, unconverged
-        detail = mahler_log(newman_from_support([0, MAHLER_GRID_CAP // 16 + 1])).detail
-        assert detail == {"grid": 2**23, "grids": [2**23], "last_delta": None, "converged": False}
+        def counted(exponents, coeffs, N, offset=0.0):
+            grids.append(N)
+            return _abs_support_grid(exponents, coeffs, N, offset)
+
+        monkeypatch.setattr(mahler, "_abs_support_grid", counted)
+        mahler_log(build_polynomial(singer_cache(13)))
+        assert grids == [4096, 2048]
 
     def test_explicit_grid_must_be_a_power_of_two(self):
         # 1 + z vanishes at -1, a midpoint of every odd grid
@@ -117,13 +149,79 @@ class TestConvergenceDetail:
         assert mahler_jensen({0: -1j, 16: 1.0}).value == pytest.approx(1.0, abs=1e-12)
 
     def test_real_dict_accepted(self):
-        # the dict form is complex-typed with zero imaginary parts; 1 + z^3 has circle
-        # zeros, so the doubling converges only algebraically
-        assert mahler_log({0: 1.0, 3: 1.0}).value == pytest.approx(1.0, abs=1e-6)
+        # the dict form is complex-typed with zero imaginary parts; 1 + z^3 has three zeros
+        # on the circle, whose grid errors are subtracted in closed form
+        rep = mahler_log({0: 1.0, 3: 1.0})
+        assert rep.value == pytest.approx(1.0, abs=1e-12)
+        assert rep.detail["near_roots"] == 3 and rep.detail["converged"] is True
 
     def test_explicit_grid(self, singer_cache):
         detail = mahler_log(build_polynomial(singer_cache(3)), grid_size=8192).detail
-        assert detail == {"grid": 8192, "grids": [8192], "last_delta": None, "converged": None}
+        assert detail == {"grid": 8192, "grids": [8192], "near_roots": None, "error": None,
+                          "l1_error": None, "converged": None}
+
+
+class TestNearRootCorrection:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_agrees_with_jensen(self, p, singer_cache):
+        # p = 11 and 19 have a zero at -1, on the circle; the doubling missed by 1.4e-7 there
+        P = build_polynomial(singer_cache(p))
+        rep = mahler_log(P)
+        assert abs(rep.value - mahler_jensen(P).value) <= 1e-9
+        assert rep.detail["converged"] is True
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_l1_within_its_error_of_a_fine_grid(self, p, singer_cache):
+        # the plain mean on 2^22 points is 256^2 times closer than the first grid's at
+        # p = 23, where that one is 7.5e-6 off
+        P = build_polynomial(singer_cache(p))
+        rep = mahler_log(P)
+        fine = mahler_log(P, grid_size=2**22).l1
+        assert abs(rep.l1 - fine) <= rep.detail["l1_error"] + 1e-12
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 17, 23, 29, 31])
+    def test_agrees_with_the_doubling_where_it_converged(self, p, singer_cache):
+        P = build_polynomial(singer_cache(p))
+        assert mahler_log(P).value == pytest.approx(doubling_oracle(P), abs=2e-9)
+
+    # 1 + z^1000: 1000 zeros on the circle, and N = 16384 is barely 16 (degree + 1), the worst
+    # case for the interpolant; with 16 nodes its rounding-level fake distances moved M by 4e-7
+    @pytest.mark.parametrize("coeffs",
+                             [[1.0, 1.0], {0: 1.0, 3: 1.0}, [-1.0, 1.0], {0: 1.0, 1000: 1.0}])
+    def test_circle_roots(self, coeffs):
+        rep = mahler_log(coeffs)
+        assert rep.value == pytest.approx(1.0, abs=1e-12)
+        assert rep.detail["converged"] is True
+
+    def test_repeated_circle_root_reported_unconverged(self):
+        # (1 + z)^2 (1 - z + z^2): the double zero at -1 is not resolved, so 2 log 2 / N is
+        # left on N points and 2 log 2 / (N/2) on N/2, and error is their difference
+        rep = mahler_log([1.0, 1.0, 0.0, 1.0, 1.0])
+        assert rep.detail["converged"] is False
+        assert rep.detail["near_roots"] == 2  # e^(+-i pi/3)
+        assert math.log(rep.value) == pytest.approx(2 * math.log(2) / 4096, rel=1e-9)
+        assert rep.detail["error"] == pytest.approx(2 * math.log(2) / 4096, rel=1e-9)
+
+    @pytest.mark.parametrize("n_rho", [0.0, 0.3, 2.0, 8.0])
+    def test_single_root_corrections_match_the_grid(self, n_rho):
+        # one root r = rho e^(i phi), rho = 1 - n_rho / N: the grid means of log|e^(i theta) - r|
+        # and |e^(i theta) - r| minus their integrals, 0 and (2/pi)(1 + rho) E(4 rho/(1 + rho)^2)
+        N = 4096
+        rho, turns = 1.0 - n_rho / N, 0.1234567
+        theta = 2 * np.pi * (np.arange(N) + 0.5) / N
+        dist = np.abs(np.exp(1j * theta) - rho * np.exp(2j * np.pi * turns))
+        l1_error = dist.mean() - 2 / np.pi * (1 + rho) * ellipe(4 * rho / (1 + rho) ** 2)
+        roots = (np.array([turns]), np.array([-math.log(rho)]), np.array([1.0]), np.array([1]))
+        log_fix, l1_fix, count = mahler._corrections(roots, N)
+        assert count == 1
+        assert log_fix == pytest.approx(np.log(dist).mean(), abs=1e-15)
+        assert l1_fix == pytest.approx(l1_error, abs=2e-15)
+        assert abs(l1_fix) > 1e-11
+
+    def test_lattice_error_on_the_circle_is_minus_b2(self):
+        a = np.linspace(0.0, 0.99, 12)
+        expected = -(a * a - a + 1 / 6)
+        assert np.allclose(mahler._lattice_error(np.zeros_like(a), a), expected, atol=1e-12)
 
 
 class TestAlgebra:

@@ -5,19 +5,23 @@ small Singer sets at arbitrary scales, so they need not be dissociated.
 Each property is checked against an independent route: the pair-count
 folding against its definition, the exact L2 defect against a grid
 mean, the FFT route and the blocked |P| kernel against direct summation,
-the integer Riesz coefficients against a convolution over Fractions, and
-the plan layer's numpy enumerations against plain Python loops.
+the integer Riesz coefficients against a convolution over Fractions,
+the plan layer's numpy enumerations against plain Python loops, and the
+near-root-corrected Mahler measure against Jensen's formula.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flatpoly.analysis import l2_defect_sq_exact
+from flatpoly.mahler import mahler_jensen, mahler_log
 from flatpoly.poly import (
     _abs_support_grid,
     correlation_table,
@@ -256,7 +260,7 @@ SINGER_2, SINGER_307 = construct_singer(2).residues, construct_singer(307).resid
 @example((5 * 2**12, [0, 7, 300], [1.0, 0.25, -1.0], 0.0))  # L = 64 even
 @example((3 * 2**8, [0, 2], [1.0, 3.0], 0.5))  # L = 3 odd
 @example((4096, [0, 16], [-1j, 1.0], 0.5))  # z^16 - i on mahler_jensen's L1 grid: complex
-@example((2**22, SINGER_2, [3**-0.5] * 3, 0.5))  # p = 2 on the 2^22 Mahler cap
+@example((2**22, SINGER_2, [3**-0.5] * 3, 0.5))  # p = 2 on the fine grid the Mahler l1 tests read
 def test_abs_grid_kernel_matches_direct_summation(case):
     N, exps, coeffs, offset = case
     coeffs = np.array(coeffs, dtype=complex)
@@ -297,3 +301,26 @@ def test_stage_map_keys_are_the_sorted_difference_block(plan):
         freqs, counts = _stage_map(stage)
         assert dict(zip(freqs.tolist(), counts.tolist())) == python_stage_map(stage)
         assert freqs.tolist() == sorted({a - b for a in stage.frequencies for b in stage.frequencies})
+
+
+@st.composite
+def zero_one_polynomials(draw, max_degree=256):
+    """Coefficients of 1 + ... + z^d, d <= max_degree, with 0/1 coefficients in between."""
+    d = draw(st.integers(1, max_degree))
+    inner = draw(st.lists(st.integers(0, 1), min_size=d - 1, max_size=d - 1))
+    return [1.0] + [float(c) for c in inner] + [1.0]
+
+
+@PROPERTY_SETTINGS
+@given(zero_one_polynomials())
+@example([1.0] + [0.0] * 255 + [1.0])  # 1 + z^256: every root on the circle
+@example([1.0, 1.0])
+def test_corrected_log_integral_agrees_with_jensen(coeffs):
+    # squarefree only: a repeated root costs np.roots about half the digits, and
+    # mahler_log leaves it uncorrected and says so (tests/test_mahler.py)
+    z = sympy.Symbol("z")
+    P = sympy.Poly([int(c) for c in coeffs[::-1]], z)
+    assume(sympy.degree(sympy.gcd(P, P.diff(z)), z) == 0)
+    rep = mahler_log(coeffs)
+    gap = abs(math.log(rep.value) - math.log(mahler_jensen(coeffs).value))
+    assert gap <= (1e-9 if rep.detail["converged"] else rep.detail["error"])
