@@ -26,7 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import DefectPolynomial, NewmanPolynomial, _abs_support_grid
+from .poly import _GRID_BLOCK, DefectPolynomial, NewmanPolynomial, _abs_support_grid
+from .poly import _perfect_defect_abs
 
 __all__ = [
     "FlatnessReport",
@@ -46,6 +47,8 @@ __all__ = [
     "kernel_mass",
     "realline_flatness",
 ]
+
+GRID_MULTIPLIER = 16  # default grid points per unit of q: flatness, realline_flatness, the CLI
 
 
 def _mean(arr):
@@ -71,13 +74,14 @@ def lp_norm(values, alpha):
 
 @dataclass(frozen=True)
 class FlatnessReport:
-    """Defect norms of one polynomial at one exponent.
+    """Defect norms of one polynomial at one exponent, from one N-point |P| grid.
 
-    p is |support| - 1 (the prime power p^m for a Singer polynomial),
-    defect_sq is || |P|^2 - 1 ||_alpha, defect_abs is || |P| - 1 ||_alpha,
-    and s3_bound is p^alpha/q + ((q-1)/q) (p+1)^(-alpha), the
-    interpolation bound on ||Q||_alpha^alpha with its absolute constant
-    set to 1 for reporting.
+    p is |support| - 1 (p^m for a Singer polynomial), defect_sq is || |P|^2 - 1 ||_alpha,
+    defect_abs is || |P| - 1 ||_alpha and l1_norm the grid mean of |P|.  Computed for any
+    support but meaningful for a Singer polynomial: l2_defect_closed = sqrt(p/(p+1)),
+    s3_bound = p^alpha/q + ((q-1)/q) (p+1)^(-alpha), the interpolation bound on
+    ||Q||_alpha^alpha with absolute constant 1, and defect_dominance_min_gap, the grid min
+    of |Q| - ||P|^2 - 1| with |Q| in closed form for a perfect difference set.
     """
 
     p: int
@@ -89,24 +93,25 @@ class FlatnessReport:
     l1_norm: float
     l2_defect_closed: float
     s3_bound: float
+    defect_dominance_min_gap: float
 
 
 def flatness(P: NewmanPolynomial, alpha, grid_size=None):
-    """Flatness defects of P on a uniform grid (default 16q points)."""
+    """Flatness defects of P from one uniform |P| grid (default GRID_MULTIPLIER * q points)
+    and one temporary as long, made after the dominance gap has read j <= N/2 block by
+    block: |Q| is even and the real |P| grid is mirrored exactly, so that min is the grid's."""
     if not 0 < alpha <= 2:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    N = grid_size if grid_size is not None else 16 * P.q
+    N = grid_size if grid_size is not None else GRID_MULTIPLIER * P.q
     if N < 4 * P.q:
         raise ValueError(f"grid {N} too small; need at least 4q = {4 * P.q}")
-    return _flatness_from_abs(P, alpha, _abs_support_grid(P.support, [P.scale] * P.size, N))
-
-
-def _flatness_from_abs(P: NewmanPolynomial, alpha, absv):
-    """FlatnessReport from |P| on the uniform grid of len(absv) points.
-
-    Both defects reuse one N-long temporary in place, so the report costs one
-    more float per point than the grid itself.
-    """
+    absv = _abs_support_grid(P.support, [P.scale] * P.size, N)
+    stop = N // 2 + 1
+    gaps = []
+    for j0 in range(0, stop, _GRID_BLOCK):
+        j1 = min(j0 + _GRID_BLOCK, stop)
+        gap = _perfect_defect_abs(P.q, P.size, N, j0, j1) - np.abs(absv[j0:j1] ** 2 - 1.0)
+        gaps.append(gap.min())
     t = np.square(absv)
     t -= 1.0
     np.abs(t, out=t)
@@ -121,12 +126,13 @@ def _flatness_from_abs(P: NewmanPolynomial, alpha, absv):
         p=pm,
         q=P.q,
         alpha=alpha,
-        grid_size=len(absv),
+        grid_size=N,
         defect_sq=defect_sq,
         defect_abs=defect_abs,
         l1_norm=_mean(absv),
         l2_defect_closed=math.sqrt(pm / (pm + 1)),
         s3_bound=pm**alpha / P.q + (P.q - 1) / P.q * (pm + 1) ** (-alpha),
+        defect_dominance_min_gap=float(min(gaps)),
     )
 
 
@@ -170,7 +176,7 @@ def _sparse_form(poly):
 
     Accepts a NewmanPolynomial, a DefectPolynomial, an {exponent: coefficient}
     dict whose exponents are non-negative integers, or a one-dimensional nonempty
-    coefficient sequence, constant term first.
+    coefficient sequence, constant term first; all-zero imaginary parts are dropped.
     """
     if isinstance(poly, NewmanPolynomial):
         return np.array(poly.support), np.full(poly.size, poly.scale)
@@ -185,6 +191,8 @@ def _sparse_form(poly):
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("expected a one-dimensional coefficient sequence")
         exps = np.arange(coeffs.size)
+    if np.iscomplexobj(coeffs) and not np.any(coeffs.imag):
+        coeffs = coeffs.real
     keep = coeffs != 0
     return exps[keep], coeffs[keep]
 
@@ -299,27 +307,27 @@ def kernel_tail_bound(spec: KernelSpec):
 
 
 _KERNEL_MASS_GRID = 4096  # points of kernel_mass's circle route
+_EVAL_CHUNK = 1 << 16  # nodes per call of the integrand in _eval_chunked
+_PANEL_TOL, _PANEL_MAX_DEPTH = 1e-12, 24  # _adaptive_panels: per-length tolerance, bisection cap
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL32 = np.polynomial.legendre.leggauss(32)
 
 
-def _eval_chunked(fun, t, chunk=1 << 16):
-    if len(t) <= chunk:
-        return fun(t)
-    return np.concatenate([fun(t[i:i + chunk]) for i in range(0, len(t), chunk)])
+def _eval_chunked(fun, t):
+    return np.concatenate([fun(c) for c in np.split(t, range(_EVAL_CHUNK, len(t), _EVAL_CHUNK))])
 
 
-def _adaptive_panels(fun, edges, tol=1e-12, max_depth=24):
+def _adaptive_panels(fun, edges):
     """Adaptive 16/32-node Gauss-Legendre over the given initial panels.
 
-    Panels are processed in waves (all node evaluations batched); a panel
-    is accepted when its 16- and 32-node values agree to tol per unit
-    length, otherwise it is bisected.  fsum makes the total independent
-    of accumulation order, so the result is deterministic.
+    Panels are processed in waves (all node evaluations batched); a panel is accepted
+    when its 16- and 32-node values agree to _PANEL_TOL per unit length, otherwise it
+    is bisected, at most _PANEL_MAX_DEPTH times.  fsum makes the total independent of
+    accumulation order, so the result is deterministic.
     """
     intervals = np.stack([edges[:-1], edges[1:]], axis=1)
     pieces = []
-    for depth in range(max_depth + 1):
+    for depth in range(_PANEL_MAX_DEPTH + 1):
         a, b = intervals[:, 0], intervals[:, 1]
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
@@ -327,8 +335,8 @@ def _adaptive_panels(fun, edges, tol=1e-12, max_depth=24):
         f32 = _eval_chunked(fun, (mid[:, None] + half[:, None] * _GL32[0]).ravel())
         v16 = half * (f16.reshape(len(intervals), -1) @ _GL16[1])
         v32 = half * (f32.reshape(len(intervals), -1) @ _GL32[1])
-        done = np.abs(v32 - v16) <= tol * np.maximum(b - a, 1e-6)
-        if depth == max_depth:
+        done = np.abs(v32 - v16) <= _PANEL_TOL * np.maximum(b - a, 1e-6)
+        if depth == _PANEL_MAX_DEPTH:
             done[:] = True
         pieces.extend(v32[done].tolist())
         rest = intervals[~done]
@@ -446,11 +454,11 @@ def realline_flatness(P: NewmanPolynomial, alpha, spec: KernelSpec, circle_grid=
     quantity; agreement with circle_truncated is limited only by the
     midpoint grid, so it improves as circle_grid grows.
     """
-    N = circle_grid if circle_grid is not None else max(4096, 16 * P.q)
+    N = circle_grid if circle_grid is not None else max(4096, GRID_MULTIPLIER * P.q)
     if N < 8 * P.q:
         raise ValueError(f"grid {N} too small; need at least 8q = {8 * P.q}")
+    absP = _abs_support_grid(P.support, [P.scale] * P.size, N, offset=0.5)  # budget before theta
     theta = 2 * np.pi * (np.arange(N) + 0.5) / N
-    absP = _abs_support_grid(P.support, [P.scale] * P.size, N, offset=0.5)
     f = np.abs(absP - 1.0) ** alpha
     circle_exact = _mean(f * periodized_kernel(spec, theta))
     circle_trunc = _mean(f * periodized_kernel_truncated(spec, theta))

@@ -21,14 +21,12 @@ from . import __version__
 from .errors import BudgetError
 from .singer import _check_pm, _scan_singer, canonical_field_spec, construct_singer, gap_statistic
 from .singer import normalize
-from .poly import _GRID_BLOCK, _abs_support_grid, _perfect_defect_abs, build_polynomial
-from .analysis import KernelSpec, _flatness_from_abs, realline_flatness
+from .poly import build_polynomial
+from .analysis import GRID_MULTIPLIER, KernelSpec, flatness, realline_flatness
 from .mahler import mahler_jensen, mahler_log
 from .riesz import _margin_constant, check_dissociated, ergodicity_sum, make_plan, partial_coeffs
 from .riesz import plan_to_json
 from .rankone import build_tower, derive_map_params, measure_growth
-
-import numpy as np
 
 __all__ = ["Command", "UsageError", "parse", "execute", "main"]
 
@@ -62,7 +60,7 @@ class Command:
     primes: tuple | None = None
     m: int = 1
     alpha: float | None = None
-    grid_multiplier: int = 16
+    grid_multiplier: int = GRID_MULTIPLIER
     rule: str | None = None
     scales: tuple | None = None
     stages: int | None = None
@@ -194,17 +192,14 @@ def _run_singer(cmd):
 
 
 def _flat_row(p, m, alpha, grid_multiplier):
-    sset = construct_singer(p, m)
-    P = build_polynomial(sset)
-    grid = grid_multiplier * sset.q
-    absv = _abs_support_grid(P.support, [P.scale] * P.size, grid)
-    rep = _flatness_from_abs(P, alpha, absv)
+    P = build_polynomial(construct_singer(p, m))
+    rep = flatness(P, alpha, grid_multiplier * P.q)  # its grid is freed before mahler_log's
     ml = mahler_log(P)
     return {
         "p": rep.p,
         "q": rep.q,
         "alpha": alpha,
-        "grid": grid,
+        "grid": rep.grid_size,
         "defect_sq": rep.defect_sq,
         "defect_abs": rep.defect_abs,
         "l1": rep.l1_norm,
@@ -212,20 +207,8 @@ def _flat_row(p, m, alpha, grid_multiplier):
         "mahler_converged": ml.detail["converged"],
         "s3_bound": rep.s3_bound,
         "l2_defect_closed": rep.l2_defect_closed,
-        "defect_dominance_min_gap": _min_dominance_gap(sset.q, sset.size, absv),
+        "defect_dominance_min_gap": rep.defect_dominance_min_gap,
     }
-
-
-def _min_dominance_gap(q, size, absv):
-    """min over the grid of |Q| - ||P|^2 - 1|, block by block over j <= N/2: |Q| is even
-    in theta and the real-coefficient |P| grid is mirrored exactly, so j > N/2 repeats
-    these values and the min equals the whole grid's bit for bit."""
-    N, stop = len(absv), len(absv) // 2 + 1
-    gaps = []
-    for j0 in range(0, stop, _GRID_BLOCK):
-        j1 = min(j0 + _GRID_BLOCK, stop)
-        gaps.append((_perfect_defect_abs(q, size, N, j0, j1) - np.abs(absv[j0:j1] ** 2 - 1.0)).min())
-    return float(min(gaps))
 
 
 def _per_prime(methods):
@@ -236,9 +219,11 @@ def _per_prime(methods):
 
 
 @_per_prime({
-    "defect_sq": "uniform-grid quadrature of | |P|^2 - 1 |^alpha, pairwise sum; "
-                 "tolerance 1e-6 against dense-evaluation oracle",
+    "defect_sq": "uniform-grid quadrature of | |P|^2 - 1 |^alpha, pairwise sum; 1e-6 from a "
+                 "same-grid dense oracle; off the integral by 3e-4 (p = 31), 1.3e-3 (p = 1009)",
     "defect_abs": "uniform-grid quadrature of | |P| - 1 |^alpha, pairwise sum",
+    "l1": "uniform-grid mean of |P| on the same grid, pairwise sum, no near-root correction; "
+          "up to 3.0e-5 off the corrected l1 of beta and mahler (p = 7; 6.7e-7 at p = 211)",
     "mahler": "log-integral on a midpoint grid, " + MAHLER_NEAR_ROOT,
     "s3_bound": "p^alpha/q + (q-1)/q (p+1)^-alpha with absolute constant 1",
     "defect_dominance_min_gap": "min over grid of |Q(z)| - ||P(z)|^2 - 1|, with |Q| in "

@@ -44,8 +44,8 @@ from .poly import _GRID_BLOCK, _abs_support_grid, build_polynomial
 
 __all__ = ["MahlerReport", "mahler_log", "mahler_jensen", "riesz_mahler"]
 
-# q - 1 at p = 43, the largest oracle case.  On a 2-core x86-64 host np.roots took 5.1 s on
-# that (degree-1872) Singer polynomial and 25 s on z^1892 - i, whose companion matrix is complex.
+# q - 1 at p = 43, the largest oracle case: 5.1 s in np.roots on a 2-core x86-64 host.  A complex
+# companion matrix is slower (25 s for z^1892 - i), so complex input gets half: z^946 - i, 4.95 s.
 JENSEN_DEGREE_BUDGET = 1892
 NEAR_ROOT_WINDOW = 30  # an N-point grid corrects the roots with N |log|r|| below this
 MAHLER_TOL = 1e-9  # converged: the corrected mean of log|P| moves less than this from N/2 to N
@@ -318,13 +318,15 @@ def mahler_jensen(P):
     NewmanPolynomial it is that of the integer 0/1 support polynomial.  An
     empty product is 1, so a constant a has measure |a|.  No grid is evaluated,
     so l1 is None; mahler_log reports it.  The route is the oracle of
-    mahler_log, and a degree above JENSEN_DEGREE_BUDGET raises BudgetError
-    before np.roots runs.
+    mahler_log, and a degree above JENSEN_DEGREE_BUDGET, or above half of it
+    for a complex companion matrix (a coefficient with a nonzero imaginary
+    part), raises BudgetError before np.roots runs.
     """
     exps, coeffs = _nonzero_terms(P)
     degree = int(exps[-1])
-    if degree > JENSEN_DEGREE_BUDGET:
-        raise BudgetError(f"degree {degree} exceeds the root-finding budget {JENSEN_DEGREE_BUDGET}")
+    budget = JENSEN_DEGREE_BUDGET // 2 if np.iscomplexobj(coeffs) else JENSEN_DEGREE_BUDGET
+    if degree > budget:
+        raise BudgetError(f"degree {degree} exceeds the root-finding budget {budget}")
     value = abs(coeffs[-1])
     outside = 0
     if degree > 0:

@@ -20,8 +20,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import BudgetError
 from .singer import SingerSet, _factorint, _pair_counts
 
+GRID_BUDGET = 2**28  # points of one |P| grid: 2 GiB, and flatness adds a temporary as large
 _GRID_BLOCK = 2**16  # complex entries per batch of row FFTs in _abs_support_grid: 1 MB
 _ROW_MIN, _ROW_MAX = 2**8, 2**14  # row lengths _abs_support_grid aims for
 _ROW_PRIME_MAX = 64  # largest prime factor of a fast row length
@@ -244,6 +246,8 @@ def _abs_support_grid(exponents, coeffs, N, offset=0.0):
     Memory: 8 bytes per point for the result, plus about one block of _GRID_BLOCK complex
     entries for the rows in flight (twists, bins, FFT output, one mirrored slab).
     """
+    if N > GRID_BUDGET:
+        raise BudgetError(f"grid of {N} points exceeds the grid budget {GRID_BUDGET}")
     exponents = np.asarray(exponents, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if exponents.size and (exponents.min() < 0 or exponents.max() >= N):

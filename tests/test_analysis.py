@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -21,6 +22,7 @@ from flatpoly.analysis import (
     periodized_kernel_truncated,
     realline_flatness,
 )
+from flatpoly.errors import BudgetError
 from flatpoly.poly import (
     CorrelationTable,
     build_polynomial,
@@ -143,6 +145,18 @@ class TestFlatness:
             flatness(P7, 2.5)
         with pytest.raises(ValueError):
             flatness(P7, 1.0, 3 * 7)
+
+    def test_grid_budget_fails_before_allocating(self, P7):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="grid budget 268435456"):
+                flatness(P7, 1.0, 2**28 + 7)
+            with pytest.raises(BudgetError, match="grid budget 268435456"):
+                realline_flatness(P7, 1.0, KernelSpec(1.0), circle_grid=2**28 + 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestL2DefectExact:

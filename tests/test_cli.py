@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,6 +338,18 @@ class TestFlatRow:
         absv = _abs_support_grid(P.support, [P.scale] * P.size, grid)
         whole = float((_perfect_defect_abs(sset.q, sset.size, grid) - np.abs(absv**2 - 1.0)).min())
         assert _flat_row(p, 1, 1.0, 16)["defect_dominance_min_gap"] == whole
+
+    def test_flat_grid_freed_before_mahler(self, singer_cache):
+        # p = 307: flatness holds the 16q grid and one temporary as long, mahler_log then
+        # its 2^21-point grid; keeping the flat grid through mahler_log would add the two
+        q = singer_cache(307).q
+        tracemalloc.start()
+        try:
+            _flat_row(307, 1, 1.0, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * max(2 * 16 * q, 2**21) * 8
 
     def test_one_evaluation_at_the_flat_grid(self, monkeypatch, singer_cache):
         grids = []

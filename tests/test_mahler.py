@@ -59,6 +59,19 @@ class TestBasics:
         monkeypatch.setattr(np, "roots", forbidden)
         with pytest.raises(BudgetError, match=str(JENSEN_DEGREE_BUDGET)):
             mahler_jensen({0: 1.0, JENSEN_DEGREE_BUDGET + 1: 1.0})
+        # a complex companion matrix is about 5x slower: half the degree
+        with pytest.raises(BudgetError, match=f"degree 947 exceeds the root-finding budget "
+                                              f"{JENSEN_DEGREE_BUDGET // 2}"):
+            mahler_jensen({0: -1j, 947: 1.0})
+
+    def test_dict_and_list_routes_agree_bit_for_bit(self):
+        # a real dict gets the real companion matrix that the list gets
+        as_list = [1 if k in (0, 7, 46) else 0 for k in range(47)]
+        assert mahler_jensen({0: 1, 7: 1, 46: 1}).value == mahler_jensen(as_list).value
+
+    def test_grid_budget(self):
+        with pytest.raises(BudgetError, match="grid budget 268435456"):
+            mahler_log([1.0, 2.0], grid_size=2**29)
 
 
 class TestCrossMethod:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from flatpoly import poly
+from flatpoly.errors import BudgetError
 from flatpoly.poly import (
     DefectPolynomial,
     _abs_support_grid,
@@ -130,6 +131,16 @@ class TestAbsSupportGrid:
         j = np.array([0, 1, 1023, 1024, 123457, N - 1])  # 1024 rows of length 4096
         direct = np.abs(np.exp(2j * np.pi * np.outer(j + 0.5, exps) / N) @ coeffs)
         assert np.max(np.abs(absv[j] - direct)) < 1e-12
+
+    def test_grid_budget_fails_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="268435457 points exceeds the grid budget 268435456"):
+                _abs_support_grid([0], [1.0], 2**28 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_fold_path_memory_and_values(self, singer_cache):
         # p = 307 at 16q: rows of M = 2064 fold 308 terms of degree 94k; the result
