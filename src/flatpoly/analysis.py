@@ -2,9 +2,13 @@
 
 Conventions.  All circle integrals are means over uniform grids,
 (1/N) sum f(theta_j); `lp_norm` returns the alpha-power mean, i.e. the
-alpha-th power of the L^alpha norm.  Means are numpy's pairwise sum
-divided by N: deterministic for a given array on a given numpy build,
-with rounding error growing like log2(N) rather than N.
+alpha-th power of the L^alpha norm.  The |P| grids are reduced as they
+stream from poly._grid_blocks: numpy's pairwise sum over each fold row,
+weighted by the row's mirror weight, then math.fsum over the rows (a
+fixed partition of the grid) divided by N.  That is deterministic for a
+given grid on a given numpy build, with rounding error of order log2(M)
+ulps for rows of length M.  A mean over an array held whole (`lp_norm`,
+the real-line circle grid) is numpy's pairwise sum of the array.
 
 The sinc-squared kernel K_s(t) = (s/2pi) (sin(st/2)/(st/2))^2 is a
 probability density on the line whose Fourier transform is the triangle
@@ -26,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import _GRID_BLOCK, DefectPolynomial, NewmanPolynomial, _abs_support_grid
+from .poly import DefectPolynomial, NewmanPolynomial, _abs_support_grid, _grid_blocks
 from .poly import _perfect_defect_abs
 
 __all__ = [
@@ -54,6 +58,11 @@ GRID_MULTIPLIER = 16  # default grid points per unit of q: flatness, realline_fl
 def _mean(arr):
     """Mean of a float array by numpy's pairwise sum (error ~ log2(n) eps)."""
     return float(np.sum(arr)) / len(arr)
+
+
+def _fsum_mean(row_sums, N):
+    """Mean over N grid points from a list of arrays of weighted row sums, by math.fsum."""
+    return math.fsum(np.concatenate(row_sums)) / N
 
 
 # ---------------------------------------------------------------------------
@@ -97,42 +106,47 @@ class FlatnessReport:
 
 
 def flatness(P: NewmanPolynomial, alpha, grid_size=None):
-    """Flatness defects of P from one uniform |P| grid (default GRID_MULTIPLIER * q points)
-    and one temporary as long, made after the dominance gap has read j <= N/2 block by
-    block: |Q| is even and the real |P| grid is mirrored exactly, so that min is the grid's."""
+    """Flatness defects of P from one uniform |P| grid (default GRID_MULTIPLIER * q points).
+
+    The grid streams from poly._grid_blocks, one block of fold rows at a time: the
+    three means are math.fsum over the weighted row sums, and the dominance gap is the
+    min over the computed rows, |Q| in closed form at their indices.  |Q| is even and
+    the real |P| grid exactly mirrored, so that min is the whole grid's.  No N-long
+    array is made; the temporaries are one block long.
+    """
     if not 0 < alpha <= 2:
         raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
     N = grid_size if grid_size is not None else GRID_MULTIPLIER * P.q
     if N < 4 * P.q:
         raise ValueError(f"grid {N} too small; need at least 4q = {4 * P.q}")
-    absv = _abs_support_grid(P.support, [P.scale] * P.size, N)
-    stop = N // 2 + 1
-    gaps = []
-    for j0 in range(0, stop, _GRID_BLOCK):
-        j1 = min(j0 + _GRID_BLOCK, stop)
-        gap = _perfect_defect_abs(P.q, P.size, N, j0, j1) - np.abs(absv[j0:j1] ** 2 - 1.0)
-        gaps.append(gap.min())
-    t = np.square(absv)
-    t -= 1.0
-    np.abs(t, out=t)
-    t **= alpha
-    defect_sq = _mean(t) ** (1.0 / alpha)
-    np.subtract(absv, 1.0, out=t)
-    np.abs(t, out=t)
-    t **= alpha
-    defect_abs = _mean(t) ** (1.0 / alpha)
+    l1, sq, ab = [], [], []  # weighted row sums of |P|, | |P|^2 - 1 |^alpha, | |P| - 1 |^alpha
+    gap = math.inf
+    for a0, rows, weight in _grid_blocks(P.support, [P.scale] * P.size, N):
+        M = rows.shape[1]
+        j = (N // M) * np.arange(M) + np.arange(a0, a0 + len(rows))[:, None]
+        l1.append(weight * rows.sum(axis=1))
+        t = np.square(rows)
+        t -= 1.0
+        np.abs(t, out=t)
+        gap = min(gap, float((_perfect_defect_abs(P.q, P.size, N, j) - t).min()))
+        t **= alpha
+        sq.append(weight * t.sum(axis=1))
+        np.subtract(rows, 1.0, out=t)
+        np.abs(t, out=t)
+        t **= alpha
+        ab.append(weight * t.sum(axis=1))
     pm = P.size - 1
     return FlatnessReport(
         p=pm,
         q=P.q,
         alpha=alpha,
         grid_size=N,
-        defect_sq=defect_sq,
-        defect_abs=defect_abs,
-        l1_norm=_mean(absv),
+        defect_sq=_fsum_mean(sq, N) ** (1.0 / alpha),
+        defect_abs=_fsum_mean(ab, N) ** (1.0 / alpha),
+        l1_norm=_fsum_mean(l1, N),
         l2_defect_closed=math.sqrt(pm / (pm + 1)),
         s3_bound=pm**alpha / P.q + (P.q - 1) / P.q * (pm + 1) ** (-alpha),
-        defect_dominance_min_gap=float(min(gaps)),
+        defect_dominance_min_gap=gap,
     )
 
 
@@ -197,6 +211,12 @@ def _sparse_form(poly):
     return exps[keep], coeffs[keep]
 
 
+def _power_mean(exps, coeffs, N, alpha):
+    """(1/N) sum |P|^alpha over the N-point grid, reduced block by block."""
+    return _fsum_mean([weight * (rows**alpha).sum(axis=1)
+                       for _, rows, weight in _grid_blocks(exps, coeffs, N)], N)
+
+
 def mz_ratio(poly, alpha, n):
     """Discrete n-point alpha-mean of |P| against its quadrature integral.
 
@@ -212,8 +232,7 @@ def mz_ratio(poly, alpha, n):
     if degree >= n:
         raise ValueError(f"degree {degree} >= n = {n}: sample grid would alias")
     N = max(2**14, 4 * (degree + 1))
-    discrete = _mean(_abs_support_grid(exps, coeffs, n) ** alpha)
-    integral = _mean(_abs_support_grid(exps, coeffs, N) ** alpha)
+    discrete, integral = (_power_mean(exps, coeffs, size, alpha) for size in (n, N))
     return MZReport(
         alpha=alpha,
         n=n,
@@ -441,20 +460,26 @@ class RealLineReport:
     tail_bound: float
 
 
-def realline_flatness(P: NewmanPolynomial, alpha, spec: KernelSpec, circle_grid=None):
+def realline_grid(q, grid_multiplier=GRID_MULTIPLIER):
+    """Points of realline_flatness's circle grid for modulus q: max(4096, grid_multiplier q)."""
+    return max(4096, grid_multiplier * q)
+
+
+def realline_flatness(P: NewmanPolynomial, alpha, spec: KernelSpec,
+                      grid_multiplier=GRID_MULTIPLIER):
     """Real-line flatness of P against the density K_s.
 
     The 2pi-periodic integrand f(t) = | |P(e^{it})| - 1 |^alpha makes
 
         integral_R f dlambda_s = (1/2pi) integral_0^2pi f Ktilde_s,
 
-    which is evaluated on a uniform midpoint grid.  The line-side value
-    integrates f K_s over the truncation window by kink-seeded adaptive
-    Gauss-Legendre panels, an independent quadrature for the same
-    quantity; agreement with circle_truncated is limited only by the
-    midpoint grid, so it improves as circle_grid grows.
+    which is evaluated on a uniform midpoint grid of realline_grid(q, grid_multiplier)
+    points.  The line-side value integrates f K_s over the truncation window by
+    kink-seeded adaptive Gauss-Legendre panels, an independent quadrature for the same
+    quantity; agreement with circle_truncated is limited only by the midpoint grid, so
+    it improves as grid_multiplier grows.
     """
-    N = circle_grid if circle_grid is not None else max(4096, GRID_MULTIPLIER * P.q)
+    N = realline_grid(P.q, grid_multiplier)
     if N < 8 * P.q:
         raise ValueError(f"grid {N} too small; need at least 8q = {8 * P.q}")
     absP = _abs_support_grid(P.support, [P.scale] * P.size, N, offset=0.5)  # budget before theta

@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 from . import __version__
 from .errors import BudgetError
 from .singer import _check_pm, _scan_singer, canonical_field_spec, construct_singer, gap_statistic
-from .singer import normalize
-from .poly import build_polynomial
-from .analysis import GRID_MULTIPLIER, KernelSpec, flatness, realline_flatness
+from .singer import normalize, singer_modulus
+from .poly import build_polynomial, check_grid_budget
+from .analysis import GRID_MULTIPLIER, KernelSpec, flatness, realline_flatness, realline_grid
 from .mahler import mahler_jensen, mahler_log
 from .riesz import _margin_constant, check_dissociated, ergodicity_sum, make_plan, partial_coeffs
 from .riesz import plan_to_json
@@ -192,8 +192,10 @@ def _run_singer(cmd):
 
 
 def _flat_row(p, m, alpha, grid_multiplier):
+    N = grid_multiplier * singer_modulus(p, m)
+    check_grid_budget(N)  # before the Singer set is built
     P = build_polynomial(construct_singer(p, m))
-    rep = flatness(P, alpha, grid_multiplier * P.q)  # its grid is freed before mahler_log's
+    rep = flatness(P, alpha, N)  # its row blocks are freed before mahler_log's
     ml = mahler_log(P)
     return {
         "p": rep.p,
@@ -219,11 +221,13 @@ def _per_prime(methods):
 
 
 @_per_prime({
-    "defect_sq": "uniform-grid quadrature of | |P|^2 - 1 |^alpha, pairwise sum; 1e-6 from a "
-                 "same-grid dense oracle; off the integral by 3e-4 (p = 31), 1.3e-3 (p = 1009)",
-    "defect_abs": "uniform-grid quadrature of | |P| - 1 |^alpha, pairwise sum",
-    "l1": "uniform-grid mean of |P| on the same grid, pairwise sum, no near-root correction; "
-          "up to 3.0e-5 off the corrected l1 of beta and mahler (p = 7; 6.7e-7 at p = 211)",
+    "defect_sq": "uniform-grid quadrature of | |P|^2 - 1 |^alpha, row sums combined by fsum; "
+                 "1e-6 from a same-grid dense oracle; off the integral by 3e-4 (p = 31), "
+                 "1.3e-3 (p = 1009)",
+    "defect_abs": "uniform-grid quadrature of | |P| - 1 |^alpha, row sums combined by fsum",
+    "l1": "uniform-grid mean of |P| on the same grid, row sums combined by fsum, no near-root "
+          "correction; up to 3.0e-5 off the corrected l1 of beta and mahler (p = 7; 6.7e-7 "
+          "at p = 211)",
     "mahler": "log-integral on a midpoint grid, " + MAHLER_NEAR_ROOT,
     "s3_bound": "p^alpha/q + (q-1)/q (p+1)^-alpha with absolute constant 1",
     "defect_dominance_min_gap": "min over grid of |Q(z)| - ||P(z)|^2 - 1|, with |Q| in "
@@ -356,9 +360,10 @@ def _run_rankone(cmd):
                   "grid (1e-6 at the acceptance scale q = 7)",
 })
 def _run_realline(cmd, p):
+    check_grid_budget(realline_grid(singer_modulus(p, cmd.m), cmd.grid_multiplier))
     P = build_polynomial(construct_singer(p, cmd.m))
     rep = realline_flatness(P, cmd.alpha, KernelSpec(s=cmd.kernel_s, truncation=cmd.truncation),
-                            circle_grid=max(4096, cmd.grid_multiplier * P.q))
+                            cmd.grid_multiplier)
     return {
         "p": p,
         "q": P.q,

@@ -38,9 +38,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import _mean, _sparse_form
+from .analysis import _fsum_mean, _sparse_form
 from .errors import BudgetError
-from .poly import _GRID_BLOCK, _abs_support_grid, build_polynomial
+from .poly import _grid_blocks, build_polynomial
 
 __all__ = ["MahlerReport", "mahler_log", "mahler_jensen", "riesz_mahler"]
 
@@ -51,7 +51,7 @@ NEAR_ROOT_WINDOW = 30  # an N-point grid corrects the roots with N |log|r|| belo
 MAHLER_TOL = 1e-9  # converged: the corrected mean of log|P| moves less than this from N/2 to N
 _STENCIL = 10  # m: a near root is read off the interpolant of |P|^2 through 2m grid nodes
 _SNAP = 256  # an interpolant minimum within _SNAP rounding units of 0 is a root on the circle
-_SEED_BLOCK = 2**11  # grid minima per batch of stencils in _near_roots
+_SEED_BLOCK = 2**10  # seeds per batch of stencils in _near_roots, roots per batch in _lattice_error
 _LATTICE_TERMS = 8  # nodes on each side of the cone's tip summed by _lattice_error
 
 
@@ -73,19 +73,28 @@ def _nonzero_terms(P):
 
 
 def _grid_means(exps, coeffs, N, find_roots=False):
-    """Means of log|P| and |P| over the N-point midpoint grid, and _near_roots of it if asked.
+    """Means of log|P| and |P| over the N-point midpoint grid, and its near roots if asked.
 
     The midpoints exp(i pi (2j+1)/N) are odd powers of a primitive 2N-th root
     of unity; for N a power of two each is itself primitive, with minimal
     polynomial z^N + 1 of degree N.  A polynomial with real coefficients
-    (floats are rationals) and degree < N, as _abs_support_grid requires,
-    therefore has no zero on the grid, so log|P| needs no guard.  The log
-    overwrites |P| in place, so the grid costs 8 bytes per point.
+    (floats are rationals) and degree < N, as poly._grid_blocks requires,
+    therefore has no zero on the grid, so log|P| needs no guard.  The grid streams
+    from poly._grid_blocks: each block's weighted row sums of log|P| and |P| are
+    combined by math.fsum, and with find_roots the blocks carry a halo of _STENCIL
+    rows, from which _root_seeds takes the seeds and stencils that _near_roots reads.
+    No N-long array is made above 2^19 points (see mahler_log).
     """
-    absv = _abs_support_grid(exps, coeffs, N, offset=0.5)
-    l1 = _mean(absv)
-    roots = _near_roots(absv) if find_roots else None
-    return _mean(np.log(absv, out=absv)), l1, roots
+    halo = _STENCIL if find_roots else 0
+    logs, l1s, found = [], [], []
+    for a0, rows, weight in _grid_blocks(exps, coeffs, N, offset=0.5, halo=halo):
+        core = rows[halo:len(rows) - halo]
+        l1s.append(weight * core.sum(axis=1))
+        logs.append(weight * np.log(core).sum(axis=1))
+        if find_roots:
+            found.append(_near_roots(*_root_seeds(rows, a0, weight, N), N))
+    roots = _upper_half(np.concatenate(found, axis=1), N) if find_roots else None
+    return _fsum_mean(logs, N), _fsum_mean(l1s, N), roots
 
 
 def mahler_log(P, grid_size=None):
@@ -104,8 +113,9 @@ def mahler_log(P, grid_size=None):
     An explicit grid_size is the plain grid mean, with no correction: detail has grids
     [grid_size] and None for near_roots, error, l1_error and converged.  Every grid is a
     power of two, on which a real polynomial never vanishes (see _grid_means); an
-    explicit grid_size must be one.  Memory: 8 bytes per point of the largest grid, plus
-    one block of row FFTs (poly._abs_support_grid) and of _SEED_BLOCK stencils.  A
+    explicit grid_size must be one.  Memory: a window of poly._grid_blocks rows (a block
+    and _STENCIL halo rows on each side) and _SEED_BLOCK stencils; a grid of at most 2^19
+    points has 16 or 32 rows, which all stay in the window, up to 1.75 N floats.  A
     coefficient with a nonzero imaginary part raises ValueError: use mahler_jensen.
     """
     exps, coeffs = _nonzero_terms(P)
@@ -167,7 +177,10 @@ def _lattice_error(nu, a):
     for nu <= 10, and an N-point grid needs nu < NEAR_ROOT_WINDOW / 2 pi.
     """
     K = _LATTICE_TERMS
-    nodes = np.sqrt(nu[:, None] ** 2 + (np.arange(-K, K) + a[:, None]) ** 2).sum(axis=1)
+    nodes = np.empty_like(nu)
+    for i in range(0, nu.size, _SEED_BLOCK):  # (roots, 2K) temporaries a batch at a time
+        v, b = nu[i:i + _SEED_BLOCK, None], a[i:i + _SEED_BLOCK, None]
+        nodes[i:i + _SEED_BLOCK] = np.sqrt(v**2 + (np.arange(-K, K) + b) ** 2).sum(axis=1)
     s = np.hypot(nu, K)
     integral = K * s + nu**2 * (np.log(K + s) - np.log(np.maximum(nu, np.finfo(float).tiny)))
     b2 = a * a - a + 1 / 6
@@ -178,45 +191,76 @@ def _lattice_error(nu, a):
     return nodes - integral - tails
 
 
-def _near_roots(absv):
-    """Roots of P with N |log|r|| < 2 NEAR_ROOT_WINDOW, read off the N-point grid absv = |P|.
+def _root_seeds(rows, a0, weight, N):
+    """The seeds of _near_roots in one block of the N-point midpoint grid, and their stencils.
 
-    |P(e^(i theta))|^2 continues to an analytic function of theta that a root
-    r = rho e^(i phi) makes vanish at phi -+ i log rho.  A local minimum of the grid is a
-    seed unless the parabola through its three nodes puts its zeros more than twice the
-    window off the axis.  The 2m nodes around a seed (m = _STENCIL) give the interpolant
-    p(u) of |P|^2, u = (theta - c) / h, h = 2 pi / N, c the midpoint of the minimum's
-    cell.  Newton on p' finds p's minimum x.  If p(x) is within rounding of 0 the root is
-    on the circle (there |P|^2 has a double zero, which rounding would split by its
-    square root), else Newton on p from x + i sqrt(p(x) / (p''(x) / 2)) finds its zero
-    a + ib: phi = c + h a, |log rho| = h |b|.  Dividing p by (u - a)^2 + b^2 leaves H h^2,
-    and
+    rows holds the computed rows a0 .. a0 + n - 1 of poly._grid_blocks with a halo of
+    m = _STENCIL rows, so rows[i - 1] and rows[i + 1] hold the grid neighbours of rows[i].
+    The seeds are the s in [-m, N/2 + m) that are grid minima, |P|(s) < |P|(s - 1) and
+    |P|(s) <= |P|(s + 1), and pass _plausible.  The mirror j -> N - 1 - j keeps |P|, and
+    the computed rows hold each mirror pair {y, N - 1 - y} once, at y (a self-paired row in
+    its first half).  So a seed s = y or y - N is read at y, and a seed s = N - 1 - y or
+    -1 - y is read at y under the mirrored condition, with its stencil reversed.  Returns
+    s and V, V[k] = |P|(s - m + k) for k = 0 .. 2m, one column per seed.
+    """
+    m, n = _STENCIL, len(weight)
+    left, mid, right = rows[m - 1:m - 1 + n], rows[m:m + n], rows[m + 1:m + 1 + n]
+    here, mirrored = (mid < left) & (mid <= right), (mid <= left) & (mid < right)
+    first_half = np.arange(rows.shape[1]) < rows.shape[1] // 2
+    i, b = np.nonzero((here | mirrored) & ((weight == 2)[:, None] | first_half))
+    plausible = _plausible(left[i, b], mid[i, b], right[i, b])
+    i, b = i[plausible], b[plausible]
+    y = (N // rows.shape[1]) * b + a0 + i
+    V = rows[i + np.arange(2 * m + 1)[:, None], b]
+    here = here[i, b] & ((y < N // 2 + m) | (y >= N - m))
+    mirrored = mirrored[i, b] & ((y > N // 2 - m - 1) | (y < m))
+    s = np.concatenate([np.where(y < N // 2 + m, y, y - N)[here],
+                        np.where(y < m, -1 - y, N - 1 - y)[mirrored]])
+    return s, np.concatenate([V[:, here], V[::-1, mirrored]], axis=1)
+
+
+def _plausible(below, at, above):
+    """Whether the parabola through |P|^2 at three grid nodes puts its zeros within twice
+    the window of the axis: b steps off it, b^2 = (its minimum) / curv."""
+    below, at, above = below**2, at**2, above**2
+    curv = (below + above) / 2 - at  # > 0 at a minimum
+    window = 2 * NEAR_ROOT_WINDOW / (2 * np.pi)  # in grid steps
+    return at - (above - below) ** 2 / (16 * curv) < (2 * window) ** 2 * curv
+
+
+def _near_roots(s, V, N):
+    """Roots of P with N |log|r|| < 2 NEAR_ROOT_WINDOW, read off seeds s of the N-point grid.
+
+    V[k] = |P| at grid index s - m + k, k = 0 .. 2m (m = _STENCIL), one column per seed
+    (_root_seeds).  |P(e^(i theta))|^2 continues to an analytic function of theta that a
+    root r = rho e^(i phi) makes vanish at phi -+ i log rho.  The 2m nodes around a seed
+    give the interpolant p(u) of |P|^2, u = (theta - c) / h, h = 2 pi / N, c the
+    midpoint of the minimum's cell.  Newton on p' finds p's minimum x.  If p(x) is within
+    rounding of 0 the root is on the circle (there |P|^2 has a double zero, which rounding
+    would split by its square root), else Newton on p from x + i sqrt(p(x) / (p''(x) / 2))
+    finds its zero a + ib: phi = c + h a, |log rho| = h |b|.  Dividing p by
+    (u - a)^2 + b^2 leaves H h^2, and
     A = sqrt(H / (rho' (1 + ell^2 / 24))) is the amplitude in |P| ~ A |e^(i theta) - r'|,
     r' = rho' e^(i phi) the root or its mirror 1/conj(r), whichever is inside the disk.
     Newton runs that have not settled are dropped, so an unresolved root is missed, not
     misplaced; a missed root, or one found from two seeds, moves the N and N/2 grids apart.
 
-    The grid of a real polynomial is mirror-symmetric, so only the minima of its first
-    half are seeds.  Returns arrays (turns, ell, amp, weight): phi / 2 pi in [0, 1/2],
-    |log rho|, A, and 2 for a root that stands for its conjugate as well, 1 for a real root.
-    Stencils go in batches of _SEED_BLOCK, so no N-long temporary is made.
+    Returns the stacked rows (turns, ell, amp), turns = phi / 2 pi, one column per root;
+    _upper_half keeps the ones that stand for the grid's first half.  Stencils go in
+    batches of _SEED_BLOCK.
     """
-    N, m = len(absv), _STENCIL
+    m = _STENCIL
     h = 2 * np.pi / N
     W = _interpolation_matrix()
     noise = _SNAP * np.finfo(float).eps * np.abs(W[0])  # rounding of p near the middle, per |P|^2
     window = 2 * NEAR_ROOT_WINDOW / (2 * np.pi)  # in grid steps
-    seeds = _grid_minima(absv, -m, N // 2 + m)
-    below, at, above = (absv[(seeds + k) % N] ** 2 for k in (-1, 0, 1))
-    curv = (below + above) / 2 - at  # > 0 at a minimum
-    # that parabola's zeros lie b steps off the axis, b^2 = (its minimum) / curv
-    seeds = seeds[at - (above - below) ** 2 / (16 * curv) < (2 * window) ** 2 * curv]
     powers = np.arange(2 * m)[:, None]
-    found = []
-    for s in np.split(seeds, range(_SEED_BLOCK, seeds.size, _SEED_BLOCK)):
-        upper = absv[(s + 1) % N] <= absv[(s - 1) % N]  # the minimum is in [s, s+1], else [s-1, s]
-        j0 = s - 1 + upper
-        F = absv[(j0 + np.arange(1 - m, m + 1)[:, None]) % N] ** 2
+    found = [np.zeros((3, 0))]
+    for start in range(0, s.size, _SEED_BLOCK):
+        seed, stencil = s[start:start + _SEED_BLOCK], V[:, start:start + _SEED_BLOCK]
+        upper = stencil[m + 1] <= stencil[m - 1]  # the minimum is in [s, s+1], else [s-1, s]
+        j0 = seed - 1 + upper
+        F = np.where(upper, stencil[1:], stencil[:-1]) ** 2  # the nodes j0 + 1 - m .. j0 + m
         C = W @ F  # C[k]: coefficient of u^k in p, one column per seed
         D1 = C[1:] * powers[1:]  # in p'
         D2 = D1[1:] * powers[1:-1]  # in p''
@@ -247,23 +291,19 @@ def _near_roots(absv):
         H = _polyval(_deflate(C, a, b), _powers(a, 2 * m)) / h**2
         amp = np.sqrt(np.maximum(H, 0) / (np.exp(-ell) * (1 + ell**2 / 24)))
         found.append(np.stack([(j0 + 1 + a) / N, ell, amp]))
-    turns, ell, amp = np.concatenate(found, axis=1)
+    return np.concatenate(found, axis=1)
+
+
+def _upper_half(found, N):
+    """The roots of _near_roots that stand for the grid's first half, as (turns, ell, amp,
+    weight): phi / 2 pi in [0, 1/2], |log rho|, A, and 2 for a root that stands for its
+    conjugate as well, 1 for a real root.  Seeds past either end of the half see mirror
+    images, which this drops."""
+    turns, ell, amp = found
     tol = 1e-7 / N
     real = (np.abs(turns) <= tol) | (np.abs(turns - 0.5) <= tol)
-    keep = (turns >= -tol) & (turns <= 0.5 + tol)  # the seeds past either end see mirror images
+    keep = (turns >= -tol) & (turns <= 0.5 + tol)
     return turns[keep], ell[keep], amp[keep], np.where(real, 1.0, 2.0)[keep]
-
-
-def _grid_minima(absv, start, stop):
-    """Indices j in [start, stop), taken cyclically, with absv[j] < absv[j-1] and
-    absv[j] <= absv[j+1]; block by block, so the temporaries stay one block long."""
-    N = len(absv)
-    minima = [np.zeros(0, dtype=np.int64)]
-    for b0 in range(start, stop, _GRID_BLOCK):
-        b1 = min(b0 + _GRID_BLOCK, stop)
-        v = absv[np.arange(b0 - 1, b1 + 1) % N]
-        minima.append(b0 + np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:])))
-    return np.concatenate(minima)
 
 
 @functools.cache

@@ -23,9 +23,9 @@ import numpy as np
 from .errors import BudgetError
 from .singer import SingerSet, _factorint, _pair_counts
 
-GRID_BUDGET = 2**28  # points of one |P| grid: 2 GiB, and flatness adds a temporary as large
-_GRID_BLOCK = 2**16  # complex entries per batch of row FFTs in _abs_support_grid: 1 MB
-_ROW_MIN, _ROW_MAX = 2**8, 2**14  # row lengths _abs_support_grid aims for
+GRID_BUDGET = 2**28  # points of one |P| grid: 2 GiB where a caller materializes it
+_GRID_BLOCK = 2**16  # complex entries per batch of row FFTs in _grid_blocks: 1 MB
+_ROW_MIN, _ROW_MAX = 2**8, 2**14  # row lengths _grid_blocks aims for
 _ROW_PRIME_MAX = 64  # largest prime factor of a fast row length
 
 __all__ = [
@@ -180,7 +180,7 @@ def eval_support_grid(exponents, coeffs, N, offset=0.0):
 
     Exponents must lie in [0, N) so the grid resolves the polynomial.  This is
     the complex-valued route, 32 bytes per point; library |P| grids go through
-    _abs_support_grid, and this stays its oracle.
+    _grid_blocks, and this stays their oracle.
     """
     exponents = np.asarray(exponents, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -204,12 +204,14 @@ def _divisors(factors):
 
 
 def _row_length(N, degree, terms):
-    """Row length M of _abs_support_grid's N-point grid.
+    """Row length M of _grid_blocks' N-point grid.
 
     The candidates are the divisors of N of at most _ROW_MAX with every prime factor at
     most _ROW_PRIME_MAX and at least the term count: the smallest one at or above
     clamp(degree + 1, _ROW_MIN, _ROW_MAX), else the largest one, else the smallest divisor
-    of N above the degree.
+    of N with at least the term count.  Such a row is a Bluestein FFT, and one of length
+    4014013 (q at p = 2003) raises the peak RSS by 550 MB, so the shortest row that holds
+    the terms is the cheapest; the fold lets M sit below the degree.
     """
     factors = _factorint(N)
     smooth = {prime: e for prime, e in factors.items() if prime <= _ROW_PRIME_MAX}
@@ -220,11 +222,18 @@ def _row_length(N, degree, terms):
         return above[0]
     if fast:
         return fast[-1]
-    return next(m for m in _divisors(factors) if m > degree)
+    return next(m for m in _divisors(factors) if m >= terms)
 
 
-def _abs_support_grid(exponents, coeffs, N, offset=0.0):
-    """|P| on the N-point grid: np.abs(eval_support_grid(exponents, coeffs, N, offset)).
+def check_grid_budget(N):
+    """BudgetError unless an N-point grid fits GRID_BUDGET: the one place that budget is
+    compared, by the row kernel and by callers that price a grid before building P."""
+    if N > GRID_BUDGET:
+        raise BudgetError(f"grid of {N} points exceeds the grid budget {GRID_BUDGET}")
+
+
+def _grid_blocks(exponents, coeffs, N, offset=0.0, halo=0):
+    """|P| on the N-point grid e^(2 pi i (j+offset)/N), as consecutive blocks of fold rows.
 
     Fold.  With L = N/M, grid index j = L*b + a has
     P(e^(2 pi i (j+offset)/N)) = sum_m x_a[m] e^(2 pi i m b/M), where x_a[m] sums the twisted
@@ -237,17 +246,25 @@ def _abs_support_grid(exponents, coeffs, N, offset=0.0):
     call sees a large angle; the second factor is shared by every block.
 
     Mirror.  For real coefficients |P(e^(-i theta))| = |P(e^(i theta))|.  At offset 0,
-    N - (L*b + a) = L*(M-1-b) + (L-a), so rows 0 .. L//2 are computed; at offset 1/2,
-    N-1 - (L*b + a) = L*(M-1-b) + (L-1-a), so rows 0 .. ceil(L/2)-1 are.  The other rows
-    are reversed copies, and each self-paired row copies its own first half, so the result
-    is exactly symmetric: out[-j] == out[j] at offset 0, out[N-1-j] == out[j] at 1/2.
-    Offset 1/4 and complex coefficients compute every row.
+    N - (L*b + a) = L*(M-1-b) + (L-a), so row L-a is row a reversed and rows 0 .. L//2
+    are computed; at offset 1/2, N-1 - (L*b + a) = L*(M-1-b) + (L-1-a), so row L-1-a is
+    row a reversed and rows 0 .. ceil(L/2)-1 are computed.  A self-paired row (row 0 at
+    offset 0, the middle row when there is one) has its second half set to its first
+    reversed, so the grid is exactly symmetric.  Offset 1/4 and complex coefficients
+    compute every row.
 
-    Memory: 8 bytes per point for the result, plus about one block of _GRID_BLOCK complex
-    entries for the rows in flight (twists, bins, FFT output, one mirrored slab).
+    Yields (a0, rows, weight) for the computed rows a0 .. a0+n-1 in ascending blocks of
+    about _GRID_BLOCK entries: rows[halo + i, b] is |P| at grid index L*b + a0 + i, and
+    weight[i] is 2 when row a0 + i stands for a mirror partner as well, else 1, so the
+    weighted rows cover every grid index exactly once.  With halo > 0 (mirrored grids
+    only) rows also holds the halo rows a0 - halo .. a0 - 1 and a0 + n .. a0 + n + halo - 1,
+    rolled by a row of L where they leave [0, L) and taken from computed rows and the
+    mirror, so rows[i - 1] and rows[i + 1] hold the grid neighbours j -+ 1 of rows[i].
+    rows is a view that the next block overwrites.  Memory: one block of FFT temporaries
+    and a window of a block's rows plus 2 halo, or all computed rows plus 2 halo where
+    there are at most 2 max(block rows, halo) + 2 of them; N-long only on such small grids.
     """
-    if N > GRID_BUDGET:
-        raise BudgetError(f"grid of {N} points exceeds the grid budget {GRID_BUDGET}")
+    check_grid_budget(N)
     exponents = np.asarray(exponents, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if exponents.size and (exponents.min() < 0 or exponents.max() >= N):
@@ -258,39 +275,98 @@ def _abs_support_grid(exponents, coeffs, N, offset=0.0):
     M = _row_length(N, int(s.max(initial=0)), s.size)
     L = N // M
     sigma = None if np.any(c.imag) else {0.0: 0, 0.5: 1}.get(offset)
+    if halo and sigma is None:
+        raise ValueError("a halo needs a mirrored grid: real coefficients at offset 0 or 1/2")
     h = L if sigma is None else (L - sigma) // 2 + 1  # rows computed by FFT
-    out = np.empty(N)
-    grid = out.reshape(M, L)  # grid[b, a] is grid index L*b + a
-    rows = max(1, min(_GRID_BLOCK // M, h))
-    t = np.arange(rows, dtype=np.int64)[:, None]
+    weight = np.ones(h) if sigma is None else np.full(h, 2.0)
+    selfpaired = [0] if sigma == 0 else []
+    if sigma is not None and (L + sigma) % 2 == 0:
+        selfpaired.append((L - sigma) // 2)
+    weight[selfpaired] = 1.0
+    return _fold_rows(s, c, N, M, offset, sigma, weight, selfpaired, halo)
+
+
+def _fold_rows(s, c, N, M, offset, sigma, weight, selfpaired, halo):
+    """The generator of _grid_blocks, whose arguments it has checked and reduced."""
+    L, h = N // M, len(weight)
+    per = max(1, min(_GRID_BLOCK // M, h))  # rows per FFT block
+    t = np.arange(per, dtype=np.int64)[:, None]
     step = np.exp((2j * np.pi / N) * (t * s % N))
     # bins of the real and imaginary parts of the folded rows, as one float array
     bins = (2 * (t * M + s % M))[:, :, None] + np.arange(2)
-    for a0 in range(0, h, rows):
-        n = min(rows, h - a0)
-        twist = step[:n] * (c * np.exp((2j * np.pi / N) * (a0 * s % N + offset * s)))
-        x = np.bincount(bins[:n].ravel(), twist.view(np.float64).ravel(), 2 * n * M)
-        x = x.view(np.complex128).reshape(n, M)
-        np.abs(np.fft.ifft(x, axis=1, norm="forward").T, out=grid[:, a0:a0 + n])
-    if sigma is not None:
-        flipped = grid[::-1, ::-1]  # flipped[:, a - 1 + sigma] is row L - a - sigma reversed
-        width = max(1, _GRID_BLOCK // M)
-        for a0 in range(h, L, width):
-            a1 = min(a0 + width, L)
-            grid[:, a0:a1] = flipped[:, a0 - 1 + sigma:a1 - 1 + sigma]
-        # self-paired rows: row 0 at offset 0 pairs b with M-b, a middle row b with M-1-b
-        selfpaired = [grid[1:, 0]] if sigma == 0 else []
-        if (L + sigma) % 2 == 0:
-            selfpaired.append(grid[:, (L - sigma) // 2])
-        for row in selfpaired:
-            half = len(row) // 2
-            row[len(row) - half:] = row[:half][::-1]
+    # buf holds rows lo .. lo + cap - 1: a block's rows and its halo rows, or all rows of
+    # a grid too small for the halo to stay within [0, L).  Past the last computed row h - 1
+    # the halo mirrors rows h - 1 - halo and later, none older than the block's own halo.
+    hold_all = halo and h <= 2 * max(per, halo) + 2
+    cap = h + 2 * halo if hold_all else per + 2 * halo
+    buf = np.empty((cap, M))
+    lo, filled = -halo, 0  # buf[r - lo] is row r; rows below filled are in buf
+
+    def source(r):
+        """The computed row whose (reversed, rolled) copy is row r, and that roll."""
+        roll, r1 = divmod(r, L)
+        return (r1, False, roll) if r1 < h else (L - sigma - r1, True, roll)
+
+    def fill(r):
+        row, flip, roll = source(r)
+        row = buf[row - lo][::-1] if flip else buf[row - lo]
+        buf[r - lo] = np.roll(row, -roll) if roll else row
+
+    for a0 in range(0, h, per):
+        a1 = min(a0 + per, h)
+        while filled < a1 + halo:
+            # the FFT block's rows base + t, t >= t0, that this block needs, or one mirror row;
+            # each takes the twist step[t] * e^(2 pi i (base s mod N + offset s)/N), so a
+            # row's values do not depend on the blocks it was computed in
+            t0 = filled % per
+            base = filled - t0
+            n = min(base + per, h, a1 + halo) - filled if filled < h else 1
+            if filled + n - lo > cap:
+                keep = a0 - halo
+                for r in range(keep, filled):  # row by row: no temporary for the overlap
+                    buf[r - keep] = buf[r - lo]
+                lo = keep
+            if filled >= h:
+                fill(filled)
+            else:
+                twist = step[t0:t0 + n] * (c * np.exp((2j * np.pi / N)
+                                                      * (base * s % N + offset * s)))
+                x = np.bincount(bins[:n].ravel(), twist.view(np.float64).ravel(), 2 * n * M)
+                x = x.view(np.complex128).reshape(n, M)
+                rows = buf[filled - lo:filled - lo + n]
+                np.abs(np.fft.ifft(x, axis=1, norm="forward"), out=rows)
+                for a in selfpaired:
+                    if filled <= a < filled + n:  # row 0 at offset 0 pairs b with M-b
+                        row = rows[a - filled, 1:] if a == sigma == 0 else rows[a - filled]
+                        half = len(row) // 2
+                        row[len(row) - half:] = row[:half][::-1]
+            filled += n
+        if a0 == 0:
+            for r in range(-halo, 0):
+                fill(r)
+        yield a0, buf[a0 - halo - lo:a1 + halo - lo], weight[a0:a1]
+
+
+def _abs_support_grid(exponents, coeffs, N, offset=0.0):
+    """|P| on the N-point grid as one array, np.abs(eval_support_grid(exponents, coeffs, N,
+    offset)): the materializing consumer of _grid_blocks, which writes each computed row
+    and its reversed mirror partner.  8 bytes per point plus the kernel's blocks; the
+    reductions stream the blocks instead, and this serves realline_flatness and the tests.
+    """
+    blocks = _grid_blocks(exponents, coeffs, N, offset)  # checks the budget first
+    sigma = int(2 * offset)  # 0 or 1 wherever a row has weight 2
+    out = np.empty(N)
+    for a0, rows, weight in blocks:
+        grid = out.reshape(rows.shape[1], -1)  # grid[b, a] is grid index L*b + a
+        grid[:, a0:a0 + len(rows)] = rows.T
+        paired = weight == 2
+        grid[:, grid.shape[1] - sigma - a0 - np.flatnonzero(paired)] = rows[paired, ::-1].T
     return out
 
 
-def _perfect_defect_abs(q, size, N, start=0, stop=None):
-    """|Q| at the N-th roots of unity e^(2 pi i j/N), start <= j < stop (default N), for a
-    perfect difference set of the given size mod q.
+def _perfect_defect_abs(q, size, N, j=None):
+    """|Q| at the N-th roots of unity e^(2 pi i j/N) for the integer indices j (default
+    0 .. N-1), for a perfect difference set of the given size mod q.
 
     Every coefficient of Q is 1/size, so Q(z) = (z - z^q) / (size (1 - z)) and
     |Q(e^(i theta))| = |sin((q-1) theta/2)| / (size |sin(theta/2)|), (q-1)/size at
@@ -298,14 +374,11 @@ def _perfect_defect_abs(q, size, N, start=0, stop=None):
     before sin is called, so no large angle loses digits, and the value at j equals
     the value at N - j bit for bit.
     """
-    stop = N if stop is None else stop
-    out = np.empty(stop - start)
-    j = np.arange(max(start, 1), stop, dtype=np.int64)
+    j = np.arange(N, dtype=np.int64) if j is None else np.asarray(j, dtype=np.int64)
     a = np.minimum(j, N - j)  # |Q| is even in theta
     r = a * (q - 1) % N
     r = np.minimum(r, N - r)
-    out[len(out) - len(j):] = np.sin(np.pi * r / N) / (size * np.sin(np.pi * a / N))
-    if start == 0 < stop:
-        out[0] = (q - 1) / size
+    out = np.full(j.shape, (q - 1) / size)
+    nonzero = a != 0
+    out[nonzero] = np.sin(np.pi * r[nonzero] / N) / (size * np.sin(np.pi * a[nonzero] / N))
     return out
-

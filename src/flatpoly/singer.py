@@ -243,6 +243,11 @@ def verify_field_spec(spec):
     )
 
 
+def singer_modulus(p, m=1):
+    """q = p^(2m) + p^m + 1, the modulus of the Singer sets of GF(p^(3m))."""
+    return p ** (2 * m) + p**m + 1
+
+
 def _check_pm(p, m):
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
@@ -280,7 +285,7 @@ def _scan_singer(spec):
     """The raw Singer set of a field spec: the i in [0, q) with g^i in W, ascending."""
     p, m = spec.p, spec.m
     pm = p**m
-    q = pm * pm + pm + 1
+    q = singer_modulus(p, m)
     step = _mul_matrix(spec.generator, spec.modulus_poly, p)  # multiplies by g
 
     # GF(p^m)* is generated by omega = g^q; its powers 1, omega, .., omega^(m-1)

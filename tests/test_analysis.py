@@ -152,7 +152,7 @@ class TestFlatness:
             with pytest.raises(BudgetError, match="grid budget 268435456"):
                 flatness(P7, 1.0, 2**28 + 7)
             with pytest.raises(BudgetError, match="grid budget 268435456"):
-                realline_flatness(P7, 1.0, KernelSpec(1.0), circle_grid=2**28 + 8)
+                realline_flatness(P7, 1.0, KernelSpec(1.0), grid_multiplier=2**28 // 7 + 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -330,14 +330,15 @@ class TestRealLine:
         assert rep.line_value == pytest.approx(0.0, abs=1e-12)
 
     def test_circle_equals_line_p7(self, P7):
-        rep = realline_flatness(P7, 1.0, KernelSpec(1.0), circle_grid=2**14)
+        rep = realline_flatness(P7, 1.0, KernelSpec(1.0), grid_multiplier=2341)
         assert abs(rep.circle_truncated - rep.line_value) < 1e-6
         assert abs(rep.circle_value - rep.circle_truncated) <= rep.tail_bound
 
     def test_other_scale(self, P7):
-        rep = realline_flatness(P7, 1.5, KernelSpec(2.0), circle_grid=2**14)
+        rep = realline_flatness(P7, 1.5, KernelSpec(2.0), grid_multiplier=2341)
         assert abs(rep.circle_truncated - rep.line_value) < 1e-6
 
     def test_grid_too_small(self, P7):
         with pytest.raises(ValueError):
-            realline_flatness(P7, 1.0, KernelSpec(1.0), circle_grid=32)
+            # max(4096, 4 * 1000) points, below 8q
+            realline_flatness(newman_from_support([0, 5], q=1000), 1.0, KernelSpec(1.0), 4)

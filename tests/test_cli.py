@@ -18,6 +18,7 @@ from flatpoly.analysis import flatness
 from flatpoly.cli import Command, UsageError, _flat_row, main, parse
 from flatpoly.poly import (
     _abs_support_grid,
+    _grid_blocks,
     _perfect_defect_abs,
     build_polynomial,
     defect_poly,
@@ -182,6 +183,20 @@ class TestExecute:
         assert report["tool"]["name"] == "flatpoly"
         assert "timestamp" not in report
 
+    @pytest.mark.parametrize("argv", [["flat", "--primes", "5003", "--alpha", "1"],
+                                      ["realline", "--primes", "5003", "--alpha", "1"]])
+    def test_grid_priced_before_the_singer_set(self, argv, tmp_path, monkeypatch):
+        # 16q = 400.6M points at p = 5003: the budget fails from q alone
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the grid is priced before any Singer set is built")
+
+        monkeypatch.setattr(cli, "construct_singer", forbidden)
+        code, text = run_to_file(tmp_path, argv)
+        assert code == 1
+        assert json.loads(text)["error"] == {
+            "type": "BudgetError",
+            "message": "grid of 400560208 points exceeds the grid budget 268435456"}
+
     def test_singer_report_counts_differences_once(self, tmp_path, monkeypatch):
         calls = []
         pair_counts = singer._pair_counts
@@ -340,29 +355,29 @@ class TestFlatRow:
         assert _flat_row(p, 1, 1.0, 16)["defect_dominance_min_gap"] == whole
 
     def test_flat_grid_freed_before_mahler(self, singer_cache):
-        # p = 307: flatness holds the 16q grid and one temporary as long, mahler_log then
-        # its 2^21-point grid; keeping the flat grid through mahler_log would add the two
-        q = singer_cache(307).q
+        # p = 307: flatness streams the 16q grid (12 MB as one array) and mahler_log its
+        # 2^21-point grid (17 MB) in row blocks; either grid as an array would break this
+        singer_cache(307)
         tracemalloc.start()
         try:
             _flat_row(307, 1, 1.0, 16)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * max(2 * 16 * q, 2**21) * 8
+        assert peak <= 8 * 2**20
 
     def test_one_evaluation_at_the_flat_grid(self, monkeypatch, singer_cache):
         grids = []
 
-        def counted(exponents, coeffs, N, offset=0.0):
+        def counted(exponents, coeffs, N, offset=0.0, halo=0):
             grids.append(N)
-            return _abs_support_grid(exponents, coeffs, N, offset)
+            return _grid_blocks(exponents, coeffs, N, offset, halo)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the flat row needs no correlation table")
 
         for module in (poly, analysis, mahler, cli):
-            monkeypatch.setattr(module, "_abs_support_grid", counted, raising=False)
+            monkeypatch.setattr(module, "_grid_blocks", counted, raising=False)
             monkeypatch.setattr(module, "correlations", forbidden, raising=False)
         q = singer_cache(5).q
         _flat_row(5, 1, 1.0, 16)

@@ -9,7 +9,7 @@ from flatpoly.errors import BudgetError
 from flatpoly import mahler
 from flatpoly.mahler import JENSEN_DEGREE_BUDGET, mahler_jensen, mahler_log, riesz_mahler
 from flatpoly.analysis import mz_ratio
-from flatpoly.poly import _abs_support_grid, build_polynomial, newman_from_support
+from flatpoly.poly import _abs_support_grid, _grid_blocks, build_polynomial, newman_from_support
 from flatpoly.riesz import make_plan
 
 
@@ -137,11 +137,11 @@ class TestConvergenceDetail:
     def test_default_evaluates_two_grids(self, monkeypatch, singer_cache):
         grids = []
 
-        def counted(exponents, coeffs, N, offset=0.0):
+        def counted(exponents, coeffs, N, offset=0.0, halo=0):
             grids.append(N)
-            return _abs_support_grid(exponents, coeffs, N, offset)
+            return _grid_blocks(exponents, coeffs, N, offset, halo)
 
-        monkeypatch.setattr(mahler, "_abs_support_grid", counted)
+        monkeypatch.setattr(mahler, "_grid_blocks", counted)
         mahler_log(build_polynomial(singer_cache(13)))
         assert grids == [4096, 2048]
 
@@ -235,6 +235,60 @@ class TestNearRootCorrection:
         a = np.linspace(0.0, 0.99, 12)
         expected = -(a * a - a + 1 / 6)
         assert np.allclose(mahler._lattice_error(np.zeros_like(a), a), expected, atol=1e-12)
+
+
+def materialized_roots(exps, coeffs, N):
+    """_near_roots read off the whole N-point grid as one array: the grid minima s in
+    [-m, N/2 + m) that pass _plausible, and their stencils taken straight from it."""
+    absv = _abs_support_grid(exps, coeffs, N, offset=0.5)
+    m = mahler._STENCIL
+    j = np.arange(-m, N // 2 + m)
+    below, at, above = (absv[(j + k) % N] for k in (-1, 0, 1))
+    s = j[(at < below) & (at <= above)]
+    s = s[mahler._plausible(*(absv[(s + k) % N] for k in (-1, 0, 1)))]
+    V = absv[(s + np.arange(-m, m + 1)[:, None]) % N]
+    return mahler._upper_half(mahler._near_roots(s, V, N), N)
+
+
+def zero_one_times(d, sign, seed):
+    """B(z) (1 + sign z^d) for a random 0/1 polynomial B of degree < d: coefficients 0/1 for
+    sign = 1, with a root at theta = pi for odd d; 0/+-1 for sign = -1, a root at theta = 0."""
+    B = np.random.default_rng(seed).integers(0, 2, d // 2)
+    B[0] = 1
+    return np.concatenate([B, np.zeros(d - B.size), sign * B]).astype(float)
+
+
+class TestStreamedRoots:
+    """The seeds _root_seeds takes from a window of fold rows are the seeds of the whole
+    grid's first half, so the streamed pass finds the roots the one-array pass finds."""
+
+    @pytest.mark.parametrize("poly, N", [
+        ("singer 101", None),  # L = 16 rows, two blocks
+        ("singer 307", None),  # L = 128 rows, 32 blocks of 4 and a sliding window
+        ({0: 1.0, 8192: 1.0}, None),  # zeros at grid index 16(2k+1) - 1/2: across rows 15 and 0
+        (zero_one_times(255, 1, 1), None),  # a zero at theta = pi, between N/2 - 1 and N/2
+        (zero_one_times(256, -1, 2), None),  # zeros at theta = 0 and pi
+        (zero_one_times(8191, 1, 3), None),
+        (zero_one_times(40000, -1, 4), None),  # L = 64 rows, 16 blocks
+        (zero_one_times(2001, 1, 5), 4096),  # one self-paired row of 4096, read in its first half
+    ], ids=["singer 101", "singer 307", "1+z^8192", "B(1+z^255)", "B(1-z^256)", "B(1+z^8191)",
+            "B(1-z^40000)", "one row"])
+    def test_same_roots_as_the_materialized_grid(self, poly, N, singer_cache):
+        if isinstance(poly, str):
+            poly = build_polynomial(singer_cache(int(poly.split()[1])))
+        exps, coeffs = mahler._nonzero_terms(poly)
+        N = N or max(4096, 1 << (16 * (int(exps[-1]) + 1) - 1).bit_length())
+        got = mahler._grid_means(exps, coeffs, N, find_roots=True)[2]
+        want = materialized_roots(exps, coeffs, N)
+        order_got, order_want = np.lexsort(got[:2]), np.lexsort(want[:2])
+        (turns, ell, amp, weight), (turns0, ell0, amp0, weight0) = (
+            [x[order] for x in roots] for roots, order in ((got, order_got), (want, order_want)))
+        assert weight.tobytes() == weight0.tobytes()  # the same roots, counted alike
+        # the stencils go through the Newton steps in other batches, so the roots agree to
+        # rounding, well inside the 1e-7 grid steps at which Newton counts as settled
+        assert N * np.max(np.abs(turns - turns0), initial=0) <= 1e-7
+        assert N * np.max(np.abs(ell - ell0), initial=0) <= 1e-7
+        assert np.max(np.abs(amp - amp0) / amp0, initial=0) <= 1e-8
 
 
 class TestAlgebra:

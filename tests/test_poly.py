@@ -167,7 +167,7 @@ class TestAbsSupportGrid:
         (2**22, 6, 3, 256),  # tiny degree: rows of the smallest fast length, not length 7
         (3 * 2**15, 20000, 10, 2**14),  # the smallest fast divisor at the clamped target
         (64 * 8191, 100000, 20, 64),  # every fast divisor below the degree: the largest
-        (64 * 8191, 100000, 100, 16 * 8191),  # too few fast bins for the terms: above the degree
+        (64 * 8191, 100000, 100, 8191),  # too few fast bins: the shortest row that holds the terms
         (397, 396, 3, 397),  # N prime: one row
         (397, 0, 1, 1),  # one term: N rows of one bin
     ])
@@ -337,11 +337,14 @@ class TestPerfectDefectAbs:
 
     @pytest.mark.parametrize("p", [5, 31])
     def test_blocks_equal_the_whole_grid(self, p, singer_cache):
+        # flatness reads |Q| at the indices L*b + a of a block of fold rows
         s = singer_cache(p)
         N = 16 * s.q
         whole = _perfect_defect_abs(s.q, s.size, N)
-        blocks = [_perfect_defect_abs(s.q, s.size, N, j, min(j + 1000, N)) for j in range(0, N, 1000)]
-        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        M = _row_length(N, s.residues[-1], s.size)
+        for a0 in range(0, N // M, 5):
+            j = (N // M) * np.arange(M) + np.arange(a0, min(a0 + 5, N // M))[:, None]
+            assert _perfect_defect_abs(s.q, s.size, N, j).tobytes() == whole[j].tobytes()
         assert whole[1:].tobytes() == whole[:0:-1].tobytes()  # even in theta, bit for bit
 
     def test_matches_defect_poly_on_the_grid(self, singer_cache):

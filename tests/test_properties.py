@@ -5,8 +5,9 @@ small Singer sets at arbitrary scales, so they need not be dissociated.
 Each property is checked against an independent route: the pair-count
 folding against its definition, the exact L2 defect against a grid
 mean, the FFT route and the blocked |P| kernel against direct summation,
-the integer Riesz coefficients against a convolution over Fractions,
-the plan layer's numpy enumerations against plain Python loops, and the
+the streamed row blocks against the materialized grid, the integer Riesz
+coefficients against a convolution over Fractions, the plan layer's
+numpy enumerations against plain Python loops, and the
 near-root-corrected Mahler measure against Jensen's formula.
 """
 
@@ -21,9 +22,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flatpoly.analysis import l2_defect_sq_exact
-from flatpoly.mahler import mahler_jensen, mahler_log
+from flatpoly.mahler import _STENCIL, mahler_jensen, mahler_log
 from flatpoly.poly import (
     _abs_support_grid,
+    _grid_blocks,
     correlation_table,
     correlations,
     eval_support_grid,
@@ -275,6 +277,58 @@ def test_abs_grid_kernel_matches_direct_summation(case):
     bound = 1e-12 * (1 + np.sum(np.abs(coeffs)))
     assert np.max(np.abs(got[j] - direct)) <= bound
     assert np.max(np.abs(got - oracle)) <= bound
+
+
+@st.composite
+def stream_cases(draw):
+    """(N, exponents, coefficients, offset) with real or complex coefficients: any N up to
+    400, N = 16q, or N = 8 * 127 and 4 * 1021, whose rows fall back to a length with the
+    prime factor 127 or 1021 once there are more than 8 or 4 terms."""
+    N = draw(st.one_of(st.integers(1, 400), st.sampled_from((16 * 7, 16 * 57, 8 * 127, 4 * 1021))))
+    exps = draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=24))
+    reals = st.floats(-2.0, 2.0, allow_nan=False)
+    if draw(st.booleans()):
+        coeffs = [draw(reals) for _ in exps]
+    else:
+        coeffs = [complex(draw(reals), draw(reals)) for _ in exps]
+    return N, exps, coeffs, draw(st.sampled_from((0.0, 0.5, 0.25)))
+
+
+SINGER_101 = construct_singer(101).residues
+
+
+@PROPERTY_SETTINGS
+@given(stream_cases())
+@example((16 * 10303, SINGER_101, [102**-0.5] * 102, 0.0))  # p = 101 at 16q: rows of M = q
+@example((16 * 94557, SINGER_307, [308**-0.5] * 308, 0.5))  # 733 rows of 2064, L odd
+@example((2**21, SINGER_307, [308**-0.5] * 308, 0.5))  # mahler_log's grid: a sliding window
+@example((8 * 127, list(range(0, 1016, 40)), [1.0] * 26, 0.0))  # fallback rows of 127, L = 8
+@example((397, [0, 5, 396], [1.0, -1.0, 0.5], 0.5))  # N prime: one self-paired row
+@example((64, [0, 63], [1.0, 1.0], 0.25))
+def test_block_stream_equals_the_materialized_grid(case):
+    # each computed row and, where its weight is 2, its mirror partner cover every grid
+    # index once; the halo rows are the grid's rows beyond the block, and the reductions
+    # of the stream are those of the materialized grid
+    N, exps, coeffs, offset = case
+    coeffs = np.array(coeffs)
+    full = _abs_support_grid(exps, coeffs, N, offset=offset)
+    mirrored = not np.iscomplexobj(coeffs) and offset in (0.0, 0.5)
+    for halo in (0, _STENCIL) if mirrored else (0,):
+        cover = np.zeros(N, dtype=np.int64)
+        sums, low = [], math.inf
+        for a0, rows, weight in _grid_blocks(exps, coeffs, N, offset, halo):
+            M = rows.shape[1]
+            j = (N // M) * np.arange(M) + np.arange(a0 - halo, a0 + len(weight) + halo)[:, None]
+            assert rows.tobytes() == full[j % N].tobytes()
+            central, core = j[halo:len(j) - halo], rows[halo:len(rows) - halo]
+            np.add.at(cover, central, 1)
+            np.add.at(cover, (N - int(2 * offset) - central[weight == 2]) % N, 1)
+            sums.append(weight * core.sum(axis=1))
+            low = min(low, core.min())
+        assert np.all(cover == 1)
+        total = math.fsum(np.concatenate(sums))
+        assert abs(total - np.sum(full)) <= 1e-15 * np.sum(full)
+        assert low == full.min()
 
 
 @PROPERTY_SETTINGS
