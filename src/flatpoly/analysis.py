@@ -128,13 +128,16 @@ def flatness(P: NewmanPolynomial, alpha, grid_size=None):
         t = np.square(rows)
         t -= 1.0
         np.abs(t, out=t)
-        gap = min(gap, float((_perfect_defect_abs(P.q, P.size, N, j) - t).min()))
+        dominance = _perfect_defect_abs(P.q, P.size, N, j)
+        dominance -= t
+        gap = min(gap, float(dominance.min()))
         t **= alpha
         sq.append(weight * t.sum(axis=1))
         np.subtract(rows, 1.0, out=t)
         np.abs(t, out=t)
         t **= alpha
         ab.append(weight * t.sum(axis=1))
+        del j, t, dominance  # freed before the row kernel computes the next block
     pm = P.size - 1
     return FlatnessReport(
         p=pm,

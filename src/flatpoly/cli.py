@@ -240,7 +240,8 @@ def _run_flat(cmd, p):
 
 @_per_prime({
     "mahler_log": "exp of midpoint-grid mean of log|P|, " + MAHLER_NEAR_ROOT,
-    "mahler_jensen": "companion-matrix roots; |lead| * prod |root| over |root| > 1",
+    "mahler_jensen": "|lead| * prod |root| over |root| > 1, roots by Aberth sweeps on the "
+                     "sparse form, certified by inclusion disks (error below 1e-10 for p <= 43)",
     "cross_method_gap": "tolerance 1e-6",
 })
 def _run_mahler(cmd, p):

@@ -1,9 +1,10 @@
 """Mahler measures by log-integral quadrature and by Jensen's formula.
 
 M(P) = exp(integral log|P| dz) over the circle.  Jensen's formula turns
-this into |lead| * prod(|root| : |root| > 1), computed here from
-companion-matrix eigenvalues, which gives a second, independent route.
-Both read the polynomial through `analysis._sparse_form`: a
+this into |lead| * prod(|root| : |root| > 1), computed here from roots
+found by simultaneous Aberth sweeps on the sparse form and certified by
+inclusion disks, which gives a second, independent route with a stated
+error.  Both read the polynomial through `analysis._sparse_form`: a
 NewmanPolynomial, a DefectPolynomial, an {exponent: coefficient} dict
 or a plain coefficient sequence (constant term first).
 
@@ -40,13 +41,17 @@ import numpy as np
 
 from .analysis import _fsum_mean, _sparse_form
 from .errors import BudgetError
-from .poly import _grid_blocks, build_polynomial
+from .poly import _GRID_BLOCK, _grid_blocks, build_polynomial
 
 __all__ = ["MahlerReport", "mahler_log", "mahler_jensen", "riesz_mahler"]
 
-# q - 1 at p = 43, the largest oracle case: 5.1 s in np.roots on a 2-core x86-64 host.  A complex
-# companion matrix is slower (25 s for z^1892 - i), so complex input gets half: z^946 - i, 4.95 s.
+# q - 1 at p = 43, the largest oracle case.  A sweep of _aberth_roots costs O(n k) for k terms
+# plus O(n^2); on a 2-core x86-64 host p = 43 takes 0.2-0.3 s (14 sweeps), as does z^1892 - i,
+# complex coefficients costing the same, and a dense polynomial of this degree 1.2-2.3 s.
 JENSEN_DEGREE_BUDGET = 1892
+_ABERTH_SWEEPS = 100  # cap on the sweeps of _aberth_roots; roots still moving keep wide radii
+_ABERTH_ANGLE = 0.7  # offset of the start angles, in radians (Bini and Fiorentino's sigma)
+_EPS = float(np.finfo(float).eps)
 NEAR_ROOT_WINDOW = 30  # an N-point grid corrects the roots with N |log|r|| below this
 MAHLER_TOL = 1e-9  # converged: the corrected mean of log|P| moves less than this from N/2 to N
 _STENCIL = 10  # m: a near root is read off the interpolant of |P|^2 through 2m grid nodes
@@ -351,36 +356,245 @@ def _deflate(C, a, b):
 
 
 def mahler_jensen(P):
-    """Mahler measure via roots: |lead| * prod of root moduli outside the disk.
+    """Mahler measure via roots: |lead| * prod of root moduli outside the disk, certified.
 
-    Roots come from companion-matrix eigenvalues of the coefficients; the
-    companion matrix is normalized by the leading coefficient, so for a
-    NewmanPolynomial it is that of the integer 0/1 support polynomial.  An
-    empty product is 1, so a constant a has measure |a|.  No grid is evaluated,
-    so l1 is None; mahler_log reports it.  The route is the oracle of
-    mahler_log, and a degree above JENSEN_DEGREE_BUDGET, or above half of it
-    for a complex companion matrix (a coefficient with a nonzero imaginary
-    part), raises BudgetError before np.roots runs.
+    The nonzero roots come from _aberth_roots, simultaneous Aberth sweeps on the sparse
+    form (no dense coefficient vector, no companion matrix), each with a radius within
+    which a root of P is certified to lie.  log M = log|lead| + sum of log max(1, |root|),
+    and detail["error"] bounds |log M_jensen - log M|: a root whose radius keeps it inside
+    the circle costs nothing, an isolated one outside r / (|z| - r), and a cluster of m
+    overlapping disks m times the spread of log max(1, |z|) over them (so a repeated root
+    gets a stated error, of about the square root of the rounding).  Besides degree and
+    roots_outside, detail holds error, sweeps, converged (every root met the stopping
+    rule), clusters (components of more than one disk) and circle_components (components
+    that meet the unit circle; counted, never raised).  An empty product is 1, so a
+    constant a has measure |a|.  No grid is evaluated, so l1 is None; mahler_log reports
+    it.  The route is the oracle of mahler_log, and a degree above JENSEN_DEGREE_BUDGET
+    raises BudgetError before any sweep runs; real and complex coefficients cost the same.
     """
     exps, coeffs = _nonzero_terms(P)
     degree = int(exps[-1])
-    budget = JENSEN_DEGREE_BUDGET // 2 if np.iscomplexobj(coeffs) else JENSEN_DEGREE_BUDGET
-    if degree > budget:
-        raise BudgetError(f"degree {degree} exceeds the root-finding budget {budget}")
-    value = abs(coeffs[-1])
-    outside = 0
-    if degree > 0:
-        dense = np.zeros(degree + 1, dtype=coeffs.dtype)
-        dense[exps] = coeffs
-        try:
-            roots = np.roots(dense[::-1])
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"root finder did not converge: {exc}") from None
-        moduli = np.abs(roots)
-        outside = int(np.count_nonzero(moduli > 1.0))
-        value *= float(np.prod(moduli[moduli > 1.0])) if outside else 1.0
-    return MahlerReport(q=getattr(P, "q", None), method="jensen", value=float(value),
-                        l1=None, detail={"degree": degree, "roots_outside": outside})
+    if degree > JENSEN_DEGREE_BUDGET:
+        raise BudgetError(f"degree {degree} exceeds the root-finding budget {JENSEN_DEGREE_BUDGET}")
+    lead = abs(complex(coeffs[-1]))
+    detail = {"degree": degree, "roots_outside": 0, "error": 0.0, "sweeps": 0,
+              "converged": True, "clusters": 0, "circle_components": 0}
+    log_outside = 0.0
+    if degree > exps[0]:
+        roots = _aberth_roots(exps - exps[0], coeffs)
+        outside = np.abs(roots.z) > 1.0
+        log_outside = math.fsum(np.log(np.abs(roots.z[outside])))
+        error, clusters, circle = _log_measure_error(roots)
+        rounding = 4 * _EPS * (roots.z.size + 2) * (abs(math.log(lead)) + log_outside + 1)
+        detail.update(roots_outside=int(np.count_nonzero(outside)), error=error + rounding,
+                      sweeps=roots.sweeps, converged=roots.converged, clusters=clusters,
+                      circle_components=circle)
+    return MahlerReport(q=getattr(P, "q", None), method="jensen",
+                        value=lead * math.exp(log_outside), l1=None, detail=detail)
+
+
+@dataclass(frozen=True)
+class _Roots:
+    z: np.ndarray  # the approximations, one per nonzero root with multiplicity
+    radius: np.ndarray  # an isolated z has a root within radius; a cluster in its disks
+    component: np.ndarray  # per root, the least index of its component of overlapping disks
+    sweeps: int
+    converged: bool  # every root met the stopping rule
+
+
+def _aberth_roots(exps, coeffs):
+    """Every root of P = sum c_s z^s (exps ascending, exps[0] = 0, degree n >= 1) by
+    simultaneous Aberth sweeps, with certified inclusion radii.
+
+    Start points lie on the annuli of the Newton polygon of (s, log|c_s|), the
+    angles spread out (_start_points).  Each sweep evaluates P and zP' at the active
+    roots (_evaluate, O(n k) for k terms) and moves each by the Aberth correction
+    N / (1 - N sum_{j != i} 1 / (z_i - z_j)), N = P / P' (_aberth_sums, in row blocks of
+    poly._GRID_BLOCK entries).  A root whose residual |P| is within the rounding bound
+    of its evaluation leaves the active set; roots still active after _ABERTH_SWEEPS
+    sweeps are kept as they are, and their radii say how good they are.
+
+    Certification (O. Aberth, Math. Comp. 27 (1973); D. A. Bini and G. Fiorentino,
+    Numer. Algorithms 23 (2000)).  With u_i >= |W_i|, W_i = P(z_i) / (c_n prod_{j != i}
+    (z_i - z_j)) the Weierstrass correction (from the residual plus its rounding bound,
+    in log form, _weierstrass), the disks D(z_i, n u_i) hold every root, and a connected
+    component of m of them holds exactly m.  A singleton is sharpened by Gerschgorin's
+    theorem on the matrix diag(z) - 1 W^T, whose characteristic polynomial is P / c_n:
+    scaling row and column i by t = d_i / (2 u_i), d_i = min_{j != i} |z_i - z_j|, and
+    U = sum u, disk i, D(z_i, u_i + (U - u_i) / t), is apart from every other disk
+    D(z_j, U - u_i + d_i / 2) when it stays below d_i / 2 - (U - u_i), and then holds
+    exactly one root: about u_i, where the Weierstrass disk says n u_i.
+    """
+    n = int(exps[-1])
+    logc = np.log(coeffs.astype(complex))
+    z = _start_points(exps, logc.real)
+    active = np.arange(n)
+    sweeps = 0
+    while active.size and sweeps < _ABERTH_SWEEPS:
+        sweeps += 1
+        s0, s1, bound, _ = _evaluate(exps, logc, z[active])
+        newton = z[active] * (s0 / s1)  # P / P' = z (P / zP')
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = newton / (1 - newton * _aberth_sums(z, active))
+        z[active] -= np.where(np.isfinite(step), step, 0)  # P' = 0: wait a sweep
+        active = active[np.abs(s0) > bound]  # a root that met the rule has had its last step
+    if active.size:  # the last sweep moved these roots: test them again
+        s0, _, bound, _ = _evaluate(exps, logc, z[active])
+        active = active[np.abs(s0) > bound]
+    return _Roots(z, *_weierstrass(exps, logc, z), sweeps, converged=not active.size)
+
+
+def _start_points(exps, logabs):
+    """Aberth start points: for each edge of the upper convex hull of (s, log|c_s|),
+    from s_a to s_b, s_b - s_a points on the circle of radius
+    exp((log|c_a| - log|c_b|) / (s_b - s_a)), the moduli of that many roots by the
+    Newton polygon, at equally spaced angles offset by 2 pi s_a / n + _ABERTH_ANGLE."""
+    hull = [0]
+    for i in range(1, exps.size):
+        while len(hull) > 1:
+            a, b = hull[-2], hull[-1]
+            if ((exps[b] - exps[a]) * (logabs[i] - logabs[a])
+                    < (logabs[b] - logabs[a]) * (exps[i] - exps[a])):
+                break
+            hull.pop()  # b lies on or below the segment from a to i
+        hull.append(i)
+    n = exps[-1]
+    pieces = []
+    for a, b in zip(hull, hull[1:]):
+        m = int(exps[b] - exps[a])
+        log_radius = (logabs[a] - logabs[b]) / m
+        angles = 2 * np.pi * (np.arange(m) / m + exps[a] / n) + _ABERTH_ANGLE
+        pieces.append(np.exp(log_radius + 1j * angles))
+    return np.concatenate(pieces)
+
+
+def _evaluate(exps, logc, z):
+    """P(z) and z P'(z) at the points z, scaled by e^-m, m = max_s Re(log c_s + s log z).
+
+    Each term c_s z^s is exp(log c_s + s log z - m), so no |z|^s overflows.  Returns
+    (s0, s1, bound, m): s0 = e^-m P(z), s1 = e^-m z P'(z), and bound on the rounding
+    error of s0: a term's exponent carries about eps (|log c_s| + s (1 + |log z|)), the
+    s eps relative error of z^s, and the sum of k terms k eps.  Rows go in blocks of
+    poly._GRID_BLOCK terms.
+    """
+    k = exps.size
+    weights = exps.astype(float)
+    base = _EPS * (k + 2 + np.abs(logc))  # per term, in units of |term|
+    s0, s1 = np.empty(z.size, dtype=complex), np.empty(z.size, dtype=complex)
+    bound, top = np.empty(z.size), np.empty(z.size)
+    per = max(1, _GRID_BLOCK // k)
+    for lo in range(0, z.size, per):
+        logz = np.log(z[lo:lo + per])
+        terms = np.multiply.outer(logz, weights)
+        terms += logc
+        m = terms.real.max(axis=1)
+        terms -= m[:, None]
+        np.exp(terms, out=terms)
+        size = np.abs(terms)
+        s0[lo:lo + per] = terms.sum(axis=1)
+        s1[lo:lo + per] = terms @ weights
+        bound[lo:lo + per] = size @ base + 3 * _EPS * (1 + np.abs(logz)) * (size @ weights)
+        top[lo:lo + per] = m
+    return s0, s1, bound, top
+
+
+def _aberth_sums(z, rows):
+    """sum over j != i of 1 / (z_i - z_j) for each i in rows, in real arithmetic,
+    conj(d) / |d|^2, over blocks of rows holding at most poly._GRID_BLOCK differences."""
+    out = np.empty(rows.size, dtype=complex)
+    for lo, i, dx, dy, norm in _difference_blocks(z, rows):
+        norm[np.arange(i.size), i] = np.inf  # no self term
+        out.real[lo:lo + i.size] = np.divide(dx, norm, out=dx).sum(axis=1)
+        out.imag[lo:lo + i.size] = -np.divide(dy, norm, out=dy).sum(axis=1)
+    return out
+
+
+def _difference_blocks(z, rows):
+    """Yield (lo, i, dx, dy, norm) for consecutive blocks i = rows[lo:lo + len(i)] of at
+    most poly._GRID_BLOCK // len(z) rows: dx + i dy = z_i - z_j and norm = |z_i - z_j|^2,
+    one row per i, in buffers reused from block to block."""
+    x, y = z.real.copy(), z.imag.copy()
+    per = max(1, _GRID_BLOCK // z.size)
+    buffers = np.empty((3, min(per, rows.size), z.size))
+    for lo in range(0, rows.size, per):
+        i = rows[lo:lo + per]
+        dx, dy, norm = buffers[:, :i.size]
+        np.subtract(x[i, None], x, out=dx)
+        np.subtract(y[i, None], y, out=dy)
+        np.multiply(dx, dx, out=norm)
+        norm += dy * dy
+        yield lo, i, dx, dy, norm
+
+
+def _weierstrass(exps, logc, z):
+    """Certified radii around the approximations z and their cluster labels (see
+    _aberth_roots): (radius, component).
+
+    log u_i = m_i + log(|s0_i| + bound_i) - log|c_n| - sum_{j != i} log|z_i - z_j|, the
+    last sum in row blocks of poly._GRID_BLOCK entries, with its own summation error
+    added.  An isolated root's radius is the smaller of n u_i and the Gerschgorin one;
+    the members of a component of overlapping disks D(z_i, n u_i) share a label, its
+    least index, and keep n u_i.
+    """
+    n = z.size
+    s0, _, bound, top = _evaluate(exps, logc, z)
+    log_dist, spread, nearest = np.empty(n), np.empty(n), np.empty(n)
+    for lo, i, _, _, norm in _difference_blocks(z, np.arange(n)):
+        norm[np.arange(i.size), i] = np.inf
+        nearest[i] = np.sqrt(norm.min(axis=1))
+        norm[np.arange(i.size), i] = 1.0  # log 1 = 0: no self term
+        logs = np.log(norm, out=norm)
+        log_dist[i] = logs.sum(axis=1) / 2  # log |d| = log |d|^2 / 2
+        spread[i] = np.abs(logs).sum(axis=1) / 2
+    with np.errstate(divide="ignore"):
+        log_u = top + np.log(np.abs(s0) + bound) - logc[-1].real - log_dist
+    log_u += _EPS * (n * spread + 4 * np.abs(log_u) + n)  # rounding of the log sums
+    u = np.exp(log_u)
+    weier = n * u
+    # only rows with n u_i + max(n u) >= d_i can overlap another disk; each pass over them
+    # lowers a label to the least among its overlapping disks, until a pass changes none
+    suspect = np.flatnonzero(weier + weier.max() >= nearest)
+    component = np.arange(n)
+    changed = suspect.size > 0
+    while changed:
+        changed = False
+        for _, i, _, _, norm in _difference_blocks(z, suspect):
+            least = np.where(norm <= (weier[i, None] + weier) ** 2, component, n).min(axis=1)
+            if np.any(least < component[i]):
+                component[i] = np.minimum(least, component[i])
+                changed = True
+    sizes = np.bincount(component, minlength=n)
+    total = u.sum()
+    gerschgorin = u + 2 * u * (total - u) / nearest
+    isolated = (sizes[component] == 1) & (gerschgorin < nearest / 2 - (total - u))
+    return np.where(isolated, np.minimum(weier, gerschgorin), weier), component
+
+
+def _log_measure_error(roots):
+    """(error, clusters, circle_components) of the certified roots.
+
+    error bounds |sum log max(1, |z_i|) - sum log max(1, |root|)|: an isolated disk that
+    stays inside the circle contributes 0, one reaching out r / (|z| - r) (log is
+    1/x-Lipschitz above |z| - r), or log(|z| + r) if it holds 0; a cluster of m disks m
+    times the spread of log max(1, |w|) over their union.  clusters counts the
+    components of more than one disk, circle_components those that meet the circle.
+    """
+    n = roots.z.size
+    modulus = np.abs(roots.z)
+    lo, hi = modulus - roots.radius, modulus + roots.radius
+    low, high = np.full(n, np.inf), np.zeros(n)
+    np.minimum.at(low, roots.component, lo)
+    np.maximum.at(high, roots.component, hi)
+    sizes = np.bincount(roots.component, minlength=n)
+    head = roots.component == np.arange(n)  # one root per component
+    cluster = head & (sizes > 1)
+    reach = (sizes[roots.component] == 1) & (hi > 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        single = np.where(lo > 0, roots.radius / lo, np.log(hi))[reach]
+    spread = np.log(np.maximum(high[cluster], 1.0)) - np.log(np.maximum(low[cluster], 1.0))
+    error = math.fsum(np.concatenate([single, sizes[cluster] * spread]))
+    circle = head & (low <= 1.0) & (high >= 1.0)
+    return error, int(np.count_nonzero(cluster)), int(np.count_nonzero(circle))
 
 
 def riesz_mahler(plan, stages):

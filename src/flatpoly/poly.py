@@ -27,6 +27,7 @@ GRID_BUDGET = 2**28  # points of one |P| grid: 2 GiB where a caller materializes
 _GRID_BLOCK = 2**16  # complex entries per batch of row FFTs in _grid_blocks: 1 MB
 _ROW_MIN, _ROW_MAX = 2**8, 2**14  # row lengths _grid_blocks aims for
 _ROW_PRIME_MAX = 64  # largest prime factor of a fast row length
+_DEFECT_CHUNK = 2**13  # entries per chunk of _perfect_defect_abs: 64 KB per int64 temporary
 
 __all__ = [
     "NewmanPolynomial",
@@ -372,13 +373,18 @@ def _perfect_defect_abs(q, size, N, j=None):
     |Q(e^(i theta))| = |sin((q-1) theta/2)| / (size |sin(theta/2)|), (q-1)/size at
     theta = 0.  Both sine arguments are folded exactly in int64 into [0, pi/2]
     before sin is called, so no large angle loses digits, and the value at j equals
-    the value at N - j bit for bit.
+    the value at N - j bit for bit.  The output is filled _DEFECT_CHUNK entries at a
+    time, so the scratch is a few chunks, not a few arrays of j's shape.
     """
     j = np.arange(N, dtype=np.int64) if j is None else np.asarray(j, dtype=np.int64)
-    a = np.minimum(j, N - j)  # |Q| is even in theta
-    r = a * (q - 1) % N
-    r = np.minimum(r, N - r)
-    out = np.full(j.shape, (q - 1) / size)
-    nonzero = a != 0
-    out[nonzero] = np.sin(np.pi * r[nonzero] / N) / (size * np.sin(np.pi * a[nonzero] / N))
+    out = np.empty(j.shape)
+    flat_j, flat_out = j.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat_j.size, _DEFECT_CHUNK):
+        jj, chunk = flat_j[lo:lo + _DEFECT_CHUNK], flat_out[lo:lo + _DEFECT_CHUNK]
+        a = np.minimum(jj, N - jj)  # |Q| is even in theta
+        r = a * (q - 1) % N
+        r = np.minimum(r, N - r)
+        chunk[:] = (q - 1) / size
+        nonzero = a != 0
+        chunk[nonzero] = np.sin(np.pi * r[nonzero] / N) / (size * np.sin(np.pi * a[nonzero] / N))
     return out

@@ -331,7 +331,8 @@ def _pair_counts(support, q, cyclic=False):
     Raises ValueError unless the support is distinct and inside [0, q).
     """
     s = np.asarray(support, dtype=np.int64)
-    if np.unique(s).size != s.size:
+    ordered = np.sort(s)  # not np.unique, whose first plain call imports numpy.ma
+    if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("support must be distinct")
     if s.size and (s.min() < 0 or s.max() >= q):
         raise ValueError(f"support must lie in [0, {q})")

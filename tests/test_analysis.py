@@ -9,6 +9,7 @@ from flatpoly.analysis import (
     KernelSpec,
     _line_tail_mass,
     _mean,
+    _power_mean,
     _si_tail,
     flatness,
     kernel_mass,
@@ -25,6 +26,7 @@ from flatpoly.analysis import (
 from flatpoly.errors import BudgetError
 from flatpoly.poly import (
     CorrelationTable,
+    _grid_blocks,
     build_polynomial,
     correlation_table,
     correlations,
@@ -158,6 +160,24 @@ class TestFlatness:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_peak_memory_stays_near_the_row_kernel(self, singer_cache):
+        # p = 307 at 16q: the row kernel alone peaks at 2.9 MiB; the closed-form |Q| once made
+        # about six block-sized temporaries and the pass peaked at 6.0 MiB, now 3.7 MiB
+        P = build_polynomial(singer_cache(307))
+        N = 16 * P.q
+        peaks = []
+        for run in (lambda: flatness(P, 1.0, N),
+                    lambda: [None for _ in _grid_blocks(P.support, [P.scale] * P.size, N)]):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        flat_peak, kernel_peak = peaks
+        assert flat_peak < 4.0 * 2**20
+        assert flat_peak < kernel_peak + 1.0 * 2**20
+
 
 class TestL2DefectExact:
     def test_p2(self, singer_cache):
@@ -185,6 +205,16 @@ class TestL2DefectExact:
         k = 2000
         t = correlation_table(range(k), 2 * k)
         assert l2_defect_sq_exact(t) == Fraction(k * (2 * k * k + 1) // 3 - k * k, k * k)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 101])
+    def test_fourth_moment_on_the_16q_grid(self, p, singer_cache):
+        # |P|^4 = |P^2|^2 with deg P^2 <= 2(q - 1) < N = 16q, so the grid mean is the integral
+        # (discrete Parseval): sum over l of (c_l / k)^2 = (k^2 + k(k - 1)) / k^2 = 2 - 1/(p + 1)
+        P = build_polynomial(singer_cache(p))
+        N = 16 * P.q
+        mean = _power_mean(np.array(P.support), np.full(P.size, P.scale), N, 4)
+        assert mean == pytest.approx(2 - 1 / (p + 1), rel=1e-13, abs=0)
+        assert 1 + l2_defect_sq_exact(correlations(singer_cache(p))) == 2 - Fraction(1, p + 1)
 
     def test_sum_past_the_int64_bound_stays_exact(self):
         # |S|^3 >= 2^63 sums in Python ints; c_0^2 = |S|^4 = 2^84 alone would wrap int64

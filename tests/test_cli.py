@@ -397,6 +397,22 @@ def test_import_leaves_out_scipy_and_sympy():
     assert _run_python(code).strip() == "[]"
 
 
+def test_singer_flat_and_mahler_rows_leave_out_numpy_ma():
+    # a plain np.unique imports numpy.ma on its first call, 12-35 ms in every fresh process
+    code = textwrap.dedent("""
+        import sys
+        from flatpoly.cli import _flat_row
+        from flatpoly.mahler import mahler_jensen
+        from flatpoly.poly import build_polynomial
+        from flatpoly.singer import construct_singer
+
+        mahler_jensen(build_polynomial(construct_singer(7)))
+        _flat_row(7, 1, 1.0, 16)
+        print("numpy.ma" in sys.modules)
+    """)
+    assert _run_python(code).strip() == "False"
+
+
 @pytest.mark.parametrize("layer",
                          ["singer", "poly", "analysis", "mahler", "riesz", "rankone", "cli"])
 def test_every_exported_name_exists(layer):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -54,18 +55,23 @@ class TestBasics:
 
     def test_degree_budget_fails_before_root_finding(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("np.roots ran past the budget")
+            raise AssertionError("the Aberth sweeps ran past the budget")
 
-        monkeypatch.setattr(np, "roots", forbidden)
+        monkeypatch.setattr(mahler, "_aberth_roots", forbidden)
         with pytest.raises(BudgetError, match=str(JENSEN_DEGREE_BUDGET)):
             mahler_jensen({0: 1.0, JENSEN_DEGREE_BUDGET + 1: 1.0})
-        # a complex companion matrix is about 5x slower: half the degree
-        with pytest.raises(BudgetError, match=f"degree 947 exceeds the root-finding budget "
-                                              f"{JENSEN_DEGREE_BUDGET // 2}"):
-            mahler_jensen({0: -1j, 947: 1.0})
+
+    def test_one_budget_for_real_and_complex_coefficients(self):
+        # the sweeps cost the same for complex terms: no halved complex budget
+        assert JENSEN_DEGREE_BUDGET == 1892
+        for lead in (1.0, 1j):
+            with pytest.raises(BudgetError, match=f"degree {JENSEN_DEGREE_BUDGET + 1} exceeds "
+                                                  f"the root-finding budget {JENSEN_DEGREE_BUDGET}$"):
+                mahler_jensen({0: -1j, JENSEN_DEGREE_BUDGET + 1: lead})
+        assert mahler_jensen({0: -1j, JENSEN_DEGREE_BUDGET: 1.0}).detail["converged"] is True
 
     def test_dict_and_list_routes_agree_bit_for_bit(self):
-        # a real dict gets the real companion matrix that the list gets
+        # a real dict gets the real sparse form that the list gets
         as_list = [1 if k in (0, 7, 46) else 0 for k in range(47)]
         assert mahler_jensen({0: 1, 7: 1, 46: 1}).value == mahler_jensen(as_list).value
 
@@ -158,8 +164,9 @@ class TestConvergenceDetail:
             mahler_log({0: -1j, 2048: 1.0}, grid_size=grid_size)
 
     def test_jensen_takes_complex_coefficients(self):
-        # z^n - i for a degree whose companion matrix is quick to diagonalize
-        assert mahler_jensen({0: -1j, 16: 1.0}).value == pytest.approx(1.0, abs=1e-12)
+        rep = mahler_jensen({0: -1j, 16: 1.0})
+        assert rep.value == pytest.approx(1.0, abs=1e-12)
+        assert abs(math.log(rep.value)) <= rep.detail["error"] <= 1e-12
 
     def test_real_dict_accepted(self):
         # the dict form is complex-typed with zero imaginary parts; 1 + z^3 has three zeros
@@ -175,13 +182,18 @@ class TestConvergenceDetail:
 
 
 class TestNearRootCorrection:
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
     def test_agrees_with_jensen(self, p, singer_cache):
         # p = 11 and 19 have a zero at -1, on the circle; the doubling missed by 1.4e-7 there
         P = build_polynomial(singer_cache(p))
-        rep = mahler_log(P)
-        assert abs(rep.value - mahler_jensen(P).value) <= 1e-9
+        rep, jensen = mahler_log(P), mahler_jensen(P)
+        assert abs(rep.value - jensen.value) <= 1e-9
         assert rep.detail["converged"] is True
+        assert jensen.detail["converged"] is True and jensen.detail["clusters"] == 0
+        assert jensen.detail["error"] <= 1e-9
+        # both routes are far closer than that: within the two stated errors
+        gap = abs(math.log(rep.value) - math.log(jensen.value))
+        assert gap <= rep.detail["error"] + jensen.detail["error"] + 1e-14
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
     def test_l1_within_its_error_of_a_fine_grid(self, p, singer_cache):
@@ -289,6 +301,95 @@ class TestStreamedRoots:
         assert N * np.max(np.abs(turns - turns0), initial=0) <= 1e-7
         assert N * np.max(np.abs(ell - ell0), initial=0) <= 1e-7
         assert np.max(np.abs(amp - amp0) / amp0, initial=0) <= 1e-8
+
+
+def zero_one(degree, seed):
+    """A random 0/1 polynomial 1 + ... + z^degree, constant term first."""
+    inner = np.random.default_rng(seed).integers(0, 2, degree - 1)
+    return np.concatenate([[1], inner, [1]]).astype(float)
+
+
+class TestAberthRoots:
+    """mahler_jensen's roots: Aberth sweeps on the sparse form, certified by inclusion disks."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+    def test_singer_roots_match_np_roots(self, p, singer_cache, assert_roots_match_np_roots):
+        roots = assert_roots_match_np_roots(build_polynomial(singer_cache(p)))
+        assert roots.converged
+        assert np.array_equal(roots.component, np.arange(roots.z.size))  # no cluster
+
+    @pytest.mark.parametrize("degree, seed", [(3, 0), (31, 1), (100, 2), (255, 3), (256, 4)])
+    def test_zero_one_roots_match_np_roots(self, degree, seed, assert_roots_match_np_roots):
+        assert_roots_match_np_roots(zero_one(degree, seed))
+
+    @pytest.mark.parametrize("poly", [{0: -1j, 16: 1.0}, {0: 1.0, 256: 1.0}],
+                             ids=["z^16-i", "1+z^256"])
+    def test_circle_roots_match_np_roots(self, poly, assert_roots_match_np_roots):
+        roots = assert_roots_match_np_roots(poly)
+        assert mahler._log_measure_error(roots)[2] == roots.z.size  # every disk meets the circle
+
+    @pytest.mark.parametrize("poly, n, turn", [({0: -1j, 16: 1.0}, 16, 1 / 4),
+                                               ({0: 1.0, 256: 1.0}, 256, 1 / 2),
+                                               ({0: -1j, 946: 1.0}, 946, 1 / 4)],
+                             ids=["z^16-i", "1+z^256", "z^946-i"])
+    def test_exact_roots_lie_in_the_disks(self, poly, n, turn):
+        # z^n = e^(2 pi i turn): the roots e^(2 pi i (turn + j) / n), each rounded once
+        exps, coeffs = mahler._nonzero_terms(poly)
+        roots = mahler._aberth_roots(exps, coeffs)
+        exact = np.exp(2j * np.pi * (turn + np.arange(n)) / n)
+        dist = np.abs(exact[:, None] - roots.z)
+        assert np.all(np.any(dist <= roots.radius + 4 * np.finfo(float).eps, axis=1))
+        assert np.array_equal(roots.component, np.arange(n)) and roots.radius.max() < 1e-13
+
+    def test_repeated_root_gets_a_stated_error(self):
+        # (1 + z)^2: the two approximations split the double zero by about sqrt(eps), and
+        # the two overlapping disks are one cluster whose stated error covers it
+        rep = mahler_jensen([1.0, 2.0, 1.0])
+        assert rep.detail["clusters"] == 1 and rep.detail["circle_components"] == 1
+        assert abs(math.log(rep.value)) <= rep.detail["error"] < 1e-5
+        roots = mahler._aberth_roots(np.array([0, 1, 2]), np.array([1.0, 2.0, 1.0]))
+        assert np.all(np.abs(roots.z + 1) <= roots.radius)
+
+    def test_high_degree_circle_roots_are_quick(self):
+        # z^946 - i ran to the sweep cap under a rounding bound blind to z^s's s eps
+        start = time.perf_counter()
+        rep = mahler_jensen({0: -1j, 946: 1.0})
+        assert time.perf_counter() - start < 1.0
+        assert rep.detail["converged"] is True and rep.detail["sweeps"] < 20
+        assert abs(math.log(rep.value)) <= rep.detail["error"] < 1e-10
+
+    def test_zero_roots_are_divided_out(self):
+        # z^3 (z - 2): the triple zero at 0 is inside the circle and never swept
+        rep = mahler_jensen({3: -2.0, 4: 1.0})
+        assert rep.value == pytest.approx(2.0, rel=1e-15)
+        assert rep.detail["roots_outside"] == 1 and rep.detail["sweeps"] <= 3
+
+    def test_newton_polygon_start_radii(self):
+        # 1 - 10^6 z + z^2: roots near 10^-6 and 10^6, one annulus each
+        exps, logs = np.array([0, 1, 2]), np.log([1.0, 1e6, 1.0])
+        assert np.allclose(np.abs(mahler._start_points(exps, logs)), [1e-6, 1e6])
+        rep = mahler_jensen([1.0, -1e6, 1.0])
+        big = 1e6 - 1 / (1e6 - 1e-6)  # the larger root, 10^6 - (the smaller one)
+        assert abs(math.log(rep.value / big)) <= rep.detail["error"] < 1e-12
+
+    def test_blocks_stay_within_the_grid_block(self, monkeypatch):
+        # every pairwise block is at most poly._GRID_BLOCK entries, so memory does not grow
+        # like n^2; a small block changes no root
+        exps, coeffs = mahler._nonzero_terms({0: 1.0, 7: -2.0, 300: 1.0})
+        whole = mahler._aberth_roots(exps, coeffs)
+        sizes = []
+        blocks = mahler._difference_blocks
+
+        def recorded(z, rows):
+            for block in blocks(z, rows):
+                sizes.append(block[4].size)
+                yield block
+
+        monkeypatch.setattr(mahler, "_GRID_BLOCK", 1000)
+        monkeypatch.setattr(mahler, "_difference_blocks", recorded)
+        small = mahler._aberth_roots(exps, coeffs)
+        assert max(sizes) <= 1000
+        assert np.array_equal(small.z, whole.z) and np.array_equal(small.radius, whole.radius)
 
 
 class TestAlgebra:

@@ -7,8 +7,9 @@ folding against its definition, the exact L2 defect against a grid
 mean, the FFT route and the blocked |P| kernel against direct summation,
 the streamed row blocks against the materialized grid, the integer Riesz
 coefficients against a convolution over Fractions, the plan layer's
-numpy enumerations against plain Python loops, and the
-near-root-corrected Mahler measure against Jensen's formula.
+numpy enumerations against plain Python loops, the
+near-root-corrected Mahler measure against Jensen's formula, and the
+certified Aberth roots of Jensen's route against np.roots.
 """
 
 import itertools
@@ -370,11 +371,24 @@ def zero_one_polynomials(draw, max_degree=256):
 @example([1.0] + [0.0] * 255 + [1.0])  # 1 + z^256: every root on the circle
 @example([1.0, 1.0])
 def test_corrected_log_integral_agrees_with_jensen(coeffs):
-    # squarefree only: a repeated root costs np.roots about half the digits, and
-    # mahler_log leaves it uncorrected and says so (tests/test_mahler.py)
+    # squarefree only: mahler_log leaves a repeated root uncorrected and says so, and
+    # mahler_jensen's certified error grows to about the square root of the rounding
+    # there (both in tests/test_mahler.py)
     z = sympy.Symbol("z")
     P = sympy.Poly([int(c) for c in coeffs[::-1]], z)
     assume(sympy.degree(sympy.gcd(P, P.diff(z)), z) == 0)
     rep = mahler_log(coeffs)
     gap = abs(math.log(rep.value) - math.log(mahler_jensen(coeffs).value))
     assert gap <= (1e-9 if rep.detail["converged"] else rep.detail["error"])
+
+
+@PROPERTY_SETTINGS
+@given(zero_one_polynomials())
+@example([1.0] + [0.0] * 255 + [1.0])
+@example([1.0, 1.0, 0.0, 1.0, 1.0])  # (1 + z)^2 (1 - z + z^2): a double zero at -1
+def test_aberth_roots_match_np_roots(assert_roots_match_np_roots, coeffs):
+    # repeated roots included: a cluster's disks must still cover np.roots' roots there
+    assert_roots_match_np_roots(coeffs)
+    rep, grid = mahler_jensen(coeffs), mahler_log(coeffs)
+    gap = abs(math.log(rep.value) - math.log(grid.value))
+    assert gap <= rep.detail["error"] + max(grid.detail["error"], 1e-9)
