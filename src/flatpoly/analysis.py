@@ -81,6 +81,12 @@ def lp_norm(values, alpha):
     return _mean(np.abs(np.asarray(values)) ** alpha)
 
 
+def _check_alpha(alpha):
+    """ValueError unless alpha lies in (0, 2], the exponents of the flatness defects."""
+    if not 0 < alpha <= 2:
+        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+
+
 @dataclass(frozen=True)
 class FlatnessReport:
     """Defect norms of one polynomial at one exponent, from one N-point |P| grid.
@@ -114,8 +120,7 @@ def flatness(P: NewmanPolynomial, alpha, grid_size=None):
     the real |P| grid exactly mirrored, so that min is the whole grid's.  No N-long
     array is made; the temporaries are one block long.
     """
-    if not 0 < alpha <= 2:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    _check_alpha(alpha)
     N = grid_size if grid_size is not None else GRID_MULTIPLIER * P.q
     if N < 4 * P.q:
         raise ValueError(f"grid {N} too small; need at least 4q = {4 * P.q}")
@@ -188,12 +193,14 @@ class MZReport:
     ratio: float
 
 
-def _sparse_form(poly):
+def _nonzero_terms(poly):
     """Nonzero terms (exponents ascending, coefficients) of a polynomial object.
 
     Accepts a NewmanPolynomial, a DefectPolynomial, an {exponent: coefficient}
     dict whose exponents are non-negative integers, or a one-dimensional nonempty
     coefficient sequence, constant term first; all-zero imaginary parts are dropped.
+    The zero polynomial raises ValueError: mz_ratio, mahler_log and mahler_jensen
+    are all undefined there.
     """
     if isinstance(poly, NewmanPolynomial):
         return np.array(poly.support), np.full(poly.size, poly.scale)
@@ -211,6 +218,8 @@ def _sparse_form(poly):
     if np.iscomplexobj(coeffs) and not np.any(coeffs.imag):
         coeffs = coeffs.real
     keep = coeffs != 0
+    if not np.any(keep):
+        raise ValueError("expected a nonzero polynomial")
     return exps[keep], coeffs[keep]
 
 
@@ -223,15 +232,15 @@ def _power_mean(exps, coeffs, N, alpha):
 def mz_ratio(poly, alpha, n):
     """Discrete n-point alpha-mean of |P| against its quadrature integral.
 
-    Requires degree(P) <= n - 1 (no aliasing on the sample grid) and
-    alpha > 1.  For alpha = 2 and degree < n the ratio is 1 up to
+    Requires a nonzero P of degree(P) <= n - 1 (no aliasing on the sample
+    grid) and alpha > 1.  For alpha = 2 and degree < n the ratio is 1 up to
     rounding, by discrete Parseval.  The integral is the mean over
     max(2^14, 4(degree + 1)) points, reported as grid_size.
     """
     if alpha <= 1:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
-    exps, coeffs = _sparse_form(poly)
-    degree = int(exps.max()) if exps.size else 0
+    exps, coeffs = _nonzero_terms(poly)
+    degree = int(exps[-1])
     if degree >= n:
         raise ValueError(f"degree {degree} >= n = {n}: sample grid would alias")
     N = max(2**14, 4 * (degree + 1))
@@ -482,6 +491,7 @@ def realline_flatness(P: NewmanPolynomial, alpha, spec: KernelSpec,
     quantity; agreement with circle_truncated is limited only by the midpoint grid, so
     it improves as grid_multiplier grows.
     """
+    _check_alpha(alpha)
     N = realline_grid(P.q, grid_multiplier)
     if N < 8 * P.q:
         raise ValueError(f"grid {N} too small; need at least 8q = {8 * P.q}")

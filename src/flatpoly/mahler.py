@@ -4,7 +4,7 @@ M(P) = exp(integral log|P| dz) over the circle.  Jensen's formula turns
 this into |lead| * prod(|root| : |root| > 1), computed here from roots
 found by simultaneous Aberth sweeps on the sparse form and certified by
 inclusion disks, which gives a second, independent route with a stated
-error.  Both read the polynomial through `analysis._sparse_form`: a
+error.  Both read the polynomial through `analysis._nonzero_terms`: a
 NewmanPolynomial, a DefectPolynomial, an {exponent: coefficient} dict
 or a plain coefficient sequence (constant term first).
 
@@ -18,10 +18,12 @@ is its integral log max(1, rho) plus exactly
 
 the same for rho and 1/rho and below e^-30 / N once N |log rho| reaches
 NEAR_ROOT_WINDOW.  The roots inside the window are read off the grid
-itself (`_near_roots`), with no pass over the terms of P per root.  The
-grid mean of |P| gets the matching correction: near a root
-|P| ~ A |e^(i theta) - r|, whose grid error is a lattice sum
-(`_lattice_error`).
+itself, with no pass over the terms of P per root: the grid streams P,
+and `_near_roots` runs one complex Newton on the local interpolant of P
+(not |P|^2, which has a double zero at a root on the circle) after
+shifting P's frequencies to centre on 0.  The grid mean of |P| gets the
+matching correction: near a root |P| ~ A |e^(i theta) - r|, whose grid
+error is a lattice sum (`_lattice_error`).
 
 For a generalized Riesz product built from unit-norm analytic
 polynomials, the Mahler measure of the product density factors as the
@@ -39,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import _fsum_mean, _sparse_form
+from .analysis import _fsum_mean, _nonzero_terms
 from .errors import BudgetError
 from .poly import _GRID_BLOCK, _grid_blocks, build_polynomial
 
@@ -54,9 +56,8 @@ _ABERTH_ANGLE = 0.7  # offset of the start angles, in radians (Bini and Fiorenti
 _EPS = float(np.finfo(float).eps)
 NEAR_ROOT_WINDOW = 30  # an N-point grid corrects the roots with N |log|r|| below this
 MAHLER_TOL = 1e-9  # converged: the corrected mean of log|P| moves less than this from N/2 to N
-_STENCIL = 10  # m: a near root is read off the interpolant of |P|^2 through 2m grid nodes
-_SNAP = 256  # an interpolant minimum within _SNAP rounding units of 0 is a root on the circle
-_SEED_BLOCK = 2**10  # seeds per batch of stencils in _near_roots, roots per batch in _lattice_error
+_STENCIL = 6  # m: a near root is read off the interpolant of P through 2m grid nodes
+_SEED_BLOCK = 2**9  # seeds per batch of stencils in _near_roots, roots per batch in _lattice_error
 _LATTICE_TERMS = 8  # nodes on each side of the cone's tip summed by _lattice_error
 
 
@@ -69,14 +70,6 @@ class MahlerReport:
     detail: dict
 
 
-def _nonzero_terms(P):
-    """(exponents, coefficients) of P's nonzero terms; ValueError for the zero polynomial."""
-    exps, coeffs = _sparse_form(P)
-    if not exps.size:
-        raise ValueError("zero polynomial has no Mahler measure")
-    return exps, coeffs
-
-
 def _grid_means(exps, coeffs, N, find_roots=False):
     """Means of log|P| and |P| over the N-point midpoint grid, and its near roots if asked.
 
@@ -86,18 +79,21 @@ def _grid_means(exps, coeffs, N, find_roots=False):
     (floats are rationals) and degree < N, as poly._grid_blocks requires,
     therefore has no zero on the grid, so log|P| needs no guard.  The grid streams
     from poly._grid_blocks: each block's weighted row sums of log|P| and |P| are
-    combined by math.fsum, and with find_roots the blocks carry a halo of _STENCIL
-    rows, from which _root_seeds takes the seeds and stencils that _near_roots reads.
-    No N-long array is made above 2^19 points (see mahler_log).
+    combined by math.fsum.  With find_roots the blocks hold P with a halo of _STENCIL
+    rows; |P| is taken of the block's rows and the row on each side of them, from which
+    _root_seeds takes the seeds, and the stencils that _near_roots reads are P's.
+    No N-long array is made above 2^18 points (see mahler_log).
     """
     halo = _STENCIL if find_roots else 0
+    centre = (exps[0] + exps[-1]) / 2
     logs, l1s, found = [], [], []
     for a0, rows, weight in _grid_blocks(exps, coeffs, N, offset=0.5, halo=halo):
-        core = rows[halo:len(rows) - halo]
+        size = np.abs(rows[halo - 1:len(rows) - halo + 1]) if find_roots else rows
+        core = size[1:-1] if find_roots else rows
         l1s.append(weight * core.sum(axis=1))
         logs.append(weight * np.log(core).sum(axis=1))
         if find_roots:
-            found.append(_near_roots(*_root_seeds(rows, a0, weight, N), N))
+            found.append(_near_roots(*_root_seeds(rows, size, a0, weight, N), N, centre))
     roots = _upper_half(np.concatenate(found, axis=1), N) if find_roots else None
     return _fsum_mean(logs, N), _fsum_mean(l1s, N), roots
 
@@ -118,10 +114,11 @@ def mahler_log(P, grid_size=None):
     An explicit grid_size is the plain grid mean, with no correction: detail has grids
     [grid_size] and None for near_roots, error, l1_error and converged.  Every grid is a
     power of two, on which a real polynomial never vanishes (see _grid_means); an
-    explicit grid_size must be one.  Memory: a window of poly._grid_blocks rows (a block
-    and _STENCIL halo rows on each side) and _SEED_BLOCK stencils; a grid of at most 2^19
-    points has 16 or 32 rows, which all stay in the window, up to 1.75 N floats.  A
-    coefficient with a nonzero imaginary part raises ValueError: use mahler_jensen.
+    explicit grid_size must be one.  Memory: a window of poly._grid_blocks rows of P (a
+    block and _STENCIL halo rows on each side, complex) and _SEED_BLOCK stencils; a grid
+    of at most 2^18 points has 16 rows, which all stay in the window, up to 1.25 N
+    complex values.  A coefficient with a nonzero imaginary part raises ValueError: use
+    mahler_jensen.
     """
     exps, coeffs = _nonzero_terms(P)
     if np.any(np.imag(coeffs)):
@@ -196,20 +193,21 @@ def _lattice_error(nu, a):
     return nodes - integral - tails
 
 
-def _root_seeds(rows, a0, weight, N):
+def _root_seeds(rows, size, a0, weight, N):
     """The seeds of _near_roots in one block of the N-point midpoint grid, and their stencils.
 
-    rows holds the computed rows a0 .. a0 + n - 1 of poly._grid_blocks with a halo of
-    m = _STENCIL rows, so rows[i - 1] and rows[i + 1] hold the grid neighbours of rows[i].
-    The seeds are the s in [-m, N/2 + m) that are grid minima, |P|(s) < |P|(s - 1) and
-    |P|(s) <= |P|(s + 1), and pass _plausible.  The mirror j -> N - 1 - j keeps |P|, and
-    the computed rows hold each mirror pair {y, N - 1 - y} once, at y (a self-paired row in
-    its first half).  So a seed s = y or y - N is read at y, and a seed s = N - 1 - y or
-    -1 - y is read at y under the mirrored condition, with its stencil reversed.  Returns
-    s and V, V[k] = |P|(s - m + k) for k = 0 .. 2m, one column per seed.
+    rows holds P on the computed rows a0 .. a0 + n - 1 of poly._grid_blocks with a halo of
+    m = _STENCIL rows, so rows[i - 1] and rows[i + 1] hold the grid neighbours of rows[i],
+    and size holds |P| on rows[m - 1:m + n + 1].  The seeds are the s in [-m, N/2 + m)
+    that are grid minima, |P|(s) < |P|(s - 1) and |P|(s) <= |P|(s + 1), and pass
+    _plausible.  The mirror j -> N - 1 - j conjugates P, and the computed rows hold each
+    mirror pair {y, N - 1 - y} once, at y (a self-paired row in its first half).  So a
+    seed s = y or y - N is read at y, and a seed s = N - 1 - y or -1 - y is read at y under
+    the mirrored condition, with its stencil reversed and conjugated.  Returns s and V,
+    V[k] = P(s - m + k) for k = 0 .. 2m, one column per seed.
     """
     m, n = _STENCIL, len(weight)
-    left, mid, right = rows[m - 1:m - 1 + n], rows[m:m + n], rows[m + 1:m + 1 + n]
+    left, mid, right = size[:n], size[1:n + 1], size[2:]
     here, mirrored = (mid < left) & (mid <= right), (mid <= left) & (mid < right)
     first_half = np.arange(rows.shape[1]) < rows.shape[1] // 2
     i, b = np.nonzero((here | mirrored) & ((weight == 2)[:, None] | first_half))
@@ -221,7 +219,7 @@ def _root_seeds(rows, a0, weight, N):
     mirrored = mirrored[i, b] & ((y > N // 2 - m - 1) | (y < m))
     s = np.concatenate([np.where(y < N // 2 + m, y, y - N)[here],
                         np.where(y < m, -1 - y, N - 1 - y)[mirrored]])
-    return s, np.concatenate([V[:, here], V[::-1, mirrored]], axis=1)
+    return s, np.concatenate([V[:, here], V[::-1, mirrored].conj()], axis=1)
 
 
 def _plausible(below, at, above):
@@ -233,22 +231,24 @@ def _plausible(below, at, above):
     return at - (above - below) ** 2 / (16 * curv) < (2 * window) ** 2 * curv
 
 
-def _near_roots(s, V, N):
+def _near_roots(s, V, N, centre):
     """Roots of P with N |log|r|| < 2 NEAR_ROOT_WINDOW, read off seeds s of the N-point grid.
 
-    V[k] = |P| at grid index s - m + k, k = 0 .. 2m (m = _STENCIL), one column per seed
-    (_root_seeds).  |P(e^(i theta))|^2 continues to an analytic function of theta that a
-    root r = rho e^(i phi) makes vanish at phi -+ i log rho.  The 2m nodes around a seed
-    give the interpolant p(u) of |P|^2, u = (theta - c) / h, h = 2 pi / N, c the
-    midpoint of the minimum's cell.  Newton on p' finds p's minimum x.  If p(x) is within
-    rounding of 0 the root is on the circle (there |P|^2 has a double zero, which rounding
-    would split by its square root), else Newton on p from x + i sqrt(p(x) / (p''(x) / 2))
-    finds its zero a + ib: phi = c + h a, |log rho| = h |b|.  Dividing p by
-    (u - a)^2 + b^2 leaves H h^2, and
-    A = sqrt(H / (rho' (1 + ell^2 / 24))) is the amplitude in |P| ~ A |e^(i theta) - r'|,
-    r' = rho' e^(i phi) the root or its mirror 1/conj(r), whichever is inside the disk.
-    Newton runs that have not settled are dropped, so an unresolved root is missed, not
-    misplaced; a missed root, or one found from two seeds, moves the N and N/2 grids apart.
+    V[k] = P at grid index s - m + k, k = 0 .. 2m (m = _STENCIL), one column per seed
+    (_root_seeds).  P(e^(i theta)) is an analytic function of theta with a simple zero at
+    phi - i log rho for each root r = rho e^(i phi).  Times e^(-i centre theta), centre
+    the midpoint of P's first and last exponents, its frequencies span half the degree on
+    either side of 0, which halves what the interpolant has to follow.  The 2m nodes
+    around a seed give the interpolant C(u) of that product, u = (theta - c) / h,
+    h = 2 pi / N, c the midpoint of the minimum's cell, and complex Newton on C from the
+    cell's end at the seed finds its zero z = a + ib: phi = c + h a, log rho = -h b.
+    With P(w) = (w - r) R(w), the quotient Q = C / (u - z) has |Q(a)| = |1 - rho| |R| / |b|
+    at the real point u = a (theta = phi), so the amplitude in |P| ~ A |e^(i theta) - r'|
+    is A = |R| max(rho, 1) = |Q(a)| / h * (h |b| / |1 - rho|) * max(rho, 1), the middle
+    factor -> 1 as b -> 0; r' is the root or its mirror 1/conj(r), whichever is inside
+    the disk.  Newton runs that have not settled are dropped, so an unresolved root (a
+    repeated one, on which Newton is slow) is missed, not misplaced; a missed root, or one
+    found from two seeds, moves the N and N/2 grids apart.
 
     Returns the stacked rows (turns, ell, amp), turns = phi / 2 pi, one column per root;
     _upper_half keeps the ones that stand for the grid's first half.  Stencils go in
@@ -257,45 +257,33 @@ def _near_roots(s, V, N):
     m = _STENCIL
     h = 2 * np.pi / N
     W = _interpolation_matrix()
-    noise = _SNAP * np.finfo(float).eps * np.abs(W[0])  # rounding of p near the middle, per |P|^2
     window = 2 * NEAR_ROOT_WINDOW / (2 * np.pi)  # in grid steps
-    powers = np.arange(2 * m)[:, None]
+    # e^(-i centre theta) at the nodes, less the factor e^(-i centre c) common to a stencil,
+    # which moves neither the zero nor |Q|
+    demodulate = np.exp(-1j * centre * h * (np.arange(2 * m) - m + 0.5))[:, None]
     found = [np.zeros((3, 0))]
     for start in range(0, s.size, _SEED_BLOCK):
         seed, stencil = s[start:start + _SEED_BLOCK], V[:, start:start + _SEED_BLOCK]
-        upper = stencil[m + 1] <= stencil[m - 1]  # the minimum is in [s, s+1], else [s-1, s]
+        upper = np.abs(stencil[m + 1]) <= np.abs(stencil[m - 1])  # minimum in [s, s+1]
         j0 = seed - 1 + upper
-        F = np.where(upper, stencil[1:], stencil[:-1]) ** 2  # the nodes j0 + 1 - m .. j0 + m
-        C = W @ F  # C[k]: coefficient of u^k in p, one column per seed
-        D1 = C[1:] * powers[1:]  # in p'
-        D2 = D1[1:] * powers[1:-1]  # in p''
-        x = np.where(upper, -0.5, 0.5)
-        for _ in range(4):
-            U = _powers(x, 2 * m)
-            d1, d2 = _polyval(D1, U), _polyval(D2, U)
-            x -= np.divide(d1, d2, out=np.zeros_like(d1), where=d2 > 0)
-            np.clip(x, -1.5, 1.5, out=x)
-        U = _powers(x, 2 * m)
-        f, d2 = _polyval(C, U), _polyval(D2, U)
-        ok = d2 > 0
-        off = ok & (f > noise @ F)
-        z = x.astype(complex)
-        zo = x[off] + 1j * np.sqrt(2 * f[off] / d2[off])
-        Co, D1o = C[:, off].astype(complex), D1[:, off].astype(complex)
-        step = np.zeros_like(zo)
-        for _ in range(6):
-            U = _powers(zo, 2 * m)
-            step = _polyval(Co, U) / _polyval(D1o, U)
-            zo -= step
-        z[off] = zo
-        ok[off] &= np.abs(step) < 1e-7
-        a, b = z.real, np.abs(z.imag)
-        ok &= (np.abs(a) <= 2) & (b < window)
-        a, b, C, j0 = a[ok], b[ok], C[:, ok], j0[ok]
-        ell = h * b
-        H = _polyval(_deflate(C, a, b), _powers(a, 2 * m)) / h**2
-        amp = np.sqrt(np.maximum(H, 0) / (np.exp(-ell) * (1 + ell**2 / 24)))
-        found.append(np.stack([(j0 + 1 + a) / N, ell, amp]))
+        G = np.multiply(np.where(upper, stencil[1:], stencil[:-1]), demodulate, order="C")
+        # G holds the nodes j0 + 1 - m .. j0 + m, and C[k] the coefficient of u^k, one column
+        # per seed: W is real, so it acts on G's real and imaginary parts as one real product
+        C = (W @ G.view(np.float64)).view(np.complex128)
+        z = np.where(upper, -0.5, 0.5).astype(complex)
+        with np.errstate(all="ignore"):  # a diverging run ends at inf or nan, and is dropped
+            for _ in range(8):
+                value, slope = _horner(C, z, z)
+                step = value / slope
+                z -= step
+        ok = (np.abs(step) < 1e-7) & (np.abs(z.real) <= 2) & (np.abs(z.imag) < window)
+        z, C, j0 = z[ok], C[:, ok], j0[ok]
+        log_rho = -h * z.imag
+        ell = np.abs(log_rho)
+        gap = np.abs(np.expm1(log_rho))  # |1 - rho|
+        ratio = np.divide(ell, gap, out=np.ones_like(ell), where=gap > 0)
+        amp = np.abs(_horner(C, z, z.real)[1]) / h * ratio * np.exp(np.maximum(log_rho, 0))
+        found.append(np.stack([(j0 + 1 + z.real) / N, ell, amp]))
     return np.concatenate(found, axis=1)
 
 
@@ -330,29 +318,16 @@ def _interpolation_matrix():
     return W
 
 
-def _powers(u, n):
-    """Rows u^0 .. u^(n-1) of the one-dimensional array u."""
-    U = np.empty((n, u.size), dtype=u.dtype)
-    U[0] = 1
-    for k in range(1, n):
-        np.multiply(U[k - 1], u, out=U[k])
-    return U
-
-
-def _polyval(C, U):
-    """sum_k C[k] u^k per column, from the powers U of _powers (extra rows unread)."""
-    return np.einsum("kn,kn->n", C, U[:len(C)])
-
-
-def _deflate(C, a, b):
-    """Coefficients of p / ((u - a)^2 + b^2), by synthetic division from the top; the
-    divided-out zeros are the ones nearest u = 0, for which that order is stable."""
-    n = len(C)
-    s1, s0 = 2 * a, -(a * a + b * b)
-    Q = np.zeros((n, len(a)))
-    for k in range(n - 3, -1, -1):
-        Q[k] = C[k + 2] + s1 * Q[k + 1] + s0 * Q[k + 2]
-    return Q[:n - 2]
+def _horner(C, z, u):
+    """(C(z), Q(u)) per column, for the polynomial C (C[k] the coefficient of u^k, one
+    column each) and its quotient Q = (C - C(z)) / (u - z), so Q(z) = C'(z): Horner's rule
+    at z, whose partial sums are Q's coefficients (synthetic division from the top, stable
+    for a zero z near u = 0), and Horner's rule for Q at u in the same pass."""
+    value, quotient = C[-1], 0
+    for c in C[-2::-1]:
+        quotient = quotient * u + value
+        value = value * z + c
+    return value, quotient
 
 
 def mahler_jensen(P):

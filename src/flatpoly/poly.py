@@ -234,7 +234,7 @@ def check_grid_budget(N):
 
 
 def _grid_blocks(exponents, coeffs, N, offset=0.0, halo=0):
-    """|P| on the N-point grid e^(2 pi i (j+offset)/N), as consecutive blocks of fold rows.
+    """|P|, or P with a halo, on the N-point grid e^(2 pi i (j+offset)/N), in blocks of rows.
 
     Fold.  With L = N/M, grid index j = L*b + a has
     P(e^(2 pi i (j+offset)/N)) = sum_m x_a[m] e^(2 pi i m b/M), where x_a[m] sums the twisted
@@ -246,24 +246,25 @@ def _grid_blocks(exponents, coeffs, N, offset=0.0, halo=0):
     reduced exactly in int64 (offset*s is exact for the offsets 1/2 and 1/4), so no trig
     call sees a large angle; the second factor is shared by every block.
 
-    Mirror.  For real coefficients |P(e^(-i theta))| = |P(e^(i theta))|.  At offset 0,
-    N - (L*b + a) = L*(M-1-b) + (L-a), so row L-a is row a reversed and rows 0 .. L//2
-    are computed; at offset 1/2, N-1 - (L*b + a) = L*(M-1-b) + (L-1-a), so row L-1-a is
-    row a reversed and rows 0 .. ceil(L/2)-1 are computed.  A self-paired row (row 0 at
-    offset 0, the middle row when there is one) has its second half set to its first
-    reversed, so the grid is exactly symmetric.  Offset 1/4 and complex coefficients
+    Mirror.  For real coefficients P(e^(-i theta)) = conj P(e^(i theta)).  At offset 0,
+    N - (L*b + a) = L*(M-1-b) + (L-a), so row L-a is row a reversed (and conjugated) and
+    rows 0 .. L//2 are computed; at offset 1/2, N-1 - (L*b + a) = L*(M-1-b) + (L-1-a), so
+    row L-1-a is row a reversed and rows 0 .. ceil(L/2)-1 are computed.  A self-paired
+    row (row 0 at offset 0, the middle row when there is one) has its second half set to
+    its first reversed, so |P| is exactly symmetric.  Offset 1/4 and complex coefficients
     compute every row.
 
     Yields (a0, rows, weight) for the computed rows a0 .. a0+n-1 in ascending blocks of
     about _GRID_BLOCK entries: rows[halo + i, b] is |P| at grid index L*b + a0 + i, and
     weight[i] is 2 when row a0 + i stands for a mirror partner as well, else 1, so the
     weighted rows cover every grid index exactly once.  With halo > 0 (mirrored grids
-    only) rows also holds the halo rows a0 - halo .. a0 - 1 and a0 + n .. a0 + n + halo - 1,
-    rolled by a row of L where they leave [0, L) and taken from computed rows and the
-    mirror, so rows[i - 1] and rows[i + 1] hold the grid neighbours j -+ 1 of rows[i].
-    rows is a view that the next block overwrites.  Memory: one block of FFT temporaries
-    and a window of a block's rows plus 2 halo, or all computed rows plus 2 halo where
-    there are at most 2 max(block rows, halo) + 2 of them; N-long only on such small grids.
+    only) rows holds complex P, whose |P| is the halo-free rows' bit for bit, and the halo
+    rows a0 - halo .. a0 - 1 and a0 + n .. a0 + n + halo - 1, rolled by a row of L where
+    they leave [0, L) and taken from computed rows and the mirror, so rows[i - 1] and
+    rows[i + 1] hold the grid neighbours j -+ 1 of rows[i].  rows is a view that the next
+    block overwrites.  Memory: one block of FFT temporaries and a window of a block's rows
+    plus 2 halo, or all computed rows plus 2 halo where there are at most
+    2 max(block rows, halo) + 2 of them; N-long only on such small grids.
     """
     check_grid_budget(N)
     exponents = np.asarray(exponents, dtype=np.int64)
@@ -300,7 +301,7 @@ def _fold_rows(s, c, N, M, offset, sigma, weight, selfpaired, halo):
     # the halo mirrors rows h - 1 - halo and later, none older than the block's own halo.
     hold_all = halo and h <= 2 * max(per, halo) + 2
     cap = h + 2 * halo if hold_all else per + 2 * halo
-    buf = np.empty((cap, M))
+    buf = np.empty((cap, M), dtype=np.complex128 if halo else np.float64)
     lo, filled = -halo, 0  # buf[r - lo] is row r; rows below filled are in buf
 
     def source(r):
@@ -310,7 +311,7 @@ def _fold_rows(s, c, N, M, offset, sigma, weight, selfpaired, halo):
 
     def fill(r):
         row, flip, roll = source(r)
-        row = buf[row - lo][::-1] if flip else buf[row - lo]
+        row = buf[row - lo][::-1].conj() if flip else buf[row - lo]
         buf[r - lo] = np.roll(row, -roll) if roll else row
 
     for a0 in range(0, h, per):
@@ -335,12 +336,15 @@ def _fold_rows(s, c, N, M, offset, sigma, weight, selfpaired, halo):
                 x = np.bincount(bins[:n].ravel(), twist.view(np.float64).ravel(), 2 * n * M)
                 x = x.view(np.complex128).reshape(n, M)
                 rows = buf[filled - lo:filled - lo + n]
-                np.abs(np.fft.ifft(x, axis=1, norm="forward"), out=rows)
+                if halo:  # no out= for ifft below numpy 2.0
+                    rows[:] = np.fft.ifft(x, axis=1, norm="forward")
+                else:
+                    np.abs(np.fft.ifft(x, axis=1, norm="forward"), out=rows)
                 for a in selfpaired:
                     if filled <= a < filled + n:  # row 0 at offset 0 pairs b with M-b
                         row = rows[a - filled, 1:] if a == sigma == 0 else rows[a - filled]
                         half = len(row) // 2
-                        row[len(row) - half:] = row[:half][::-1]
+                        row[len(row) - half:] = row[:half][::-1].conj()
             filled += n
         if a0 == 0:
             for r in range(-halo, 0):

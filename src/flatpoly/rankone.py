@@ -222,12 +222,12 @@ def base_occurrences(params, k, K):
 
 @functools.lru_cache(maxsize=1)
 def _tower_replay(params, k, K):
-    """(offsets, mask): the sorted base_occurrences and the boolean levels of the
+    """(offsets, positions): the sorted base_occurrences, and the sorted levels of the
     stage-K tower that are stage-k base copies, both read-only.
 
-    The mask is built by replaying the cut-and-stack recursion (not the sumset),
-    so it is an independent route to the same set of levels.  Cached, so a sweep
-    over n for one (k, K) replays the tower once.
+    The positions come from replaying the cut-and-stack recursion (not the sumset), so
+    they are an independent route to the same set of levels.  Cached, positions rather
+    than the h_K-long mask, so a sweep over n for one (k, K) replays the tower once.
     """
     _check_tower_budget(params.stages[K - 1].height)
     h_k = params.stages[k - 1].height if k > 0 else params.base_height
@@ -235,9 +235,17 @@ def _tower_replay(params, k, K):
     mask[0] = True
     for st in params.stages[k:K]:
         mask = _cut_and_stack(mask, st.spacers, False)
+    positions = np.flatnonzero(mask)
     offsets = np.array(base_occurrences(params, k, K))
-    mask.flags.writeable = offsets.flags.writeable = False
-    return offsets, mask
+    positions.flags.writeable = offsets.flags.writeable = False
+    return offsets, positions
+
+
+def _shift_pairs(values, n):
+    """How many v in the sorted array values have v + n in it as well."""
+    shifted = values + n
+    at = np.minimum(np.searchsorted(values, shifted), values.size - 1)
+    return int(np.count_nonzero(values[at] == shifted))
 
 
 @dataclass(frozen=True)
@@ -263,13 +271,10 @@ def correlation(params, k, K, n):
     h_K = params.stages[K - 1].height
     if not 0 <= n < h_K:
         raise ValueError(f"n must lie in [0, {h_K})")
-    offsets, mask = _tower_replay(params, k, K)
+    offsets, positions = _tower_replay(params, k, K)
     copies = offsets.size  # prod r_j over stages k+1 .. K
-    shifted = offsets + n
-    at = np.minimum(np.searchsorted(offsets, shifted), copies - 1)  # offsets are sorted
-    pairs = int(np.count_nonzero(offsets[at] == shifted))
-    hits = int(np.count_nonzero(mask[: h_K - n] & mask[n:]))
-    excluded = int(np.count_nonzero(mask[h_K - n:]))
+    hits, pairs = _shift_pairs(positions, n), _shift_pairs(offsets, n)
+    excluded = positions.size - int(np.searchsorted(positions, h_K - n))  # pushed past the top
     return CorrelationCheck(n=n, empirical=Fraction(hits, copies),
                             predicted=Fraction(pairs, copies), tolerance=Fraction(n, h_K),
                             excluded_mass=Fraction(excluded, copies))

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from flatpoly import analysis
 from flatpoly.analysis import (
     KernelSpec,
     _line_tail_mass,
@@ -367,6 +368,17 @@ class TestRealLine:
     def test_other_scale(self, P7):
         rep = realline_flatness(P7, 1.5, KernelSpec(2.0), grid_multiplier=2341)
         assert abs(rep.circle_truncated - rep.line_value) < 1e-6
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, 2.5])
+    def test_alpha_outside_zero_two_rejected(self, P7, alpha, monkeypatch):
+        # flatness and the CLI take the same range; the check comes before the grid, which
+        # a negative or nan alpha would otherwise feed to the panels for minutes
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(analysis, "_abs_support_grid", forbidden)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 2\]"):
+            realline_flatness(P7, alpha, KernelSpec(1.0))
 
     def test_grid_too_small(self, P7):
         with pytest.raises(ValueError):

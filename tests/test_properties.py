@@ -5,11 +5,11 @@ small Singer sets at arbitrary scales, so they need not be dissociated.
 Each property is checked against an independent route: the pair-count
 folding against its definition, the exact L2 defect against a grid
 mean, the FFT route and the blocked |P| kernel against direct summation,
-the streamed row blocks against the materialized grid, the integer Riesz
-coefficients against a convolution over Fractions, the plan layer's
-numpy enumerations against plain Python loops, the
-near-root-corrected Mahler measure against Jensen's formula, and the
-certified Aberth roots of Jensen's route against np.roots.
+the streamed row blocks (|P|, or P with a halo) against the materialized
+grids, the integer Riesz coefficients against a convolution over
+Fractions, the plan layer's numpy enumerations against plain Python
+loops, the near-root-corrected Mahler measure against Jensen's formula,
+and the certified Aberth roots of Jensen's route against np.roots.
 """
 
 import itertools
@@ -309,10 +309,12 @@ SINGER_101 = construct_singer(101).residues
 def test_block_stream_equals_the_materialized_grid(case):
     # each computed row and, where its weight is 2, its mirror partner cover every grid
     # index once; the halo rows are the grid's rows beyond the block, and the reductions
-    # of the stream are those of the materialized grid
+    # of the stream are those of the materialized grid.  Halo'd rows hold P itself: their
+    # |P| is the halo-free stream's bit for bit, and P is the complex FFT's to rounding
     N, exps, coeffs, offset = case
     coeffs = np.array(coeffs)
     full = _abs_support_grid(exps, coeffs, N, offset=offset)
+    values = eval_support_grid(exps, coeffs, N, offset=offset)
     mirrored = not np.iscomplexobj(coeffs) and offset in (0.0, 0.5)
     for halo in (0, _STENCIL) if mirrored else (0,):
         cover = np.zeros(N, dtype=np.int64)
@@ -320,8 +322,11 @@ def test_block_stream_equals_the_materialized_grid(case):
         for a0, rows, weight in _grid_blocks(exps, coeffs, N, offset, halo):
             M = rows.shape[1]
             j = (N // M) * np.arange(M) + np.arange(a0 - halo, a0 + len(weight) + halo)[:, None]
-            assert rows.tobytes() == full[j % N].tobytes()
-            central, core = j[halo:len(j) - halo], rows[halo:len(rows) - halo]
+            assert np.abs(rows).tobytes() == full[j % N].tobytes()
+            if halo:
+                bound = 1e-12 * (1 + np.abs(coeffs).sum())
+                assert np.max(np.abs(rows - values[j % N])) <= bound
+            central, core = j[halo:len(j) - halo], np.abs(rows[halo:len(rows) - halo])
             np.add.at(cover, central, 1)
             np.add.at(cover, (N - int(2 * offset) - central[weight == 2]) % N, 1)
             sums.append(weight * core.sum(axis=1))

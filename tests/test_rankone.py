@@ -206,9 +206,9 @@ class TestBaseOccurrences:
         for _, params in case_plans:
             for K in range(1, len(params.stages) + 1):
                 for k in range(K):
-                    mask = _tower_replay(params, k, K)[1]
-                    assert len(mask) == params.heights[K - 1]
-                    assert tuple(np.nonzero(mask)[0]) == base_occurrences(params, k, K)
+                    positions = _tower_replay(params, k, K)[1]
+                    assert 0 <= positions[0] and positions[-1] < params.heights[K - 1]
+                    assert tuple(positions.tolist()) == base_occurrences(params, k, K)
 
     def test_bounds(self, params23):
         with pytest.raises(ValueError):
@@ -270,10 +270,10 @@ class TestCorrelation:
             for i in range(200):
                 correlation(params, k, K, i * params.heights[K - 1] // 200)
             assert len(calls) - before == K - k  # one replay: one cut per stage
-        offsets, mask = _tower_replay(params, 0, 2)  # the cached replay: no new cut
+        offsets, positions = _tower_replay(params, 0, 2)  # the cached replay: no new cut
         assert len(calls) == 3 + 2 + 1 + 2
         with pytest.raises(ValueError):
-            mask[0] = False  # shared across calls, so read-only
+            positions[0] = 1  # shared across calls, so read-only
         with pytest.raises(ValueError):
             offsets[0] = 1
 
@@ -289,10 +289,11 @@ class TestLevelShiftSimulation:
     def test_shifted_masks_reproduce_histogram(self, params23):
         # applying the level shift n times and measuring overlap equals the
         # offset-difference histogram, up to mass that exits the top
-        mask = _tower_replay(params23, 0, 2)[1]
+        h = params23.stages[1].height
+        mask = np.zeros(h, dtype=bool)
+        mask[_tower_replay(params23, 0, 2)[1]] = True
         occ = base_occurrences(params23, 0, 2)
         hist = Counter(a - b for a in occ for b in occ)
-        h = params23.stages[1].height
         for n in range(1, 20):
             overlap = int(np.count_nonzero(mask[: h - n] & mask[n:]))
             exited = int(np.count_nonzero(mask[h - n:]))
