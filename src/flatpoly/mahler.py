@@ -57,7 +57,7 @@ _EPS = float(np.finfo(float).eps)
 NEAR_ROOT_WINDOW = 30  # an N-point grid corrects the roots with N |log|r|| below this
 MAHLER_TOL = 1e-9  # converged: the corrected mean of log|P| moves less than this from N/2 to N
 _STENCIL = 6  # m: a near root is read off the interpolant of P through 2m grid nodes
-_SEED_BLOCK = 2**9  # seeds per batch of stencils in _near_roots, roots per batch in _lattice_error
+_SEED_BLOCK = 2**12  # seeds per batch of stencils in _near_roots, roots per batch in _lattice_error
 _LATTICE_TERMS = 8  # nodes on each side of the cone's tip summed by _lattice_error
 
 
@@ -252,7 +252,7 @@ def _near_roots(s, V, N, centre):
 
     Returns the stacked rows (turns, ell, amp), turns = phi / 2 pi, one column per root;
     _upper_half keeps the ones that stand for the grid's first half.  Stencils go in
-    batches of _SEED_BLOCK.
+    batches of _SEED_BLOCK, which holds a grid block's seeds (about 2000) in one.
     """
     m = _STENCIL
     h = 2 * np.pi / N
@@ -322,11 +322,15 @@ def _horner(C, z, u):
     """(C(z), Q(u)) per column, for the polynomial C (C[k] the coefficient of u^k, one
     column each) and its quotient Q = (C - C(z)) / (u - z), so Q(z) = C'(z): Horner's rule
     at z, whose partial sums are Q's coefficients (synthetic division from the top, stable
-    for a zero z near u = 0), and Horner's rule for Q at u in the same pass."""
-    value, quotient = C[-1], 0
+    for a zero z near u = 0), and Horner's rule for Q at u in the same pass, both
+    accumulated in place."""
+    value = C[-1].copy()
+    quotient = np.zeros_like(value)
     for c in C[-2::-1]:
-        quotient = quotient * u + value
-        value = value * z + c
+        quotient *= u
+        quotient += value
+        value *= z
+        value += c
     return value, quotient
 
 

@@ -344,15 +344,34 @@ class TestFlatRow:
         gap = _flat_row(p, 1, 1.0, 16)["defect_dominance_min_gap"]
         assert abs(gap - oracle) <= 1e-13 * (sset.q - 1) / sset.size
 
-    @pytest.mark.parametrize("p", [5, 31, 101])
-    def test_dominance_gap_is_the_whole_grid_min(self, p, singer_cache):
-        # the row reads half the grid block by block; the whole-grid expression is exact
+    @pytest.mark.parametrize("p", [5, 31, 101, 307])
+    def test_dominance_gap_is_the_whole_grid_min(self, p, singer_cache, monkeypatch):
+        self.assert_gap_is_the_whole_grid_min(p, 16, singer_cache, monkeypatch)
+
+    @pytest.mark.parametrize("p", [31, 307])
+    def test_dominance_gap_on_a_user_fixed_4q_grid(self, p, singer_cache, monkeypatch):
+        self.assert_gap_is_the_whole_grid_min(p, 4, singer_cache, monkeypatch)
+
+    @staticmethod
+    def assert_gap_is_the_whole_grid_min(p, multiplier, singer_cache, monkeypatch):
+        # the row reads half the grid block by block and evaluates |Q| only where it could
+        # lower the min so far; the whole-grid expression is exact.  At p = 307 the 16q grid
+        # has 12 blocks of rows, the 4q grid 3, and the pruning skips all but a few chunks
         sset = singer_cache(p)
-        grid = 16 * sset.q
+        grid = multiplier * sset.q
         P = build_polynomial(sset)
         absv = _abs_support_grid(P.support, [P.scale] * P.size, grid)
         whole = float((_perfect_defect_abs(sset.q, sset.size, grid) - np.abs(absv**2 - 1.0)).min())
-        assert _flat_row(p, 1, 1.0, 16)["defect_dominance_min_gap"] == whole
+        evaluated = []
+
+        def counted(q, size, N, j=None):
+            evaluated.append(np.size(j))
+            return _perfect_defect_abs(q, size, N, j)
+
+        monkeypatch.setattr(analysis, "_perfect_defect_abs", counted)
+        assert _flat_row(p, 1, 1.0, multiplier)["defect_dominance_min_gap"] == whole
+        if p == 307:
+            assert sum(evaluated) < grid / 40
 
     def test_flat_grid_freed_before_mahler(self, singer_cache):
         # p = 307: flatness streams the 16q grid (12 MB as one array) and mahler_log its

@@ -316,6 +316,18 @@ class TestStreamedRoots:
         assert np.max(dist) <= 1e-6
         assert np.max(np.abs(amp - amp0[pair]) / amp0[pair]) <= 1e-8
 
+    def test_seed_batches_do_not_change_the_measure(self, monkeypatch, singer_cache):
+        # p = 211: about 2000 seeds per grid block, one batch by default and four of 2^9;
+        # every step of _near_roots and _lattice_error is per seed, so no bit moves
+        P = build_polynomial(singer_cache(211))
+        default = mahler_log(P)
+        monkeypatch.setattr(mahler, "_SEED_BLOCK", 2**9)
+        batched = mahler_log(P)
+        assert default.value.hex() == batched.value.hex()
+        assert default.l1.hex() == batched.l1.hex()
+        assert default.detail == batched.detail
+        assert default.detail["near_roots"] > 0
+
 
 def first_half_roots(roots, N):
     """The roots within NEAR_ROOT_WINDOW / N of the circle as sorted (turns, N ell) pairs,
