@@ -117,9 +117,9 @@ def flatness(P: NewmanPolynomial, alpha, grid_size=None):
     The grid streams from poly._grid_blocks, one block of fold rows at a time: the
     three means are math.fsum over the weighted row sums, and the dominance gap is the
     min over the computed rows of |Q| - t, t = | |P|^2 - 1 |, with |Q| in closed form.
-    |Q| >= 0, so only a point with t > -gap can lower the running min: |Q| is evaluated
-    at those points alone, _DEFECT_CHUNK of them at a time, each chunk pruned again
-    against the min so far.  The min is exact, so the pruning leaves it bit for bit.
+    |Q| >= 0, so only a point with t > -gap can lower the running min: the block is read
+    _DEFECT_CHUNK points at a time, and |Q| is evaluated only at a chunk's points that pass
+    that test against the min so far.  The min is exact, so the pruning leaves it bit for bit.
     |Q| is even and the real |P| grid exactly mirrored, so that min is the whole grid's.
     No N-long array is made; the temporaries are one block long.
     """
@@ -136,10 +136,8 @@ def flatness(P: NewmanPolynomial, alpha, grid_size=None):
         t -= 1.0
         np.abs(t, out=t)
         flat_t = t.reshape(-1)
-        candidates = np.flatnonzero(flat_t > -gap)
-        for lo in range(0, candidates.size, _DEFECT_CHUNK):
-            k = candidates[lo:lo + _DEFECT_CHUNK]
-            k = k[flat_t[k] > -gap]  # the gap may have fallen since the block was pruned
+        for lo in range(0, flat_t.size, _DEFECT_CHUNK):
+            k = lo + np.flatnonzero(flat_t[lo:lo + _DEFECT_CHUNK] > -gap)
             if k.size:
                 i, b = np.divmod(k, M)
                 dominance = _perfect_defect_abs(P.q, P.size, N, (N // M) * b + a0 + i)
@@ -151,7 +149,7 @@ def flatness(P: NewmanPolynomial, alpha, grid_size=None):
         np.abs(t, out=t)
         t **= alpha
         ab.append(weight * t.sum(axis=1))
-        del t, flat_t, candidates  # freed before the row kernel computes the next block
+        del t, flat_t  # freed before the row kernel computes the next block
     pm = P.size - 1
     return FlatnessReport(
         p=pm,
@@ -309,11 +307,9 @@ def periodized_kernel_truncated(spec: KernelSpec, theta):
     With u = s theta/2 and phi_n = pi s n the n-th term is s sin^2(u + phi_n)/(u + phi_n)^2,
     and sin(u + phi_n) = sin u cos phi_n + cos u sin phi_n, so every node takes two trig
     evaluations whatever the truncation.  sin^2 has period pi, so s n is reduced mod 1
-    before it is multiplied by pi: sin phi_n is exactly 0 for integer s n.  The numerator
-    is computed once per distinct phi_n (one for integer s) and held until the last shift
-    that shares it, so a shift costs an add, a divide, a square and the accumulation, in
-    the order of n.  Where |u + phi_n| < 1 the addition formula would cancel, and the term
-    is s sinc^2 as in kernel_value, s at u + phi_n = 0.
+    before it is multiplied by pi: sin phi_n is exactly 0 for integer s n.  Where
+    |u + phi_n| < 1 the addition formula would cancel, and the term is s sinc^2 as in
+    kernel_value, s at u + phi_n = 0.
     """
     th = np.asarray(theta, dtype=float)
     u = 0.5 * spec.s * th.ravel()
@@ -324,18 +320,12 @@ def periodized_kernel_truncated(spec: KernelSpec, theta):
     # the n for which |x| < 1 can occur; all of them if theta is not finite
     shifts = range(-spec.truncation, spec.truncation + 1)
     near_n = range(math.ceil(lo), math.floor(hi) + 1) if math.isfinite(lo + hi) else shifts
-    phis = {n: np.pi * ((spec.s * n) % 1.0) for n in shifts}
-    last = {phi: n for n, phi in phis.items()}  # the last shift of each phase
-    numerators = {}
     with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 only where |x| < 1
-        for n, phi in phis.items():
-            numerator = numerators.pop(phi, None)
-            if numerator is None:
-                numerator = sin_u * math.cos(phi) + cos_u * math.sin(phi)
-            if n != last[phi]:
-                numerators[phi] = numerator
+        for n in shifts:
+            phi = np.pi * ((spec.s * n) % 1.0)
             x = u + step * n
-            term = numerator / x
+            term = sin_u * math.cos(phi) + cos_u * math.sin(phi)
+            term /= x
             term *= term
             if n in near_n:
                 near = np.abs(x) < 1.0

@@ -322,15 +322,11 @@ def _horner(C, z, u):
     """(C(z), Q(u)) per column, for the polynomial C (C[k] the coefficient of u^k, one
     column each) and its quotient Q = (C - C(z)) / (u - z), so Q(z) = C'(z): Horner's rule
     at z, whose partial sums are Q's coefficients (synthetic division from the top, stable
-    for a zero z near u = 0), and Horner's rule for Q at u in the same pass, both
-    accumulated in place."""
-    value = C[-1].copy()
-    quotient = np.zeros_like(value)
+    for a zero z near u = 0), and Horner's rule for Q at u in the same pass."""
+    value, quotient = C[-1], 0
     for c in C[-2::-1]:
-        quotient *= u
-        quotient += value
-        value *= z
-        value += c
+        quotient = quotient * u + value
+        value = value * z + c
     return value, quotient
 
 
