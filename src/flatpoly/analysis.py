@@ -31,7 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import DefectPolynomial, NewmanPolynomial, _abs_support_grid, _grid_blocks
-from .poly import _DEFECT_CHUNK, _perfect_defect_abs
+from .poly import _perfect_defect_abs
+from .singer import _BLOCK
 
 __all__ = [
     "FlatnessReport",
@@ -118,10 +119,10 @@ def flatness(P: NewmanPolynomial, alpha, grid_size=None):
     three means are math.fsum over the weighted row sums, and the dominance gap is the
     min over the computed rows of |Q| - t, t = | |P|^2 - 1 |, with |Q| in closed form.
     |Q| >= 0, so only a point with t > -gap can lower the running min: the block is read
-    _DEFECT_CHUNK points at a time, and |Q| is evaluated only at a chunk's points that pass
-    that test against the min so far.  The min is exact, so the pruning leaves it bit for bit.
-    |Q| is even and the real |P| grid exactly mirrored, so that min is the whole grid's.
-    No N-long array is made; the temporaries are one block long.
+    _BLOCK // 8 points at a time (|Q| makes about eight temporaries), and |Q| is evaluated
+    only at a chunk's points that pass that test against the min so far.  The min is
+    exact, so the pruning leaves it bit for bit.  |Q| is even and the real |P| grid
+    exactly mirrored, so that min is the whole grid's.  No N-long array is made.
     """
     _check_alpha(alpha)
     N = grid_size if grid_size is not None else GRID_MULTIPLIER * P.q
@@ -136,8 +137,8 @@ def flatness(P: NewmanPolynomial, alpha, grid_size=None):
         t -= 1.0
         np.abs(t, out=t)
         flat_t = t.reshape(-1)
-        for lo in range(0, flat_t.size, _DEFECT_CHUNK):
-            k = lo + np.flatnonzero(flat_t[lo:lo + _DEFECT_CHUNK] > -gap)
+        for lo in range(0, flat_t.size, _BLOCK // 8):
+            k = lo + np.flatnonzero(flat_t[lo:lo + _BLOCK // 8] > -gap)
             if k.size:
                 i, b = np.divmod(k, M)
                 dominance = _perfect_defect_abs(P.q, P.size, N, (N // M) * b + a0 + i)
@@ -345,23 +346,24 @@ def kernel_tail_bound(spec: KernelSpec):
 
 
 _KERNEL_MASS_GRID = 4096  # points of kernel_mass's circle route
-_EVAL_CHUNK = 1 << 16  # nodes per call of the integrand in _eval_chunked
 _PANEL_TOL, _PANEL_MAX_DEPTH = 1e-12, 24  # _adaptive_panels: per-length tolerance, bisection cap
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL32 = np.polynomial.legendre.leggauss(32)
 
 
-def _eval_chunked(fun, t):
-    return np.concatenate([fun(c) for c in np.split(t, range(_EVAL_CHUNK, len(t), _EVAL_CHUNK))])
+def _eval_chunked(fun, t, width):
+    """fun at the nodes t, _BLOCK // width at a time: fun makes width entries per node."""
+    per = max(1, _BLOCK // width)
+    return np.concatenate([fun(c) for c in np.split(t, range(per, len(t), per))])
 
 
 def _adaptive_panels(fun, edges):
     """Adaptive 16/32-node Gauss-Legendre over the given initial panels.
 
-    Panels are processed in waves (all node evaluations batched); a panel is accepted
-    when its 16- and 32-node values agree to _PANEL_TOL per unit length, otherwise it
-    is bisected, at most _PANEL_MAX_DEPTH times.  fsum makes the total independent of
-    accumulation order, so the result is deterministic.
+    Panels are processed in waves (all node evaluations batched, _BLOCK nodes per call of
+    fun); a panel is accepted when its 16- and 32-node values agree to _PANEL_TOL per unit
+    length, otherwise it is bisected, at most _PANEL_MAX_DEPTH times.  fsum makes the
+    total independent of accumulation order, so the result is deterministic.
     """
     intervals = np.stack([edges[:-1], edges[1:]], axis=1)
     pieces = []
@@ -369,8 +371,8 @@ def _adaptive_panels(fun, edges):
         a, b = intervals[:, 0], intervals[:, 1]
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
-        f16 = _eval_chunked(fun, (mid[:, None] + half[:, None] * _GL16[0]).ravel())
-        f32 = _eval_chunked(fun, (mid[:, None] + half[:, None] * _GL32[0]).ravel())
+        f16 = _eval_chunked(fun, (mid[:, None] + half[:, None] * _GL16[0]).ravel(), 1)
+        f32 = _eval_chunked(fun, (mid[:, None] + half[:, None] * _GL32[0]).ravel(), 1)
         v16 = half * (f16.reshape(len(intervals), -1) @ _GL16[1])
         v32 = half * (f32.reshape(len(intervals), -1) @ _GL32[1])
         done = np.abs(v32 - v16) <= _PANEL_TOL * np.maximum(b - a, 1e-6)
@@ -520,15 +522,16 @@ def realline_flatness(P: NewmanPolynomial, alpha, spec: KernelSpec,
     def defect(t):  # |P(e^{it})| - 1 by direct summation over the support
         return np.abs(np.exp(1j * t[:, None] * support).sum(axis=1)) * P.scale - 1.0
 
-    def integrand(t):
-        return np.abs(defect(t)) ** alpha * periodized_kernel_truncated(spec, t)
+    def integrand(t):  # the kernel takes _BLOCK nodes at a time, the direct sum _BLOCK // k
+        defect_t = _eval_chunked(defect, t, support.size)
+        return np.abs(defect_t) ** alpha * periodized_kernel_truncated(spec, t)
 
     crossings = np.nonzero(np.diff(np.sign(absP - 1.0)))[0]
     lo, hi = theta[crossings], theta[crossings + 1]
-    flo = _eval_chunked(defect, lo)
+    flo = _eval_chunked(defect, lo, support.size)
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        fmid = _eval_chunked(defect, mid)
+        fmid = _eval_chunked(defect, mid, support.size)
         left = flo * fmid <= 0
         hi = np.where(left, mid, hi)
         lo, flo = np.where(left, lo, mid), np.where(left, flo, fmid)

@@ -22,8 +22,9 @@ from .errors import BudgetError
 from .singer import _check_pm, _scan_singer, canonical_field_spec, construct_singer, gap_statistic
 from .singer import normalize, singer_modulus
 from .poly import build_polynomial, check_grid_budget
-from .analysis import GRID_MULTIPLIER, KernelSpec, flatness, realline_flatness, realline_grid
-from .mahler import mahler_jensen, mahler_log
+from .analysis import GRID_MULTIPLIER, KernelSpec, _check_alpha, flatness, realline_flatness
+from .analysis import realline_grid
+from .mahler import mahler_grid, mahler_jensen, mahler_log
 from .riesz import _margin_constant, check_dissociated, ergodicity_sum, make_plan, partial_coeffs
 from .riesz import plan_to_json
 from .rankone import build_tower, derive_map_params, measure_growth
@@ -118,7 +119,7 @@ _OPTIONS = (
      lambda p, cmd: _check_pm(p, 1)),
     ("--m", "m", SUBCOMMANDS, dict(type=int), lambda m, cmd: _check_pm(2, m)),
     ("--alpha", "alpha", _GRIDS, dict(type=float, required=True),
-     _within(lambda alpha: 0 < alpha <= 2, "must lie in (0, 2]")),
+     lambda alpha, cmd: _check_alpha(alpha)),
     ("--grid-multiplier", "grid_multiplier", _GRIDS, dict(type=int),
      _within(lambda g: g >= 8, "must be at least 8")),
     ("--rule", "rule", _PLANS, dict(type=str),
@@ -245,6 +246,7 @@ def _run_flat(cmd, p):
     "cross_method_gap": "tolerance 1e-6",
 })
 def _run_mahler(cmd, p):
+    check_grid_budget(mahler_grid(singer_modulus(p, cmd.m) - 1))  # the degree is below q
     P = build_polynomial(construct_singer(p, cmd.m))
     ml, mj = mahler_log(P), mahler_jensen(P)
     return {
@@ -265,6 +267,7 @@ def _run_mahler(cmd, p):
     "note": "suprema over the family tend to 1; tabulated only, not asserted",
 })
 def _run_beta(cmd, p):
+    check_grid_budget(mahler_grid(singer_modulus(p, cmd.m) - 1))
     P = build_polynomial(construct_singer(p, cmd.m))
     ml = mahler_log(P)
     return {"p": p, "q": P.q, "l1": ml.l1, "mahler": ml.value,

@@ -43,7 +43,8 @@ import numpy as np
 
 from .analysis import _fsum_mean, _nonzero_terms
 from .errors import BudgetError
-from .poly import _GRID_BLOCK, _grid_blocks, build_polynomial
+from .poly import _grid_blocks, build_polynomial
+from .singer import _BLOCK
 
 __all__ = ["MahlerReport", "mahler_log", "mahler_jensen", "riesz_mahler"]
 
@@ -57,7 +58,6 @@ _EPS = float(np.finfo(float).eps)
 NEAR_ROOT_WINDOW = 30  # an N-point grid corrects the roots with N |log|r|| below this
 MAHLER_TOL = 1e-9  # converged: the corrected mean of log|P| moves less than this from N/2 to N
 _STENCIL = 6  # m: a near root is read off the interpolant of P through 2m grid nodes
-_SEED_BLOCK = 2**12  # seeds per batch of stencils in _near_roots, roots per batch in _lattice_error
 _LATTICE_TERMS = 8  # nodes on each side of the cone's tip summed by _lattice_error
 
 
@@ -98,14 +98,19 @@ def _grid_means(exps, coeffs, N, find_roots=False):
     return _fsum_mean(logs, N), _fsum_mean(l1s, N), roots
 
 
+def mahler_grid(degree):
+    """mahler_log's default grid: the least power of two >= max(4096, 16 (degree + 1))."""
+    return max(4096, 1 << (16 * degree + 15).bit_length())
+
+
 def mahler_log(P, grid_size=None):
     """Mahler measure as exp of the mean of log|P| over a midpoint grid, corrected near roots.
 
-    With grid_size=None the grid has N points, N the smallest power of two at or above
-    max(4096, 16 (degree + 1)).  Every root r with N |log|r|| < NEAR_ROOT_WINDOW is read
-    off the grid (_near_roots); its exact grid error is subtracted from the mean of
-    log|P|, and its leading-order grid error from the mean of |P|, l1.  The same
-    correction on the N/2-point grid gives the error.  detail holds grid N, grids
+    With grid_size=None the grid has N = mahler_grid(degree) points.  Every root r with
+    N |log|r|| < NEAR_ROOT_WINDOW is read off the grid (_near_roots); its exact grid error
+    is subtracted from the mean of log|P|, and its leading-order grid error from the mean
+    of |P|, l1.  The same correction on the N/2-point grid gives the error.  detail holds
+    grid N, grids
     [N, N/2], near_roots (the roots corrected on the N-point grid, conjugates included),
     error and l1_error (how far the corrected mean of log|P|, and l1, moved from N/2 to
     N points) and converged (error < MAHLER_TOL = 1e-9).  A root the grid does not
@@ -115,10 +120,10 @@ def mahler_log(P, grid_size=None):
     [grid_size] and None for near_roots, error, l1_error and converged.  Every grid is a
     power of two, on which a real polynomial never vanishes (see _grid_means); an
     explicit grid_size must be one.  Memory: a window of poly._grid_blocks rows of P (a
-    block and _STENCIL halo rows on each side, complex) and _SEED_BLOCK stencils; a grid
-    of at most 2^18 points has 16 rows, which all stay in the window, up to 1.25 N
-    complex values.  A coefficient with a nonzero imaginary part raises ValueError: use
-    mahler_jensen.
+    block and _STENCIL halo rows on each side, complex) and the stencils of a block's
+    seeds; a grid of at most 2^18 points has 16 rows, which all stay in the window, up to
+    1.25 N complex values.  A coefficient with a nonzero imaginary part raises ValueError:
+    use mahler_jensen.
     """
     exps, coeffs = _nonzero_terms(P)
     if np.any(np.imag(coeffs)):
@@ -132,9 +137,7 @@ def mahler_log(P, grid_size=None):
         return MahlerReport(q=q, method="log-integral", value=math.exp(mean_log), l1=l1,
                             detail={"grid": grid_size, "grids": [grid_size], "near_roots": None,
                                     "error": None, "l1_error": None, "converged": None})
-    N = 4096
-    while N < 16 * (exps[-1] + 1):
-        N *= 2
+    N = mahler_grid(int(exps[-1]))
     mean_log, l1, roots = _grid_means(exps, coeffs, N, find_roots=True)
     log_fix, l1_fix, count = _corrections(roots, N)
     mean_log, l1 = mean_log - log_fix, l1 - l1_fix
@@ -180,9 +183,10 @@ def _lattice_error(nu, a):
     """
     K = _LATTICE_TERMS
     nodes = np.empty_like(nu)
-    for i in range(0, nu.size, _SEED_BLOCK):  # (roots, 2K) temporaries a batch at a time
-        v, b = nu[i:i + _SEED_BLOCK, None], a[i:i + _SEED_BLOCK, None]
-        nodes[i:i + _SEED_BLOCK] = np.sqrt(v**2 + (np.arange(-K, K) + b) ** 2).sum(axis=1)
+    per = _BLOCK // (2 * K)  # (roots, 2K) temporaries a batch at a time
+    for i in range(0, nu.size, per):
+        v, b = nu[i:i + per, None], a[i:i + per, None]
+        nodes[i:i + per] = np.sqrt(v**2 + (np.arange(-K, K) + b) ** 2).sum(axis=1)
     s = np.hypot(nu, K)
     integral = K * s + nu**2 * (np.log(K + s) - np.log(np.maximum(nu, np.finfo(float).tiny)))
     b2 = a * a - a + 1 / 6
@@ -251,8 +255,8 @@ def _near_roots(s, V, N, centre):
     found from two seeds, moves the N and N/2 grids apart.
 
     Returns the stacked rows (turns, ell, amp), turns = phi / 2 pi, one column per root;
-    _upper_half keeps the ones that stand for the grid's first half.  Stencils go in
-    batches of _SEED_BLOCK, which holds a grid block's seeds (about 2000) in one.
+    _upper_half keeps the ones that stand for the grid's first half.  The seeds come one
+    grid block at a time (_root_seeds), so one Newton pass takes them all.
     """
     m = _STENCIL
     h = 2 * np.pi / N
@@ -261,30 +265,26 @@ def _near_roots(s, V, N, centre):
     # e^(-i centre theta) at the nodes, less the factor e^(-i centre c) common to a stencil,
     # which moves neither the zero nor |Q|
     demodulate = np.exp(-1j * centre * h * (np.arange(2 * m) - m + 0.5))[:, None]
-    found = [np.zeros((3, 0))]
-    for start in range(0, s.size, _SEED_BLOCK):
-        seed, stencil = s[start:start + _SEED_BLOCK], V[:, start:start + _SEED_BLOCK]
-        upper = np.abs(stencil[m + 1]) <= np.abs(stencil[m - 1])  # minimum in [s, s+1]
-        j0 = seed - 1 + upper
-        G = np.multiply(np.where(upper, stencil[1:], stencil[:-1]), demodulate, order="C")
-        # G holds the nodes j0 + 1 - m .. j0 + m, and C[k] the coefficient of u^k, one column
-        # per seed: W is real, so it acts on G's real and imaginary parts as one real product
-        C = (W @ G.view(np.float64)).view(np.complex128)
-        z = np.where(upper, -0.5, 0.5).astype(complex)
-        with np.errstate(all="ignore"):  # a diverging run ends at inf or nan, and is dropped
-            for _ in range(8):
-                value, slope = _horner(C, z, z)
-                step = value / slope
-                z -= step
-        ok = (np.abs(step) < 1e-7) & (np.abs(z.real) <= 2) & (np.abs(z.imag) < window)
-        z, C, j0 = z[ok], C[:, ok], j0[ok]
-        log_rho = -h * z.imag
-        ell = np.abs(log_rho)
-        gap = np.abs(np.expm1(log_rho))  # |1 - rho|
-        ratio = np.divide(ell, gap, out=np.ones_like(ell), where=gap > 0)
-        amp = np.abs(_horner(C, z, z.real)[1]) / h * ratio * np.exp(np.maximum(log_rho, 0))
-        found.append(np.stack([(j0 + 1 + z.real) / N, ell, amp]))
-    return np.concatenate(found, axis=1)
+    upper = np.abs(V[m + 1]) <= np.abs(V[m - 1])  # minimum in [s, s+1]
+    j0 = s - 1 + upper
+    G = np.multiply(np.where(upper, V[1:], V[:-1]), demodulate, order="C")
+    # G holds the nodes j0 + 1 - m .. j0 + m, and C[k] the coefficient of u^k, one column
+    # per seed: W is real, so it acts on G's real and imaginary parts as one real product
+    C = (W @ G.view(np.float64)).view(np.complex128)
+    z = np.where(upper, -0.5, 0.5).astype(complex)
+    with np.errstate(all="ignore"):  # a diverging run ends at inf or nan, and is dropped
+        for _ in range(8):
+            value, slope = _horner(C, z, z)
+            step = value / slope
+            z -= step
+    ok = (np.abs(step) < 1e-7) & (np.abs(z.real) <= 2) & (np.abs(z.imag) < window)
+    z, C, j0 = z[ok], C[:, ok], j0[ok]
+    log_rho = -h * z.imag
+    ell = np.abs(log_rho)
+    gap = np.abs(np.expm1(log_rho))  # |1 - rho|
+    ratio = np.divide(ell, gap, out=np.ones_like(ell), where=gap > 0)
+    amp = np.abs(_horner(C, z, z.real)[1]) / h * ratio * np.exp(np.maximum(log_rho, 0))
+    return np.stack([(j0 + 1 + z.real) / N, ell, amp])
 
 
 def _upper_half(found, N):
@@ -385,9 +385,9 @@ def _aberth_roots(exps, coeffs):
     angles spread out (_start_points).  Each sweep evaluates P and zP' at the active
     roots (_evaluate, O(n k) for k terms) and moves each by the Aberth correction
     N / (1 - N sum_{j != i} 1 / (z_i - z_j)), N = P / P' (_aberth_sums, in row blocks of
-    poly._GRID_BLOCK entries).  A root whose residual |P| is within the rounding bound
-    of its evaluation leaves the active set; roots still active after _ABERTH_SWEEPS
-    sweeps are kept as they are, and their radii say how good they are.
+    _BLOCK entries).  A root whose residual |P| is within the rounding bound of its
+    evaluation leaves the active set; roots still active after _ABERTH_SWEEPS sweeps are
+    kept as they are, and their radii say how good they are.
 
     Certification (O. Aberth, Math. Comp. 27 (1973); D. A. Bini and G. Fiorentino,
     Numer. Algorithms 23 (2000)).  With u_i >= |W_i|, W_i = P(z_i) / (c_n prod_{j != i}
@@ -449,15 +449,14 @@ def _evaluate(exps, logc, z):
     Each term c_s z^s is exp(log c_s + s log z - m), so no |z|^s overflows.  Returns
     (s0, s1, bound, m): s0 = e^-m P(z), s1 = e^-m z P'(z), and bound on the rounding
     error of s0: a term's exponent carries about eps (|log c_s| + s (1 + |log z|)), the
-    s eps relative error of z^s, and the sum of k terms k eps.  Rows go in blocks of
-    poly._GRID_BLOCK terms.
+    s eps relative error of z^s, and the sum of k terms k eps.  Rows go _BLOCK // k at once.
     """
     k = exps.size
     weights = exps.astype(float)
     base = _EPS * (k + 2 + np.abs(logc))  # per term, in units of |term|
     s0, s1 = np.empty(z.size, dtype=complex), np.empty(z.size, dtype=complex)
     bound, top = np.empty(z.size), np.empty(z.size)
-    per = max(1, _GRID_BLOCK // k)
+    per = max(1, _BLOCK // k)
     for lo in range(0, z.size, per):
         logz = np.log(z[lo:lo + per])
         terms = np.multiply.outer(logz, weights)
@@ -475,7 +474,7 @@ def _evaluate(exps, logc, z):
 
 def _aberth_sums(z, rows):
     """sum over j != i of 1 / (z_i - z_j) for each i in rows, in real arithmetic,
-    conj(d) / |d|^2, over blocks of rows holding at most poly._GRID_BLOCK differences."""
+    conj(d) / |d|^2, over blocks of rows holding at most _BLOCK differences."""
     out = np.empty(rows.size, dtype=complex)
     for lo, i, dx, dy, norm in _difference_blocks(z, rows):
         norm[np.arange(i.size), i] = np.inf  # no self term
@@ -486,10 +485,10 @@ def _aberth_sums(z, rows):
 
 def _difference_blocks(z, rows):
     """Yield (lo, i, dx, dy, norm) for consecutive blocks i = rows[lo:lo + len(i)] of at
-    most poly._GRID_BLOCK // len(z) rows: dx + i dy = z_i - z_j and norm = |z_i - z_j|^2,
-    one row per i, in buffers reused from block to block."""
+    most _BLOCK // len(z) rows: dx + i dy = z_i - z_j and norm = |z_i - z_j|^2, one row
+    per i, in buffers reused from block to block."""
     x, y = z.real.copy(), z.imag.copy()
-    per = max(1, _GRID_BLOCK // z.size)
+    per = max(1, _BLOCK // z.size)
     buffers = np.empty((3, min(per, rows.size), z.size))
     for lo in range(0, rows.size, per):
         i = rows[lo:lo + per]
@@ -506,10 +505,10 @@ def _weierstrass(exps, logc, z):
     _aberth_roots): (radius, component).
 
     log u_i = m_i + log(|s0_i| + bound_i) - log|c_n| - sum_{j != i} log|z_i - z_j|, the
-    last sum in row blocks of poly._GRID_BLOCK entries, with its own summation error
-    added.  An isolated root's radius is the smaller of n u_i and the Gerschgorin one;
-    the members of a component of overlapping disks D(z_i, n u_i) share a label, its
-    least index, and keep n u_i.
+    last sum in row blocks of _BLOCK entries, with its own summation error added.  An
+    isolated root's radius is the smaller of n u_i and the Gerschgorin one; the members
+    of a component of overlapping disks D(z_i, n u_i) share a label, its least index, and
+    keep n u_i.
     """
     n = z.size
     s0, _, bound, top = _evaluate(exps, logc, z)

@@ -21,13 +21,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetError
-from .singer import SingerSet, _factorint, _pair_counts
+from .singer import SingerSet, _BLOCK, _factorint, _pair_counts
 
 GRID_BUDGET = 2**28  # points of one |P| grid: 2 GiB where a caller materializes it
-_GRID_BLOCK = 2**16  # complex entries per batch of row FFTs in _grid_blocks: 1 MB
 _ROW_MIN, _ROW_MAX = 2**8, 2**14  # row lengths _grid_blocks aims for
 _ROW_PRIME_MAX = 64  # largest prime factor of a fast row length
-_DEFECT_CHUNK = 2**13  # entries per chunk of _perfect_defect_abs: 64 KB per int64 temporary
 
 __all__ = [
     "NewmanPolynomial",
@@ -255,7 +253,7 @@ def _grid_blocks(exponents, coeffs, N, offset=0.0, halo=0):
     compute every row.
 
     Yields (a0, rows, weight) for the computed rows a0 .. a0+n-1 in ascending blocks of
-    about _GRID_BLOCK entries: rows[halo + i, b] is |P| at grid index L*b + a0 + i, and
+    max(1, _BLOCK // M) rows: rows[halo + i, b] is |P| at grid index L*b + a0 + i, and
     weight[i] is 2 when row a0 + i stands for a mirror partner as well, else 1, so the
     weighted rows cover every grid index exactly once.  With halo > 0 (mirrored grids
     only) rows holds complex P, whose |P| is the halo-free rows' bit for bit, and the halo
@@ -291,7 +289,7 @@ def _grid_blocks(exponents, coeffs, N, offset=0.0, halo=0):
 def _fold_rows(s, c, N, M, offset, sigma, weight, selfpaired, halo):
     """The generator of _grid_blocks, whose arguments it has checked and reduced."""
     L, h = N // M, len(weight)
-    per = max(1, min(_GRID_BLOCK // M, h))  # rows per FFT block
+    per = max(1, min(_BLOCK // M, h))  # rows per FFT block
     t = np.arange(per, dtype=np.int64)[:, None]
     step = np.exp((2j * np.pi / N) * (t * s % N))
     # bins of the real and imaginary parts of the folded rows, as one float array
@@ -369,26 +367,21 @@ def _abs_support_grid(exponents, coeffs, N, offset=0.0):
     return out
 
 
-def _perfect_defect_abs(q, size, N, j=None):
-    """|Q| at the N-th roots of unity e^(2 pi i j/N) for the integer indices j (default
-    0 .. N-1), for a perfect difference set of the given size mod q.
+def _perfect_defect_abs(q, size, N, j):
+    """|Q| at the N-th roots of unity e^(2 pi i j/N) for the int64 array of indices j, for
+    a perfect difference set of the given size mod q.
 
     Every coefficient of Q is 1/size, so Q(z) = (z - z^q) / (size (1 - z)) and
     |Q(e^(i theta))| = |sin((q-1) theta/2)| / (size |sin(theta/2)|), (q-1)/size at
     theta = 0.  Both sine arguments are folded exactly in int64 into [0, pi/2]
     before sin is called, so no large angle loses digits, and the value at j equals
-    the value at N - j bit for bit.  The output is filled _DEFECT_CHUNK entries at a
-    time, so the scratch is a few chunks, not a few arrays of j's shape.
+    the value at N - j bit for bit.  The scratch is about eight arrays of j's shape:
+    flatness hands it _BLOCK // 8 indices at most.
     """
-    j = np.arange(N, dtype=np.int64) if j is None else np.asarray(j, dtype=np.int64)
-    out = np.empty(j.shape)
-    flat_j, flat_out = j.reshape(-1), out.reshape(-1)
-    for lo in range(0, flat_j.size, _DEFECT_CHUNK):
-        jj, chunk = flat_j[lo:lo + _DEFECT_CHUNK], flat_out[lo:lo + _DEFECT_CHUNK]
-        a = np.minimum(jj, N - jj)  # |Q| is even in theta
-        r = a * (q - 1) % N
-        r = np.minimum(r, N - r)
-        chunk[:] = (q - 1) / size
-        nonzero = a != 0
-        chunk[nonzero] = np.sin(np.pi * r[nonzero] / N) / (size * np.sin(np.pi * a[nonzero] / N))
+    a = np.minimum(j, N - j)  # |Q| is even in theta
+    r = a * (q - 1) % N
+    r = np.minimum(r, N - r)
+    out = np.full(j.shape, (q - 1) / size)
+    nonzero = a != 0
+    out[nonzero] = np.sin(np.pi * r[nonzero] / N) / (size * np.sin(np.pi * a[nonzero] / N))
     return out

@@ -13,7 +13,8 @@ Field arithmetic is d x d int64 matrices mod p, d = 3m: an element of
 GF(p)[x]/(f) acts as the matrix of multiplication by it, whose row 0 is
 the element itself.
 
-The scan runs on numpy blocks of B exponents.  W is the zero set of m
+The scan runs on numpy blocks of B exponents, B the least power of two
+at or above min(_BLOCK // 3m, q).  W is the zero set of m
 functionals mod p.  Block 0 (coordinates of g^0 .. g^(B-1)) is built by
 doubling; block j is block 0 times "multiply by g^(jB)", which the scan
 applies to the functionals instead, so each block costs one
@@ -48,12 +49,11 @@ __all__ = [
 ]
 
 # Desk-scale cap on p^(3m), read at call time.  Memory sets the documented range p <= 7919, m = 1:
-# construct_singer, and so the singer report, peaks at ~10.5 bytes per residue mod q, 660 MB at
-# p = 7919; a direct verify_perfect_difference call's q-long counts tuple lifts that to ~1.0 GB.
+# construct_singer, and so the singer report, peaks at ~9.5 bytes per residue mod q, 571 MB at
+# p = 7919; a direct verify_perfect_difference call's q-long counts tuple lifts that to ~990 MB.
 DEFAULT_MAX_FIELD_ORDER = 10**13
 
-_SCAN_BLOCK = 1 << 16  # exponents per block of the Singer scan
-_PAIR_ROWS = 1024  # support elements per row block of the pair-difference kernel
+_BLOCK = 2**16  # entries per temporary of a chunked loop (1 MB complex): _BLOCK // width rows
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -299,7 +299,7 @@ def _scan_singer(spec):
     assert funcs.shape[1] == m  # W has dimension 2m
 
     rows = eye[:1]
-    while len(rows) < min(_SCAN_BLOCK, q):
+    while len(rows) < min(_BLOCK // (3 * m), q):
         rows = np.vstack([rows, rows @ step % p])
         step = step @ step % p
     residues = []  # rows now holds g^0 .. g^(B-1), and step multiplies by g^B
@@ -327,7 +327,7 @@ def _pair_counts(support, q, cyclic=False):
     Aperiodic: counts[l + q - 1] = #{(s, t) in support^2 : s - t = l}.
     Cyclic: counts[r] = #{(s, t) in support^2 : s - t = r mod q}, in half
     the memory of folding the aperiodic counts.  Rows are taken
-    _PAIR_ROWS at a time, so no k x k difference array is built.
+    _BLOCK // k at a time, so no k x k difference array is built.
     Raises ValueError unless the support is distinct and inside [0, q).
     """
     s = np.asarray(support, dtype=np.int64)
@@ -339,8 +339,9 @@ def _pair_counts(support, q, cyclic=False):
     size = q if cyclic else 2 * q - 1
     shifted = s if cyclic else s - (q - 1)
     counts = np.zeros(size, dtype=np.int64)
-    for lo in range(0, s.size, _PAIR_ROWS):
-        diffs = s[lo:lo + _PAIR_ROWS, None] - shifted
+    per = max(1, _BLOCK // max(s.size, 1))
+    for lo in range(0, s.size, per):
+        diffs = s[lo:lo + per, None] - shifted
         if cyclic:
             diffs[diffs < 0] += q
         np.add.at(counts, diffs.ravel(), 1)  # no q-long temporary per block

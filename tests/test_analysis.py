@@ -395,6 +395,19 @@ class TestRealLine:
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 2\]"):
             realline_flatness(P7, alpha, KernelSpec(1.0))
 
+    def test_line_route_scratch_is_one_block(self, singer_cache):
+        # p = 13: the kink-seeded panels take about 10^5 nodes in their first wave, and the
+        # direct sum over k = 14 terms goes _BLOCK // k nodes at a time, 1 MB per complex
+        # temporary; pieces of 65536 nodes would take 14.7 MB each
+        P = build_polynomial(singer_cache(13))
+        tracemalloc.start()
+        try:
+            realline_flatness(P, 1.0, KernelSpec(3.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     def test_grid_too_small(self, P7):
         with pytest.raises(ValueError):
             # max(4096, 4 * 1000) points, below 8q

@@ -93,7 +93,7 @@ class TestParse:
         assert cmd.grid_multiplier == 16
 
     def test_alpha_out_of_range(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=r"^--alpha: alpha must lie in \(0, 2\], got 3.0$"):
             parse(["flat", "--primes", "2", "--alpha", "3"])
 
     def test_non_prime(self):
@@ -184,18 +184,22 @@ class TestExecute:
         assert "timestamp" not in report
 
     @pytest.mark.parametrize("argv", [["flat", "--primes", "5003", "--alpha", "1"],
-                                      ["realline", "--primes", "5003", "--alpha", "1"]])
+                                      ["realline", "--primes", "5003", "--alpha", "1"],
+                                      ["beta", "--primes", "5003"], ["mahler", "--primes", "5003"]])
     def test_grid_priced_before_the_singer_set(self, argv, tmp_path, monkeypatch):
-        # 16q = 400.6M points at p = 5003: the budget fails from q alone
+        # p = 5003: the budget fails from q alone, on the 16q = 400.6M points of flat and
+        # realline, and on the 2^29 points of mahler_log's grid at degree q - 1 (as at the
+        # built set's degree) for beta and mahler
         def forbidden(*args, **kwargs):
             raise AssertionError("the grid is priced before any Singer set is built")
 
         monkeypatch.setattr(cli, "construct_singer", forbidden)
         code, text = run_to_file(tmp_path, argv)
+        points = 400560208 if argv[0] in ("flat", "realline") else 2**29
         assert code == 1
         assert json.loads(text)["error"] == {
             "type": "BudgetError",
-            "message": "grid of 400560208 points exceeds the grid budget 268435456"}
+            "message": f"grid of {points} points exceeds the grid budget 268435456"}
 
     def test_singer_report_counts_differences_once(self, tmp_path, monkeypatch):
         calls = []
@@ -361,10 +365,11 @@ class TestFlatRow:
         grid = multiplier * sset.q
         P = build_polynomial(sset)
         absv = _abs_support_grid(P.support, [P.scale] * P.size, grid)
-        whole = float((_perfect_defect_abs(sset.q, sset.size, grid) - np.abs(absv**2 - 1.0)).min())
+        dominance = _perfect_defect_abs(sset.q, sset.size, grid, np.arange(grid))
+        whole = float((dominance - np.abs(absv**2 - 1.0)).min())
         evaluated = []
 
-        def counted(q, size, N, j=None):
+        def counted(q, size, N, j):
             evaluated.append(np.size(j))
             return _perfect_defect_abs(q, size, N, j)
 

@@ -317,11 +317,20 @@ class TestStreamedRoots:
         assert np.max(np.abs(amp - amp0[pair]) / amp0[pair]) <= 1e-8
 
     def test_seed_batches_do_not_change_the_measure(self, monkeypatch, singer_cache):
-        # p = 211: about 2000 seeds per grid block, one batch by default and four of 2^9;
-        # every step of _near_roots and _lattice_error is per seed, so no bit moves
+        # p = 211: about 2000 seeds per grid block, one Newton pass by default and four of
+        # 2^9 here, and a block of 2^13 puts _lattice_error's 14100 roots in batches of 512
+        # instead of 4096; every step of _near_roots and _lattice_error is per seed, so no
+        # bit moves
         P = build_polynomial(singer_cache(211))
         default = mahler_log(P)
-        monkeypatch.setattr(mahler, "_SEED_BLOCK", 2**9)
+        near_roots = mahler._near_roots
+
+        def in_batches(s, V, N, centre):
+            return np.concatenate([near_roots(s[i:i + 2**9], V[:, i:i + 2**9], N, centre)
+                                   for i in range(0, max(s.size, 1), 2**9)], axis=1)
+
+        monkeypatch.setattr(mahler, "_near_roots", in_batches)
+        monkeypatch.setattr(mahler, "_BLOCK", 2**13)
         batched = mahler_log(P)
         assert default.value.hex() == batched.value.hex()
         assert default.l1.hex() == batched.l1.hex()
@@ -438,7 +447,7 @@ class TestAberthRoots:
         assert abs(math.log(rep.value / big)) <= rep.detail["error"] < 1e-12
 
     def test_blocks_stay_within_the_grid_block(self, monkeypatch):
-        # every pairwise block is at most poly._GRID_BLOCK entries, so memory does not grow
+        # every pairwise block is at most _BLOCK entries, so memory does not grow
         # like n^2; a small block changes no root
         exps, coeffs = mahler._nonzero_terms({0: 1.0, 7: -2.0, 300: 1.0})
         whole = mahler._aberth_roots(exps, coeffs)
@@ -450,7 +459,7 @@ class TestAberthRoots:
                 sizes.append(block[4].size)
                 yield block
 
-        monkeypatch.setattr(mahler, "_GRID_BLOCK", 1000)
+        monkeypatch.setattr(mahler, "_BLOCK", 1000)
         monkeypatch.setattr(mahler, "_difference_blocks", recorded)
         small = mahler._aberth_roots(exps, coeffs)
         assert max(sizes) <= 1000

@@ -325,7 +325,7 @@ class TestPerfectDefectAbs:
         # keeps the exact zeros (q-1)j = 0 mod N exact, where the bound demands 0
         s = singer_cache(p)
         N = 16 * s.q
-        got = _perfect_defect_abs(s.q, s.size, N)
+        got = _perfect_defect_abs(s.q, s.size, N, np.arange(N))
         rng = np.random.default_rng(p)
         js = [1, 2, N // 2 + 1, N - 2, N - 1] + rng.integers(1, N, 60).tolist()
         with mpmath.workdps(40):
@@ -340,7 +340,7 @@ class TestPerfectDefectAbs:
         # flatness reads |Q| at the indices L*b + a of a block of fold rows
         s = singer_cache(p)
         N = 16 * s.q
-        whole = _perfect_defect_abs(s.q, s.size, N)
+        whole = _perfect_defect_abs(s.q, s.size, N, np.arange(N))
         M = _row_length(N, s.residues[-1], s.size)
         for a0 in range(0, N // M, 5):
             j = (N // M) * np.arange(M) + np.arange(a0, min(a0 + 5, N // M))[:, None]
@@ -352,7 +352,7 @@ class TestPerfectDefectAbs:
         N = 16 * s.q
         Q = defect_poly(s)
         oracle = np.abs(eval_support_grid(np.arange(1, s.q), Q.coefficient_array()[1:], N))
-        assert np.max(np.abs(_perfect_defect_abs(s.q, s.size, N) - oracle)) <= 1e-13
+        assert np.max(np.abs(_perfect_defect_abs(s.q, s.size, N, np.arange(N)) - oracle)) <= 1e-13
 
 
 class TestFourierIdentity:

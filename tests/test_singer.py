@@ -1,6 +1,9 @@
+import math
 import random
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 import sympy
 from sympy.polys.domains import ZZ
@@ -9,7 +12,7 @@ from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_pow_mod, gf_rem
 from flatpoly import singer
 from flatpoly.errors import BudgetError
 from flatpoly.singer import (
-    _PAIR_ROWS,
+    _BLOCK,
     FieldSpec,
     SingerSet,
     _factor_group_order,
@@ -208,9 +211,9 @@ class TestVerify:
             assert report.counts == tuple(
                 brute_force_difference_counts(residues, q).get(r, 0) for r in range(q)
             )
-        # one support spanning more than one row block of the pair kernel
-        q = 4 * _PAIR_ROWS
-        k = _PAIR_ROWS + 37
+        # one support spanning two row blocks of the pair kernel (_BLOCK // k rows each)
+        k = math.isqrt(_BLOCK) + 37
+        q = 16 * k
         residues = rng.sample(range(q), k)
         report = verify_perfect_difference(residues, q)
         assert sum(report.counts) == k * (k - 1)
@@ -224,6 +227,21 @@ class TestVerify:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             verify_perfect_difference([0, 1, 7], 7)
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    def test_pair_kernel_scratch_is_one_block(self, cyclic):
+        # 4096 rows of 4096 differences: _BLOCK // k = 16 rows a block, 0.5 MB, where rows of
+        # 1024 would take 32 MB; the counts array is the only large allocation
+        q = 2**20
+        support = np.sort(np.random.default_rng(4).choice(q, 4096, replace=False))
+        tracemalloc.start()
+        try:
+            counts = singer._pair_counts(support, q, cyclic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 4096**2
+        assert peak <= counts.nbytes + 4 * 2**20
 
 
 class TestNormalize:
