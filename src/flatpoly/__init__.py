@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .errors import BudgetError
 from .singer import (
     DifferenceReport,
+    ExactVector,
     FieldSpec,
     SingerSet,
     canonical_field_spec,

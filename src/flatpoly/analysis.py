@@ -174,11 +174,8 @@ def l2_defect_sq_exact(table):
     2^63, and in Python ints past that bound.
     """
     k = table.size
-    if k**3 < 2**63:
-        counts = np.asarray(table.aperiodic, dtype=np.int64)
-        total = int(np.dot(counts, counts))
-    else:
-        total = sum(c * c for c in table.aperiodic)
+    counts = table.aperiodic.numerators
+    total = int(np.dot(counts, counts)) if k**3 < 2**63 else sum(c * c for c in counts.tolist())
     return Fraction(total - k * k, k * k)
 
 

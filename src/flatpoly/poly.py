@@ -14,14 +14,13 @@ every r != 0, which is what makes |P|^2 close to 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import BudgetError
-from .singer import SingerSet, _BLOCK, _factorint, _pair_counts
+from .singer import ExactVector, SingerSet, _BLOCK, _exact_fields, _factorint, _pair_counts
 
 GRID_BUDGET = 2**28  # points of one |P| grid: 2 GiB where a caller materializes it
 _ROW_MIN, _ROW_MAX = 2**8, 2**14  # row lengths _grid_blocks aims for
@@ -84,14 +83,18 @@ class NewmanPolynomial:
 class CorrelationTable:
     """Ordered-pair difference counts of a support, aperiodic and cyclic.
 
+    Both are ExactVectors of integers (denominator 1), 2q - 1 and q long:
     aperiodic[l + q - 1] counts pairs with integer difference l for
     l in [-(q-1), q-1]; cyclic[r] counts pairs with difference r mod q.
     """
 
     q: int
     size: int
-    aperiodic: tuple
-    cyclic: tuple
+    aperiodic: ExactVector
+    cyclic: ExactVector
+
+    def __post_init__(self):
+        _exact_fields(self, "aperiodic", "cyclic")
 
     def c(self, l):
         if abs(l) > self.q - 1:
@@ -103,7 +106,7 @@ class CorrelationTable:
 
     @property
     def is_perfect(self):
-        return all(g == 1 for g in self.cyclic[1:])
+        return self.cyclic[1:].count(1) == self.q - 1
 
 
 @dataclass(frozen=True)
@@ -112,29 +115,37 @@ class DefectPolynomial:
 
     Built from cyclic correlation counts, so for a perfect difference set
     every coefficient is 1/|S|, Q(1) = (q-1)/|S|, and Q agrees with
-    |P|^2 - 1 at the q-th roots of unity.
+    |P|^2 - 1 at the q-th roots of unity.  coefficients, for exponents
+    1 .. q-1, is an ExactVector that reads as Fractions: defect_poly's
+    holds the counts gamma_l over |S|, and any other rationals are held
+    over their common denominator.
     """
 
     q: int
     size: int
-    coefficients: tuple  # Fractions, exponents 1 .. q-1
+    coefficients: ExactVector
+
+    def __post_init__(self):
+        _exact_fields(self, "coefficients")
 
     @property
     def degree(self):
         return self.q - 1
 
     def value_at_one(self):
-        den = math.lcm(*{c.denominator for c in self.coefficients})
-        return Fraction(sum(c.numerator * (den // c.denominator) for c in self.coefficients), den)
+        num = self.coefficients.numerators
+        bound = self.coefficients.numerator_bound * len(num)
+        total = int(num.sum()) if bound < 2**63 else sum(num.tolist())
+        return Fraction(total, self.coefficients.denominator)
 
     def coefficient_array(self):
-        """Dense float coefficients of length q.  One IEEE division per coefficient
-        rounds as float(Fraction) does while numerator and denominator are below 2^53."""
-        num = np.array([x.numerator for x in self.coefficients], dtype=float)
-        den = np.array([x.denominator for x in self.coefficients], dtype=float)
-        exact = max(np.abs(num).max(initial=0), den.max(initial=0)) < 2**53
+        """Dense float coefficients of length q, each rounded as float(Fraction) is: one
+        IEEE division while numerators and denominator are below 2^53, correctly rounded
+        Python-int division past that."""
+        num, den = self.coefficients.numerators, self.coefficients.denominator
+        exact = max(self.coefficients.numerator_bound, den) < 2**53
         c = np.zeros(self.q)
-        c[1:] = num / den if exact else [float(x) for x in self.coefficients]
+        c[1:] = num / den if exact else [n / den for n in num.tolist()]
         return c
 
 
@@ -157,8 +168,8 @@ def correlation_table(support, q):
     aper = _pair_counts(support, q)
     cyc = aper[q - 1:].copy()  # gamma_r = c_r + c_(r-q)
     cyc[1:] += aper[:q - 1]
-    return CorrelationTable(q=q, size=len(support), aperiodic=tuple(aper.tolist()),
-                            cyclic=tuple(cyc.tolist()))
+    return CorrelationTable(q=q, size=len(support), aperiodic=ExactVector._adopt(aper),
+                            cyclic=ExactVector._adopt(cyc))
 
 
 def correlations(sset: SingerSet):
@@ -167,11 +178,8 @@ def correlations(sset: SingerSet):
 
 def defect_poly(sset: SingerSet):
     gamma = _pair_counts(sset.residues, sset.q, cyclic=True)[1:]
-    # one Fraction per distinct count, each in [0, |S|]: a Singer set has a single one, 1
-    ratio = np.empty(sset.size + 1, dtype=object)
-    for g in np.flatnonzero(np.bincount(gamma)):
-        ratio[g] = Fraction(int(g), sset.size)
-    return DefectPolynomial(q=sset.q, size=sset.size, coefficients=tuple(ratio[gamma].tolist()))
+    return DefectPolynomial(q=sset.q, size=sset.size,
+                            coefficients=ExactVector._adopt(gamma, sset.size))
 
 
 def eval_support_grid(exponents, coeffs, N, offset=0.0):

@@ -28,8 +28,13 @@ same order.
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -39,6 +44,7 @@ __all__ = [
     "FieldSpec",
     "SingerSet",
     "DifferenceReport",
+    "ExactVector",
     "canonical_field_spec",
     "construct_singer",
     "verify_perfect_difference",
@@ -49,8 +55,9 @@ __all__ = [
 ]
 
 # Desk-scale cap on p^(3m), read at call time.  Memory sets the documented range p <= 7919, m = 1:
-# construct_singer, and so the singer report, peaks at ~9.5 bytes per residue mod q, 571 MB at
-# p = 7919; a direct verify_perfect_difference call's q-long counts tuple lifts that to ~990 MB.
+# construct_singer, and so the singer report, peaks at ~8 bytes per residue mod q (its int64
+# difference counts), 512 MB at p = 7919; a direct verify_perfect_difference call after it
+# returns those counts as an ExactVector and stays within that peak (1.3 s there).
 DEFAULT_MAX_FIELD_ORDER = 10**13
 
 _BLOCK = 2**16  # entries per temporary of a chunked loop (1 MB complex): _BLOCK // width rows
@@ -154,6 +161,170 @@ def _is_primitive(g, modulus, p, prime_divisors):
 # Domain types
 # ---------------------------------------------------------------------------
 
+class ExactVector(Sequence):
+    """A read-only vector of rationals: numerators over one positive denominator.
+
+    The exact layer's q-long results (difference counts, correlation counts, defect
+    coefficients) are this type, 8 bytes per entry.  It reads as the tuple it stands
+    for: indexing and iteration give ints when the denominator is 1 and Fractions
+    otherwise, slices are vectors, and ==, hash and repr are the tuple's (2/4 equals
+    1/2).  count, index and `in` compare numerators in numpy.  np.asarray gives a
+    read-only view of the numerators when the denominator is 1; np.array a copy.
+
+    ExactVector(values, denominator=1) holds values[i] / denominator, for an integer
+    array or any sequence of rationals, which are brought to their common denominator.
+    The numerators are copied: int64, or Python ints (object dtype) where some do not
+    fit int64.
+    """
+
+    __slots__ = ("_num", "_den", "_hash")
+
+    def __init__(self, values=(), denominator=1):
+        den = operator.index(denominator)
+        if den < 1:
+            raise ValueError(f"denominator must be positive, got {den}")
+        if isinstance(values, np.ndarray) and values.dtype.kind in "ib":
+            if values.ndim != 1:
+                raise ValueError("expected a one-dimensional array")
+            num = values.astype(np.int64)
+        else:
+            values = list(values)
+            bad = [v for v in values if not isinstance(v, numbers.Rational)]
+            if bad:
+                raise TypeError(f"expected rationals, got {bad[0]!r}")
+            lcm = math.lcm(*(int(v.denominator) for v in values))
+            nums = [int(v.numerator) * (lcm // int(v.denominator)) for v in values]
+            fits = all(-2**63 <= n < 2**63 for n in nums)
+            num = np.array(nums, dtype=np.int64 if fits else object)
+            den *= lcm
+        self._set(num, den)
+
+    @classmethod
+    def _adopt(cls, num, denominator=1):
+        """The vector num / denominator over the library's own 1-D array num, which it
+        takes over without a copy and makes read-only."""
+        vec = cls.__new__(cls)
+        vec._set(num, denominator)
+        return vec
+
+    def _set(self, num, den):
+        num.flags.writeable = False
+        self._num, self._den, self._hash = num, den, None
+
+    @property
+    def numerators(self):
+        """A read-only view of the numerators: int64, or object where they exceed int64."""
+        return self._num.view()
+
+    @property
+    def denominator(self):
+        return self._den
+
+    @property
+    def numerator_bound(self):
+        """The largest |numerator|, 0 for an empty vector."""
+        return max(int(self._num.max(initial=0)), -int(self._num.min(initial=0)))
+
+    def __len__(self):
+        return len(self._num)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ExactVector._adopt(self._num[i], self._den)
+        n = int(self._num[operator.index(i)])
+        return n if self._den == 1 else Fraction(n, self._den)
+
+    def __iter__(self):
+        for lo in range(0, len(self._num), _BLOCK):
+            block = self._num[lo:lo + _BLOCK].tolist()
+            if self._den == 1:
+                yield from block
+            else:  # one Fraction per distinct numerator of the block
+                fractions = {n: Fraction(n, self._den) for n in set(block)}
+                yield from map(fractions.__getitem__, block)
+
+    def _equal_to(self, x):
+        """The boolean array of entries equal to the number x, or None for an x that
+        only Python's == compares (as tuple.count does)."""
+        if isinstance(x, float) and not math.isfinite(x):
+            return np.zeros(len(self), dtype=bool)  # no rational equals inf or NaN
+        if not isinstance(x, (numbers.Rational, float)):
+            return None
+        n = Fraction(x) * self._den
+        if n.denominator != 1 or (self._num.dtype != object and not -2**63 <= n.numerator < 2**63):
+            return np.zeros(len(self), dtype=bool)
+        return self._num == n.numerator
+
+    def count(self, x):
+        hits = self._equal_to(x)
+        if hits is None:
+            return sum(1 for v in self if v == x)
+        return int(np.count_nonzero(hits))
+
+    def index(self, x, start=0, stop=None):
+        lo, hi, _ = slice(start, stop).indices(len(self))
+        hits = self[lo:hi]._equal_to(x)
+        if hits is None:
+            found = next((i for i, v in enumerate(self[lo:hi]) if v == x), None)
+        else:
+            found = int(hits.argmax()) if hits.any() else None
+        if found is None:
+            raise ValueError(f"{x!r} is not in the vector")
+        return lo + found
+
+    def __contains__(self, x):
+        return self.count(x) > 0
+
+    def _lowest(self):
+        """(denominator, numerators) in lowest terms, the same for equal vectors."""
+        g = math.gcd(self._den, int(np.gcd.reduce(self._num, initial=0)))
+        return self._den // g, self._num // g
+
+    def __eq__(self, other):
+        if isinstance(other, ExactVector):
+            (a, x), (b, y) = self._lowest(), other._lowest()
+            return a == b and bool(np.array_equal(x, y))
+        if isinstance(other, tuple):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(tuple(self))
+        return self._hash
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return ExactVector, (self._num, self._den)
+
+    def __array__(self, dtype=None, copy=None):
+        """The numerators when the denominator is 1: a read-only view unless dtype or
+        copy asks for a new array.  Otherwise a new object array of the Fractions."""
+        if self._den != 1:
+            if copy is False:
+                raise ValueError("a vector over a denominator has no array view")
+            return np.array(list(self), dtype=object if dtype is None else dtype)
+        if copy:
+            return np.array(self._num, dtype=dtype)
+        view = self._num.view()
+        if dtype is None or view.dtype == np.dtype(dtype):
+            return view
+        if copy is False:
+            raise ValueError(f"{view.dtype} numerators have no {np.dtype(dtype)} view")
+        return view.astype(dtype)
+
+
+def _exact_fields(obj, *names):
+    """Hold each named field of a frozen dataclass as an ExactVector, converting a tuple
+    or array once."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, ExactVector):
+            object.__setattr__(obj, name, ExactVector(value))
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Canonical model of GF(p^(3m)) used by the Singer construction.
@@ -201,14 +372,17 @@ class SingerSet:
 class DifferenceReport:
     """Exhaustive ordered-pair difference counts for a residue set.
 
-    counts[r] is the number of ordered pairs (s, t), s != t, with
-    s - t = r mod q; counts[0] is 0 by convention.  valid means every
-    count for r in [1, q) equals one.
+    counts is an ExactVector of q integers (denominator 1): counts[r] is the
+    number of ordered pairs (s, t), s != t, with s - t = r mod q; counts[0]
+    is 0 by convention.  valid means every count for r in [1, q) equals one.
     """
 
     valid: bool
-    counts: tuple
+    counts: ExactVector
     first_violation: int | None
+
+    def __post_init__(self):
+        _exact_fields(self, "counts")
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +529,18 @@ def _difference_counts(residues, q):
     """
     counts = _pair_counts(residues, q, cyclic=True)
     counts[0] = 0  # only the pairs s = t have difference 0
-    bad = np.flatnonzero(counts[1:] != 1)
-    return counts, int(bad[0]) + 1 if bad.size else None
+    for lo in range(1, q, _BLOCK):  # no q-long temporary
+        bad = np.flatnonzero(counts[lo:lo + _BLOCK] != 1)
+        if bad.size:
+            return counts, lo + int(bad[0])
+    return counts, None
 
 
 def verify_perfect_difference(residues, q):
     """Count every ordered-pair difference mod q; exact, no tolerance."""
     counts, first = _difference_counts(residues, q)
-    counts = counts.tolist()  # frees the int64 array before the tuple is built
-    return DifferenceReport(valid=first is None, counts=tuple(counts), first_violation=first)
+    return DifferenceReport(valid=first is None, counts=ExactVector._adopt(counts),
+                            first_violation=first)
 
 
 def normalize(sset):
