@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetError
-from .riesz import _stage_product
+from .riesz import _ordered_sums
 
 __all__ = [
     "StageParams",
@@ -217,7 +217,8 @@ def base_occurrences(params, k, K):
     if count > OCCURRENCE_BUDGET:
         raise BudgetError(f"{count} occurrences exceed the budget {OCCURRENCE_BUDGET}")
     cols = [params.column_offsets(j) for j in range(k, K)]
-    return tuple(np.sort(_stage_product(cols, np.add, params.stages[K - 1].height)).tolist())
+    offsets, increasing = _ordered_sums(cols, params.stages[K - 1].height)
+    return tuple((offsets if increasing else np.sort(offsets)).tolist())
 
 
 @functools.lru_cache(maxsize=1)

@@ -18,6 +18,14 @@ sum ((p_j+1) N_j / N_{j+1})^2 under the geometric bound sum 4^{-j}.
 Dissociation sums, partial-product coefficients and the rank-one tower's
 base-copy offsets take one element per stage: one numpy outer-product
 kernel enumerates them, in int64, or in Python ints past 2^63.
+
+No sort is needed to order those sums.  Under the margin rules N_{j+1} =
+c h_j with c >= 2, the sums over stages 1..j lie in [-(h_j - 1), h_j - 1],
+while stage j+1's ascending frequencies lie at least N_{j+1} >= 2 h_j apart.
+So enumerating with the newest stage slowest (outer(stage, earlier sums))
+yields strictly increasing sums, and one pass over neighbours proves them
+distinct for any plan.  A sequence that fails that pass, as explicit
+scales may, takes the sort-and-merge fallback instead.
 """
 
 from __future__ import annotations
@@ -25,6 +33,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
+import operator
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -179,6 +190,9 @@ def check_dissociated(plan, stages=None, mode="differences"):
     if total > DISSOCIATION_BUDGET:
         raise BudgetError(f"{total} tuples exceed the brute-force budget {DISSOCIATION_BUDGET}")
     bound = sum(st.scale * (st.singer.q - 1) for st in plan.stages[:k])  # caps every |sum|
+    if _ordered_sums(blocks, bound)[1]:
+        return DissociationCertificate(stages_checked=k, mode=mode, valid=True, collision=None)
+    # the witness search, in itertools.product order
     sums = _stage_product(blocks, np.add, bound)
     _, first, inverse = np.unique(sums, return_index=True, return_inverse=True)
     first = first[inverse]  # index of each sum's first occurrence
@@ -196,6 +210,107 @@ def check_dissociated(plan, stages=None, mode="differences"):
 # Exact partial-product coefficients
 # ---------------------------------------------------------------------------
 
+def _int_array(values):
+    """A read-only 1-D array of Python ints: int64, or object where some do not fit."""
+    values = [operator.index(v) for v in values]
+    fits = all(-2**63 <= v < 2**63 for v in values)
+    out = np.array(values, dtype=np.int64 if fits else object)
+    out.flags.writeable = False
+    return out
+
+
+class CoefficientMap(Mapping):
+    """A read-only mapping frequency -> numerator over two sorted arrays.
+
+    It reads as the dict {frequency: numerator} it stands for: == compares
+    with any mapping (a dict, a Counter), keys and values are Python ints,
+    len is O(1), and a lookup is one searchsorted.  frequencies (ascending)
+    and numerators are read-only int64 arrays, or object arrays of Python
+    ints where some value does not fit int64.
+
+    CoefficientMap(mapping) holds the integer items of any mapping.
+    """
+
+    __slots__ = ("_freq", "_num")
+
+    def __init__(self, mapping=()):
+        items = sorted(dict(mapping).items())
+        self._freq = _int_array(f for f, _ in items)
+        self._num = _int_array(n for _, n in items)
+
+    @classmethod
+    def _adopt(cls, frequencies, numerators):
+        """The map over the library's own arrays, strictly increasing frequencies, taken
+        over without a copy and made read-only."""
+        out = cls.__new__(cls)
+        frequencies.flags.writeable = numerators.flags.writeable = False
+        out._freq, out._num = frequencies, numerators
+        return out
+
+    @property
+    def frequencies(self):
+        return self._freq.view()
+
+    @property
+    def numerators(self):
+        return self._num.view()
+
+    def __len__(self):
+        return len(self._freq)
+
+    def __iter__(self):
+        return iter(self._freq.tolist())
+
+    def _position(self, key):
+        """Index of the frequency equal to key, None where no frequency equals it."""
+        if not (isinstance(key, float) and key.is_integer()
+                or isinstance(key, numbers.Rational) and key.denominator == 1):
+            return None
+        key = int(key)
+        if self._freq.dtype != object and not -2**63 <= key < 2**63:
+            return None
+        i = int(np.searchsorted(self._freq, key))
+        return i if i < len(self._freq) and self._freq[i] == key else None
+
+    def __getitem__(self, key):
+        i = self._position(key)
+        if i is None:
+            raise KeyError(key)
+        return int(self._num[i])
+
+    def items(self):
+        return _Items(self)
+
+    def values(self):
+        return _Values(self)
+
+    def __eq__(self, other):
+        if isinstance(other, CoefficientMap):
+            return bool(np.array_equal(self._freq, other._freq)
+                        and np.array_equal(self._num, other._num))
+        return super().__eq__(other)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+    def __reduce__(self):
+        return CoefficientMap._adopt, (self._freq, self._num)
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping._freq.tolist(), self._mapping._num.tolist())
+
+
+class _Values(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping._num.tolist())
+
+
 @dataclass(frozen=True, eq=False)
 class SparseCoefficients:
     """Exact Fourier coefficients of a partial product over one denominator.
@@ -204,11 +319,30 @@ class SparseCoefficients:
     of ways to pick one ordered pair (a_j, b_j) from N_j S_j per stage
     with sum_j (a_j - b_j) = f.  The coefficient is numerator /
     denominator, with denominator = prod_{j<=k} |S_j|.
+
+    The map is a read-only CoefficientMap over two arrays, frequencies
+    ascending and their numerators: int64, or Python ints past 2^63.
+    partial_coeffs makes both without a sort when the stage sums come out
+    strictly increasing (the margin rules; see the module docstring), and
+    merges equal sums with a sort otherwise.  Any other mapping given as
+    coefficients is converted once.
     """
 
     stages: int
-    coefficients: dict
+    coefficients: CoefficientMap
     denominator: int
+
+    def __post_init__(self):
+        if not isinstance(self.coefficients, CoefficientMap):
+            object.__setattr__(self, "coefficients", CoefficientMap(self.coefficients))
+
+    @property
+    def frequencies(self):
+        return self.coefficients.frequencies
+
+    @property
+    def numerators(self):
+        return self.coefficients.numerators
 
     @property
     def zero_coefficient(self):
@@ -221,7 +355,10 @@ class SparseCoefficients:
 
     @property
     def total_mass(self):
-        return Fraction(sum(self.coefficients.values()), self.denominator)
+        num = self.numerators
+        bound = max(-int(num.min(initial=0)), int(num.max(initial=0))) * len(num)
+        total = int(num.sum()) if num.dtype != object and bound < 2**63 else sum(num.tolist())
+        return Fraction(total, self.denominator)
 
 
 def _stage_product(blocks, ufunc, bound):
@@ -233,6 +370,18 @@ def _stage_product(blocks, ufunc, bound):
     for block in blocks[1:]:
         out = ufunc.outer(out, np.array(block, dtype=dtype)).ravel()
     return out
+
+
+def _ordered_sums(blocks, bound):
+    """(sums, increasing): the sums with one element of each block, the last block
+    varying slowest, and whether they are strictly increasing (hence distinct).
+
+    With ascending blocks whose every gap exceeds the span of all earlier blocks'
+    sums, as under the margin rules (see the module docstring), they are: the sums
+    are then the sorted sumset with no sort.  bound caps every |sum|, as in
+    _stage_product."""
+    sums = _stage_product(blocks[::-1], np.add, bound)
+    return sums, bool(np.all(sums[1:] > sums[:-1]))
 
 
 def _stage_map(st):
@@ -255,6 +404,10 @@ def partial_coeffs(plan, k):
     an error).  BudgetError is raised before a stage's convolution when
     the product of the two supports, the size a dissociated stage
     produces, exceeds COEFF_BUDGET.
+
+    Each stage's sums come out ascending with the stage slowest; where
+    they are strictly increasing the outer product of counts already
+    holds the numerators, and only colliding sums are sorted and merged.
     """
     if not 1 <= k <= len(plan.stages):
         raise ValueError(f"k must lie in [1, {len(plan.stages)}]")
@@ -268,13 +421,16 @@ def partial_coeffs(plan, k):
         size = len(freqs) * len(stage_freqs)
         if size > COEFF_BUDGET:
             raise BudgetError(f"{size} frequencies exceed the budget {COEFF_BUDGET}")
-        products = _stage_product([numerators, stage_counts], np.multiply, bound)
-        freqs, inverse = np.unique(_stage_product([freqs, stage_freqs], np.add, bound),
-                                   return_inverse=True)
-        numerators = np.zeros(freqs.size, dtype=products.dtype)
-        np.add.at(numerators, inverse, products)
-    coefficients = dict(zip(freqs.tolist(), numerators.tolist()))
-    return SparseCoefficients(stages=k, coefficients=coefficients, denominator=denominator)
+        products = _stage_product([stage_counts, numerators], np.multiply, bound)
+        freqs, increasing = _ordered_sums([freqs, stage_freqs], bound)
+        if increasing:
+            numerators = products
+        else:  # merge the numerators of equal sums
+            freqs, inverse = np.unique(freqs, return_inverse=True)
+            numerators = np.zeros(freqs.size, dtype=products.dtype)
+            np.add.at(numerators, inverse, products)
+    return SparseCoefficients(stages=k, coefficients=CoefficientMap._adopt(freqs, numerators),
+                              denominator=denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +484,20 @@ class QuasiInvarianceReport:
 
 
 def quasi_invariance_sum(plan, x):
+    """Exact in integers: with x = a/b and r = N_j a mod b, ||N_j x|| = min(r, b - r) / b,
+    so every term and partial sum is an integer over b^2."""
     x = Fraction(x)
-    dists = [min(t, 1 - t) for t in ((st.scale * x) % 1 for st in plan.stages)]
-    terms = [Fraction(st.singer.size) ** 2 * d * d for st, d in zip(plan.stages, dists)]
-    sums = tuple(itertools.accumulate(terms))
-    half = len(terms) // 2
+    a, b = x.numerator, x.denominator
+    rs = [st.scale * a % b for st in plan.stages]
+    nums = [(st.singer.size * min(r, b - r)) ** 2 for st, r in zip(plan.stages, rs)]
+    sums = list(itertools.accumulate(nums))
+    half = len(nums) // 2
     tail_growth = sums[-1] - sums[half - 1] if half >= 1 else sums[-1]
     return QuasiInvarianceReport(
         x=x,
-        terms=tuple(terms),
-        partial_sums=sums,
-        suggests_membership=tail_growth < Fraction(1, 10**9),
+        terms=tuple(Fraction(n, b * b) for n in nums),
+        partial_sums=tuple(Fraction(n, b * b) for n in sums),
+        suggests_membership=tail_growth * 10**9 < b * b,
     )
 
 

@@ -1,12 +1,17 @@
+import dataclasses
+import pickle
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from flatpoly import riesz
+from flatpoly.rankone import base_occurrences, derive_map_params
 from flatpoly.errors import BudgetError
 from flatpoly.poly import eval_support_grid
 from flatpoly.riesz import (
+    CoefficientMap,
     PlanStage,
     RieszPlan,
     check_dissociated,
@@ -225,6 +230,120 @@ class TestPartialCoeffs:
         assert partial_coeffs(make_plan([2, 3]), 2).total_mass == 12
 
 
+class TestSparseCoefficients:
+    def test_equals_the_dict_and_the_counter(self):
+        coeffs = partial_coeffs(make_plan([2, 3]), 2)
+        as_dict = dict(coeffs.coefficients.items())
+        assert isinstance(coeffs.coefficients, CoefficientMap)
+        assert coeffs.coefficients == as_dict and as_dict == coeffs.coefficients
+        assert coeffs.coefficients == Counter(as_dict) and Counter(as_dict) == coeffs.coefficients
+        assert coeffs.coefficients != {**as_dict, 0: 13} and coeffs.coefficients != {}
+        assert coeffs.coefficients == CoefficientMap(as_dict)
+        assert repr(coeffs.coefficients) == repr(as_dict)
+        assert list(coeffs.coefficients) == sorted(as_dict)
+
+    def test_items_are_python_ints(self):
+        cmap = partial_coeffs(make_plan([2, 3]), 2).coefficients
+        assert cmap.frequencies.dtype == cmap.numerators.dtype == np.int64
+        for values in (list(cmap), list(cmap.values()), [v for item in cmap.items() for v in item],
+                       [cmap[24], cmap.get(0)]):
+            assert {type(v) for v in values} == {int}
+
+    def test_missing_keys(self):
+        cmap = partial_coeffs(make_plan([2, 3]), 2).coefficients
+        for key in (4, 10**30, -10**30, 0.5, float("nan"), float("inf"), Fraction(1, 2), "0", None):
+            with pytest.raises(KeyError):
+                cmap[key]
+            assert cmap.get(key) is None and cmap.get(key, -1) == -1 and key not in cmap
+        # keys equal to an integer find it, as in a dict
+        for key in (24, 24.0, Fraction(24), np.int64(24), np.float64(24)):
+            assert cmap[key] == 3 and key in cmap
+
+    def test_len_reads_no_item(self, monkeypatch):
+        cmap = partial_coeffs(make_plan([2, 3, 5]), 3).coefficients
+
+        def no_iteration(self):
+            raise AssertionError("len iterated")
+
+        monkeypatch.setattr(CoefficientMap, "__iter__", no_iteration)
+        assert len(cmap) == cmap.frequencies.size == 7 * 13 * 31
+
+    def test_read_only(self):
+        coeffs = partial_coeffs(make_plan([2, 3]), 2)
+        for array in (coeffs.frequencies, coeffs.numerators,
+                      coeffs.coefficients.frequencies, coeffs.coefficients.numerators):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 7
+        with pytest.raises(TypeError):
+            coeffs.coefficients[0] = 13
+        with pytest.raises(TypeError):
+            hash(coeffs.coefficients)
+        again = pickle.loads(pickle.dumps(coeffs))
+        assert again.coefficients == coeffs.coefficients and not again.frequencies.flags.writeable
+
+    def test_frequencies_ascend_with_their_numerators(self):
+        for plan in (make_plan([2, 3, 5]), manual_plan([2, 3], [1, 2])):
+            coeffs = partial_coeffs(plan, 2)
+            freqs = coeffs.frequencies
+            assert np.all(freqs[1:] > freqs[:-1])
+            assert dict(zip(freqs.tolist(), coeffs.numerators.tolist())) == coeffs.coefficients
+
+    def test_object_path_past_2_63(self):
+        plan = make_plan([2, 3], scales=[1, 10**19])
+        coeffs = partial_coeffs(plan, 2)
+        assert coeffs.frequencies.dtype == coeffs.numerators.dtype == object
+        expected = Counter()
+        for a in plan.stages[0].frequencies:
+            for b in plan.stages[0].frequencies:
+                for c in plan.stages[1].frequencies:
+                    for d in plan.stages[1].frequencies:
+                        expected[a - b + c - d] += 1
+        assert coeffs.coefficients == expected and len(coeffs.coefficients) == 7 * 13
+        top = 9 * 10**19 + 3
+        assert coeffs.coefficients[top] == coeffs.coefficients[-top] == 1
+        assert type(coeffs.coefficients[top]) is int and coeffs.coefficients.get(top + 1) is None
+        assert coeffs.zero_coefficient == 1 and coeffs.total_mass == 12
+
+    def test_any_mapping_converts_once(self):
+        coeffs = partial_coeffs(make_plan([2, 3]), 2)
+        bumped = dataclasses.replace(coeffs, coefficients={**coeffs.coefficients, 0: 13})
+        assert isinstance(bumped.coefficients, CoefficientMap)
+        assert bumped.zero_coefficient == Fraction(13, 12) and not bumped.dissociation_consistent
+        assert bumped.total_mass == Fraction(145, 12)
+        huge = riesz.SparseCoefficients(stages=1, coefficients={2**64: 2**70, -1: 1}, denominator=1)
+        assert huge.frequencies.tolist() == [-1, 2**64] and huge.total_mass == 2**70 + 1
+
+    @pytest.mark.parametrize("primes, rule", [
+        ((2, 3, 5, 2, 3), "margin"),
+        ((2, 3, 5, 7), "margin"),
+        ((2, 3, 5, 7, 2), "margin:2"),
+        ((3, 2, 2, 2), "margin:2"),
+        ((2, 3, 5), "margin:5"),
+    ])
+    def test_margin_plans_need_no_sort(self, monkeypatch, primes, rule):
+        plan = make_plan(primes, rule=rule)
+        params = derive_map_params(plan)
+        K = len(plan.stages)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("a margin plan reached a sort")
+
+        monkeypatch.setattr(riesz.np, "unique", no_sort)
+        for k in range(1, K + 1):
+            try:
+                assert partial_coeffs(plan, k).dissociation_consistent
+                for mode in ("sums", "differences"):
+                    assert check_dissociated(plan, k, mode=mode).valid
+            except BudgetError:  # the five-stage plan's last stage
+                assert k == 5
+        monkeypatch.setattr(riesz.np, "sort", no_sort)
+        for K_ in range(1, K + 1):
+            for k in range(K_):
+                occ = base_occurrences(params, k, K_)
+                assert list(occ) == sorted(occ)
+
+
 class TestErgodicity:
     def test_first_term(self):
         rep = ergodicity_sum(make_plan([2, 3]))
@@ -285,6 +404,20 @@ class TestQuasiInvariance:
     def test_float_input(self):
         rep = quasi_invariance_sum(make_plan([2, 3]), 0.5)
         assert rep.terms[0] == Fraction(9, 4)
+
+    def test_integer_route_equals_the_fraction_formula(self):
+        plan = make_plan([2, 3, 5, 7])
+        rng = np.random.default_rng(7)
+        rotations = [Fraction(int(a), int(b)) for a, b in rng.integers(-10**6, 10**6, (60, 2)) if b]
+        for x in rotations + [Fraction(0), Fraction(1, 2), Fraction(5, plan.scales[-1])]:
+            terms = []
+            for st in plan.stages:
+                t = (st.scale * x) % 1
+                terms.append(Fraction(st.singer.size) ** 2 * min(t, 1 - t) ** 2)
+            rep = quasi_invariance_sum(plan, x)
+            assert rep.terms == tuple(terms)
+            assert rep.partial_sums == tuple(sum(terms[:j + 1]) for j in range(len(terms)))
+            assert rep.suggests_membership == (sum(terms[2:]) < Fraction(1, 10**9))
 
 
 class TestPlanJson:
