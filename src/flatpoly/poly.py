@@ -133,10 +133,8 @@ class DefectPolynomial:
         return self.q - 1
 
     def value_at_one(self):
-        num = self.coefficients.numerators
-        bound = self.coefficients.numerator_bound * len(num)
-        total = int(num.sum()) if bound < 2**63 else sum(num.tolist())
-        return Fraction(total, self.coefficients.denominator)
+        """Q(1), the exact sum of the coefficients."""
+        return Fraction(self.coefficients._total(), self.coefficients.denominator)
 
     def coefficient_array(self):
         """Dense float coefficients of length q, each rounded as float(Fraction) is: one

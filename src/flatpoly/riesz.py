@@ -33,16 +33,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import operator
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import BudgetError
-from .singer import SingerSet, _pair_counts, construct_singer
+from .singer import ExactVector, SingerSet, _pair_counts, construct_singer
 
 __all__ = [
     "PlanStage",
@@ -210,23 +209,14 @@ def check_dissociated(plan, stages=None, mode="differences"):
 # Exact partial-product coefficients
 # ---------------------------------------------------------------------------
 
-def _int_array(values):
-    """A read-only 1-D array of Python ints: int64, or object where some do not fit."""
-    values = [operator.index(v) for v in values]
-    fits = all(-2**63 <= v < 2**63 for v in values)
-    out = np.array(values, dtype=np.int64 if fits else object)
-    out.flags.writeable = False
-    return out
-
-
 class CoefficientMap(Mapping):
-    """A read-only mapping frequency -> numerator over two sorted arrays.
+    """A read-only mapping frequency -> numerator over two ExactVectors of integers.
 
     It reads as the dict {frequency: numerator} it stands for: == compares
     with any mapping (a dict, a Counter), keys and values are Python ints,
     len is O(1), and a lookup is one searchsorted.  frequencies (ascending)
-    and numerators are read-only int64 arrays, or object arrays of Python
-    ints where some value does not fit int64.
+    and numerators are the vectors' read-only numerator arrays: int64, or
+    object arrays of Python ints where some value does not fit int64.
 
     CoefficientMap(mapping) holds the integer items of any mapping.
     """
@@ -234,81 +224,55 @@ class CoefficientMap(Mapping):
     __slots__ = ("_freq", "_num")
 
     def __init__(self, mapping=()):
-        items = sorted(dict(mapping).items())
-        self._freq = _int_array(f for f, _ in items)
-        self._num = _int_array(n for _, n in items)
+        items = sorted((operator.index(f), operator.index(n)) for f, n in dict(mapping).items())
+        self._freq = ExactVector([f for f, _ in items])
+        self._num = ExactVector([n for _, n in items])
 
     @classmethod
     def _adopt(cls, frequencies, numerators):
         """The map over the library's own arrays, strictly increasing frequencies, taken
         over without a copy and made read-only."""
         out = cls.__new__(cls)
-        frequencies.flags.writeable = numerators.flags.writeable = False
-        out._freq, out._num = frequencies, numerators
+        out._freq, out._num = ExactVector._adopt(frequencies), ExactVector._adopt(numerators)
         return out
 
     @property
     def frequencies(self):
-        return self._freq.view()
+        return self._freq.numerators
 
     @property
     def numerators(self):
-        return self._num.view()
+        return self._num.numerators
 
     def __len__(self):
         return len(self._freq)
 
     def __iter__(self):
-        return iter(self._freq.tolist())
-
-    def _position(self, key):
-        """Index of the frequency equal to key, None where no frequency equals it."""
-        if not (isinstance(key, float) and key.is_integer()
-                or isinstance(key, numbers.Rational) and key.denominator == 1):
-            return None
-        key = int(key)
-        if self._freq.dtype != object and not -2**63 <= key < 2**63:
-            return None
-        i = int(np.searchsorted(self._freq, key))
-        return i if i < len(self._freq) and self._freq[i] == key else None
+        return iter(self._freq)
 
     def __getitem__(self, key):
-        i = self._position(key)
-        if i is None:
+        freq, f = self._freq.numerators, self._freq._numerator_of(key)
+        i = len(freq) if f is None else int(np.searchsorted(freq, f))
+        if i == len(freq) or freq[i] != f:
             raise KeyError(key)
-        return int(self._num[i])
+        return self._num[i]
+
+    def _dict(self):
+        return dict(zip(self._freq, self._num))
 
     def items(self):
-        return _Items(self)
+        return self._dict().items()
 
     def values(self):
-        return _Values(self)
+        return self._dict().values()
 
     def __eq__(self, other):
         if isinstance(other, CoefficientMap):
-            return bool(np.array_equal(self._freq, other._freq)
-                        and np.array_equal(self._num, other._num))
+            return self._freq == other._freq and self._num == other._num
         return super().__eq__(other)
 
     def __repr__(self):
-        return repr(dict(self.items()))
-
-    def __reduce__(self):
-        return CoefficientMap._adopt, (self._freq, self._num)
-
-
-class _Items(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return zip(self._mapping._freq.tolist(), self._mapping._num.tolist())
-
-
-class _Values(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return iter(self._mapping._num.tolist())
+        return repr(self._dict())
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,7 +284,7 @@ class SparseCoefficients:
     with sum_j (a_j - b_j) = f.  The coefficient is numerator /
     denominator, with denominator = prod_{j<=k} |S_j|.
 
-    The map is a read-only CoefficientMap over two arrays, frequencies
+    The map is a read-only CoefficientMap over two ExactVectors, frequencies
     ascending and their numerators: int64, or Python ints past 2^63.
     partial_coeffs makes both without a sort when the stage sums come out
     strictly increasing (the margin rules; see the module docstring), and
@@ -355,10 +319,7 @@ class SparseCoefficients:
 
     @property
     def total_mass(self):
-        num = self.numerators
-        bound = max(-int(num.min(initial=0)), int(num.max(initial=0))) * len(num)
-        total = int(num.sum()) if num.dtype != object and bound < 2**63 else sum(num.tolist())
-        return Fraction(total, self.denominator)
+        return Fraction(self.coefficients._num._total(), self.denominator)
 
 
 def _stage_product(blocks, ufunc, bound):

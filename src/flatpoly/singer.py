@@ -28,6 +28,7 @@ same order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
@@ -164,12 +165,13 @@ def _is_primitive(g, modulus, p, prime_divisors):
 class ExactVector(Sequence):
     """A read-only vector of rationals: numerators over one positive denominator.
 
-    The exact layer's q-long results (difference counts, correlation counts, defect
-    coefficients) are this type, 8 bytes per entry.  It reads as the tuple it stands
-    for: indexing and iteration give ints when the denominator is 1 and Fractions
-    otherwise, slices are vectors, and ==, hash and repr are the tuple's (2/4 equals
-    1/2).  count, index and `in` compare numerators in numpy.  np.asarray gives a
-    read-only view of the numerators when the denominator is 1; np.array a copy.
+    The exact layer's long results (difference counts, correlation counts, defect
+    coefficients, the two halves of a riesz.CoefficientMap) are this type, 8 bytes per
+    entry.  It reads as the tuple it stands for: indexing and iteration give ints when
+    the denominator is 1 and Fractions otherwise, slices are vectors, and ==, hash and
+    repr are the tuple's (2/4 equals 1/2).  count compares numerators in numpy; index
+    and `in` scan as a tuple's do.  np.asarray gives a read-only view of the
+    numerators when the denominator is 1; np.array a copy.
 
     ExactVector(values, denominator=1) holds values[i] / denominator, for an integer
     array or any sequence of rationals, which are brought to their common denominator.
@@ -235,45 +237,33 @@ class ExactVector(Sequence):
         return n if self._den == 1 else Fraction(n, self._den)
 
     def __iter__(self):
-        for lo in range(0, len(self._num), _BLOCK):
-            block = self._num[lo:lo + _BLOCK].tolist()
-            if self._den == 1:
-                yield from block
-            else:  # one Fraction per distinct numerator of the block
-                fractions = {n: Fraction(n, self._den) for n in set(block)}
-                yield from map(fractions.__getitem__, block)
+        blocks = (self._num[lo:lo + _BLOCK].tolist() for lo in range(0, len(self._num), _BLOCK))
+        if self._den != 1:  # one Fraction per distinct numerator of a block
+            blocks = (map({n: Fraction(n, self._den) for n in set(b)}.__getitem__, b)
+                      for b in blocks)
+        return itertools.chain.from_iterable(blocks)
 
-    def _equal_to(self, x):
-        """The boolean array of entries equal to the number x, or None for an x that
-        only Python's == compares (as tuple.count does)."""
-        if isinstance(x, float) and not math.isfinite(x):
-            return np.zeros(len(self), dtype=bool)  # no rational equals inf or NaN
-        if not isinstance(x, (numbers.Rational, float)):
+    def _numerator_of(self, x):
+        """The integer n with n / denominator == x, None where no entry can equal x: x is
+        no finite rational or float, or n is no integer that the numerators' dtype holds."""
+        if not (isinstance(x, numbers.Rational) or isinstance(x, float) and math.isfinite(x)):
             return None
         n = Fraction(x) * self._den
         if n.denominator != 1 or (self._num.dtype != object and not -2**63 <= n.numerator < 2**63):
-            return np.zeros(len(self), dtype=bool)
-        return self._num == n.numerator
+            return None
+        return int(n.numerator)
 
     def count(self, x):
-        hits = self._equal_to(x)
-        if hits is None:
+        if not isinstance(x, (numbers.Rational, float)):  # as tuple.count, by Python's ==
             return sum(1 for v in self if v == x)
-        return int(np.count_nonzero(hits))
+        n = self._numerator_of(x)
+        return 0 if n is None else int(np.count_nonzero(self._num == n))
 
-    def index(self, x, start=0, stop=None):
-        lo, hi, _ = slice(start, stop).indices(len(self))
-        hits = self[lo:hi]._equal_to(x)
-        if hits is None:
-            found = next((i for i, v in enumerate(self[lo:hi]) if v == x), None)
-        else:
-            found = int(hits.argmax()) if hits.any() else None
-        if found is None:
-            raise ValueError(f"{x!r} is not in the vector")
-        return lo + found
-
-    def __contains__(self, x):
-        return self.count(x) > 0
+    def _total(self):
+        """The exact sum of the numerators, in int64 where no partial sum can overflow."""
+        if self._num.dtype != object and self.numerator_bound * len(self) >= 2**63:
+            return sum(self._num.tolist())
+        return int(self._num.sum())
 
     def _lowest(self):
         """(denominator, numerators) in lowest terms, the same for equal vectors."""
@@ -297,7 +287,7 @@ class ExactVector(Sequence):
         return repr(tuple(self))
 
     def __reduce__(self):
-        return ExactVector, (self._num, self._den)
+        return ExactVector._adopt, (self._num, self._den)
 
     def __array__(self, dtype=None, copy=None):
         """The numerators when the denominator is 1: a read-only view unless dtype or
@@ -489,7 +479,8 @@ def construct_singer(p, m=1):
     """Build the canonical normalized Singer set for the prime p (exponent m).
 
     Deterministic across runs: the field, the generator, and hence the
-    residues are all canonical.  Raises ValueError for non-prime p and
+    residues are all canonical.  normalize checks the scanned set with one
+    verify_perfect_difference call.  Raises ValueError for non-prime p and
     BudgetError when p^(3m) exceeds DEFAULT_MAX_FIELD_ORDER.
     """
     return normalize(_scan_singer(canonical_field_spec(p, m)))
@@ -522,23 +513,19 @@ def _pair_counts(support, q, cyclic=False):
     return counts
 
 
-def _difference_counts(residues, q):
-    """(counts, first_violation): int64 pair counts mod q, counts[0] = 0.
+def verify_perfect_difference(residues, q):
+    """Count every ordered-pair difference mod q; exact, no tolerance.
 
     first_violation is the least r in [1, q) whose count is not one, or None.
     """
     counts = _pair_counts(residues, q, cyclic=True)
     counts[0] = 0  # only the pairs s = t have difference 0
+    first = None
     for lo in range(1, q, _BLOCK):  # no q-long temporary
         bad = np.flatnonzero(counts[lo:lo + _BLOCK] != 1)
         if bad.size:
-            return counts, lo + int(bad[0])
-    return counts, None
-
-
-def verify_perfect_difference(residues, q):
-    """Count every ordered-pair difference mod q; exact, no tolerance."""
-    counts, first = _difference_counts(residues, q)
+            first = lo + int(bad[0])
+            break
     return DifferenceReport(valid=first is None, counts=ExactVector._adopt(counts),
                             first_violation=first)
 
@@ -548,13 +535,15 @@ def normalize(sset):
 
     The ordered pair with difference 1 is unique in a perfect difference
     set, so the normalized translate is unique; the map is idempotent.
-    ValueError names the least residue whose difference count is not one,
-    so a returned set has passed the exhaustive difference check.
+    ValueError names the least residue whose difference count is not one
+    in verify_perfect_difference's report, so a returned set has passed
+    the exhaustive difference check.
     """
-    counts, first = _difference_counts(sset.residues, sset.q)
-    if first is not None:
+    report = verify_perfect_difference(sset.residues, sset.q)
+    if not report.valid:
+        first = report.first_violation
         raise ValueError(
-            f"not a perfect difference set (residue {first} has count {counts[first]})"
+            f"not a perfect difference set (residue {first} has count {report.counts[first]})"
         )
     members = set(sset.residues)
     starts = [y for y in sset.residues if (y + 1) % sset.q in members]

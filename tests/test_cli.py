@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import flatpoly
-from flatpoly import analysis, cli, mahler, poly, singer
+from flatpoly import analysis, cli, mahler, poly, riesz, singer
 from flatpoly.analysis import flatness
 from flatpoly.cli import Command, UsageError, _flat_row, main, parse
 from flatpoly.poly import (
@@ -289,6 +290,28 @@ class TestExecute:
             assert all(row["mahler_converged"] is True for row in results["rows"])
             assert results["methods"][method].endswith(cli.MAHLER_NEAR_ROOT)
         assert all(row["cross_method_gap"] <= 1e-9 for row in results["rows"])
+
+    def test_method_texts_state_the_constants(self, tmp_path):
+        texts = []
+        for argv in (["flat", "--primes", "2", "--alpha", "1"], ["beta", "--primes", "2"],
+                     ["mahler", "--primes", "2"], ["riesz", "--primes", "2,3"]):
+            _, text = run_to_file(tmp_path, argv, argv[0])
+            texts += json.loads(text)["results"]["methods"].values()
+
+        def numbers(pattern):
+            found = [m.groups() for t in texts for m in re.finditer(pattern, t)]
+            assert found, pattern
+            return set(found)
+
+        assert numbers(r"within (\d+)/N") == {(str(mahler.NEAR_ROOT_WINDOW),)}
+        [(tol,)] = numbers(r"mahler_converged is true where it is below ([\d.e+-]+)")
+        assert float(tol) == mahler.MAHLER_TOL
+        [(base, power)] = numbers(r"within budget (\d+)\^(\d+)")
+        assert int(base) ** int(power) == riesz.DISSOCIATION_BUDGET
+        [(floor, factor)] = numbers(r"power of two >= max\((\d+), (\d+)\(degree \+ 1\)\)")
+        for degree in [*range(300), 2**20 - 1, 2**20, 10**7 + 3]:
+            least = max(int(floor), int(factor) * (degree + 1))
+            assert mahler.mahler_grid(degree) == 1 << (least - 1).bit_length(), degree
 
     def test_realline_report(self, tmp_path):
         code, text = run_to_file(

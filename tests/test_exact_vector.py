@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatpoly.poly import DefectPolynomial, correlations, defect_poly
-from flatpoly.singer import ExactVector, construct_singer, verify_perfect_difference
+from flatpoly.singer import _BLOCK, ExactVector, construct_singer, verify_perfect_difference
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
@@ -109,6 +109,23 @@ def test_equality_and_hash_agree_with_the_tuple(case, scale):
         assert changed != vec and changed != oracle
     assert vec != oracle + (0,) and vec != ExactVector(numerators + [0], denominator)
     assert pickle.loads(pickle.dumps(vec)) == vec
+
+
+@pytest.mark.parametrize("route", ["int64 over 1", "int64 over 6", "object over 1"])
+def test_iteration_crosses_block_boundaries(route):
+    # _BLOCK + 3 entries: iteration reads a full block of numerators, then three more
+    numerators = [n % 7 - 3 for n in range(_BLOCK + 3)]
+    denominator = 6 if route == "int64 over 6" else 1
+    if route == "object over 1":
+        numerators[_BLOCK + 1] = 2**64
+    vec = ExactVector(numerators, denominator)
+    assert vec.numerators.dtype == (object if route == "object over 1" else np.int64)
+    oracle = as_tuple(numerators, denominator)
+    assert list(vec) == list(oracle) and [type(x) for x in vec] == [type(x) for x in oracle]
+    assert vec == oracle and hash(vec) == hash(oracle)
+    for n in (-3, 0, 3, 2**64):
+        x = Fraction(n, denominator)
+        assert vec.count(x) == oracle.count(x), x
 
 
 def test_two_fourths_equal_one_half():

@@ -22,7 +22,7 @@ from flatpoly.riesz import (
     plan_to_json,
     quasi_invariance_sum,
 )
-from flatpoly.singer import construct_singer
+from flatpoly.singer import _BLOCK, construct_singer
 
 
 def manual_plan(primes, scales):
@@ -282,6 +282,26 @@ class TestSparseCoefficients:
         again = pickle.loads(pickle.dumps(coeffs))
         assert again.coefficients == coeffs.coefficients and not again.frequencies.flags.writeable
 
+    @pytest.mark.parametrize("top", [0, 2**64])
+    def test_maps_longer_than_a_block(self, top):
+        # _BLOCK + 3 items, so iteration and items() cross a block boundary; a frequency
+        # past int64 (top) puts the frequencies on the object route
+        source = {3 * f - 5: f % 11 - 5 for f in range(_BLOCK + 2)}
+        source[top + 3 * _BLOCK] = 7
+        cmap = CoefficientMap(source)
+        assert cmap.frequencies.dtype == (object if top else np.int64)
+        assert len(cmap) == _BLOCK + 3 and list(cmap) == sorted(source)
+        assert dict(cmap.items()) == source
+        assert list(cmap.values()) == [source[f] for f in sorted(source)]
+        assert [type(v) for item in cmap.items() for v in item] == [int] * (2 * _BLOCK + 6)
+        for key in (-5, 3 * _BLOCK - 2, 3 * _BLOCK + 1, top + 3 * _BLOCK):
+            assert cmap.get(key) == source.get(key), key
+        again = pickle.loads(pickle.dumps(cmap))
+        assert again == cmap and again == source and isinstance(again, CoefficientMap)
+        assert not again.frequencies.flags.writeable and not again.numerators.flags.writeable
+        with pytest.raises(TypeError):
+            again[0] = 1
+
     def test_frequencies_ascend_with_their_numerators(self):
         for plan in (make_plan([2, 3, 5]), manual_plan([2, 3], [1, 2])):
             coeffs = partial_coeffs(plan, 2)
@@ -304,6 +324,8 @@ class TestSparseCoefficients:
         assert coeffs.coefficients[top] == coeffs.coefficients[-top] == 1
         assert type(coeffs.coefficients[top]) is int and coeffs.coefficients.get(top + 1) is None
         assert coeffs.zero_coefficient == 1 and coeffs.total_mass == 12
+        again = pickle.loads(pickle.dumps(coeffs.coefficients))
+        assert again == coeffs.coefficients and again.numerators.dtype == object
 
     def test_any_mapping_converts_once(self):
         coeffs = partial_coeffs(make_plan([2, 3]), 2)

@@ -272,6 +272,18 @@ class TestNormalize:
         with pytest.raises(ValueError, match=rf"residue {r} has count {report.counts[r]}\)"):
             normalize(corrupted)
 
+    @pytest.mark.parametrize("p, m", [(2, 1), (13, 1), (3, 2)])
+    def test_construction_runs_the_public_verifier_once(self, monkeypatch, p, m):
+        calls = []
+
+        def counted(residues, q):
+            calls.append(q)
+            return verify_perfect_difference(residues, q)
+
+        monkeypatch.setattr(singer, "verify_perfect_difference", counted)
+        sset = construct_singer(p, m)
+        assert calls == [sset.q]
+
     def test_preserves_difference_property(self, singer_cache):
         rng = random.Random(11)
         for p in (2, 3, 5):
