@@ -17,8 +17,9 @@ The scan runs on numpy blocks of B exponents, B the least power of two
 at or above min(_BLOCK // 3m, q).  W is the zero set of m
 functionals mod p.  Block 0 (coordinates of g^0 .. g^(B-1)) is built by
 doubling; block j is block 0 times "multiply by g^(jB)", which the scan
-applies to the functionals instead, so each block costs one
-(B x 3m) @ (3m x m) product mod p and its residues are its zero rows.
+applies to the functionals instead, so each block costs one float64
+(B x 3m) @ (3m x m) product, exact because 3m p^2 < 2^53, and its
+residues are the rows whose m values are all multiples of p.
 
 Everything here is deterministic: the modulus polynomial is the first
 irreducible monic polynomial of degree 3m in lexicographic coefficient
@@ -55,10 +56,12 @@ __all__ = [
     "DEFAULT_MAX_FIELD_ORDER",
 ]
 
-# Desk-scale cap on p^(3m), read at call time.  Memory sets the documented range p <= 7919, m = 1:
-# construct_singer, and so the singer report, peaks at ~8 bytes per residue mod q (its int64
-# difference counts), 512 MB at p = 7919; a direct verify_perfect_difference call after it
-# returns those counts as an ExactVector and stays within that peak (1.3 s there).
+# Desk-scale cap on p^(3m), read at call time; it keeps p below 21545, far inside the scan's
+# 3m p^2 < 2^53.  Memory sets the documented range p <= 7919, m = 1: construct_singer, and so
+# the singer report, peaks at ~8 bytes per residue mod q (its int64 difference counts, whose
+# buffer also holds the bitmap they are read from), 512 MB and 0.9-1.5 s at p = 7919; a direct
+# verify_perfect_difference call after it returns those counts as an ExactVector and stays
+# within that peak (0.5-1.1 s there).
 DEFAULT_MAX_FIELD_ORDER = 10**13
 
 _BLOCK = 2**16  # entries per temporary of a chunked loop (1 MB complex): _BLOCK // width rows
@@ -245,7 +248,10 @@ class ExactVector(Sequence):
 
     def _numerator_of(self, x):
         """The integer n with n / denominator == x, None where no entry can equal x: x is
-        no finite rational or float, or n is no integer that the numerators' dtype holds."""
+        no finite rational, float or complex with imaginary part 0, or n is no integer
+        that the numerators' dtype holds."""
+        if isinstance(x, complex) and x.imag == 0:  # np.complex128 too: 1+0j == 1
+            x = x.real
         if not (isinstance(x, numbers.Rational) or isinstance(x, float) and math.isfinite(x)):
             return None
         n = Fraction(x) * self._den
@@ -254,7 +260,7 @@ class ExactVector(Sequence):
         return int(n.numerator)
 
     def count(self, x):
-        if not isinstance(x, (numbers.Rational, float)):  # as tuple.count, by Python's ==
+        if not isinstance(x, (numbers.Rational, float, complex)):  # as tuple.count, by ==
             return sum(1 for v in self if v == x)
         n = self._numerator_of(x)
         return 0 if n is None else int(np.count_nonzero(self._num == n))
@@ -387,8 +393,9 @@ def canonical_field_spec(p, m=1):
     budget = DEFAULT_MAX_FIELD_ORDER
     if order > budget:
         raise BudgetError(f"field order p^(3m) = {order} exceeds the factorization budget {budget}")
-    if d * p * p >= 2**63:  # bounds every row-by-column sum of the int64 matrices mod p
-        raise BudgetError(f"3m * p^2 = {d * p * p} overflows int64 arithmetic mod p")
+    if d * p * p >= 2**53:  # bounds every row-by-column sum: the scan's float64 products are exact
+        raise BudgetError(f"3m * p^2 = {d * p * p} reaches 2^53: the scan's float64 products "
+                          "of int64 residues mod p would round")
     # p = 2 mod 3: cubing permutes GF(p), so each x^(3m) + c, c = -r^3, has the factor x^m - r
     start = p if p % 3 == 2 else 0
     modulus = next(f for f in (_digits(n, p, d) + (1,) for n in range(start, order))
@@ -466,9 +473,11 @@ def _scan_singer(spec):
     while len(rows) < min(_BLOCK // (3 * m), q):
         rows = np.vstack([rows, rows @ step % p])
         step = step @ step % p
-    residues = []  # rows now holds g^0 .. g^(B-1), and step multiplies by g^B
+    rows = rows.astype(np.float64)  # g^0 .. g^(B-1); step multiplies by g^B
+    residues = []
     for start in range(0, q, len(rows)):
-        hits = start + np.flatnonzero(~(rows @ funcs % p).any(axis=1))
+        v = rows @ funcs.astype(np.float64)  # integers below 3m p^2 < 2^53: exact
+        hits = start + np.flatnonzero((np.rint(v / p) * p == v).all(axis=1))
         residues.extend(hits[hits < q].tolist())
         funcs = step @ funcs % p
     assert len(residues) == pm + 1
@@ -490,9 +499,12 @@ def _pair_counts(support, q, cyclic=False):
     """Ordered-pair difference counts of a support, as int64.
 
     Aperiodic: counts[l + q - 1] = #{(s, t) in support^2 : s - t = l}.
-    Cyclic: counts[r] = #{(s, t) in support^2 : s - t = r mod q}, in half
-    the memory of folding the aperiodic counts.  Rows are taken
-    _BLOCK // k at a time, so no k x k difference array is built.
+    Cyclic: counts[r] = #{(s, t) in support^2 : s - t = r mod q}.  Rows
+    are taken _BLOCK // k at a time, so no k x k difference array is built.
+    Where the k(k - 1) off-diagonal pairs fit in the nonzero differences,
+    they are first marked in a bool mask (_distinct_pair_counts), and when
+    no difference repeats, as in a Singer set, that mask is the counts.
+    Otherwise the pairs are added up with np.add.at, in the counts' memory.
     Raises ValueError unless the support is distinct and inside [0, q).
     """
     s = np.asarray(support, dtype=np.int64)
@@ -502,14 +514,58 @@ def _pair_counts(support, q, cyclic=False):
     if s.size and (s.min() < 0 or s.max() >= q):
         raise ValueError(f"support must lie in [0, {q})")
     size = q if cyclic else 2 * q - 1
+    per = max(1, _BLOCK // max(s.size, 1))
+    if s.size * (s.size - 1) <= size - 1:  # else some difference repeats, by pigeonhole
+        counts = _distinct_pair_counts(ordered, q, cyclic, per)
+        if counts is not None:
+            return counts
     shifted = s if cyclic else s - (q - 1)
     counts = np.zeros(size, dtype=np.int64)
-    per = max(1, _BLOCK // max(s.size, 1))
     for lo in range(0, s.size, per):
         diffs = s[lo:lo + per, None] - shifted
         if cyclic:
             diffs[diffs < 0] += q
         np.add.at(counts, diffs.ravel(), 1)  # no q-long temporary per block
+    return counts
+
+
+def _distinct_pair_counts(ordered, q, cyclic, per):
+    """_pair_counts of an ascending support none of whose nonzero differences
+    repeats, or None.
+
+    Each pair marks one byte of a bool mask: l + q - 1 for the difference l,
+    or the residue l mod q when cyclic.  The pairs run by diagonals, per at a
+    time: diagonal t pairs s_((j + t) mod k) with s_j, whose differences lie
+    near t q / k, so each block writes into a narrow stretch of the mask.
+    The support repeats no difference exactly when k(k - 1) bytes are set;
+    the counts are then the mask as int64, with k at difference 0, and all
+    ones for a perfect difference set.  The mask is the last bytes of the
+    counts' own buffer, so the peak stays the counts' 8 bytes an entry.
+    Two equal gaps between neighbours are a repeat found before any mask:
+    a random support of the same density almost always has them.
+    """
+    gaps = np.sort(np.diff(ordered))
+    if np.any(gaps[1:] == gaps[:-1]):
+        return None
+    k = ordered.size
+    if cyclic:  # s_(j + t - k) + q - s_j is the residue of a wrapped pair
+        ahead = np.concatenate((ordered, ordered + q))
+    else:
+        ahead = np.concatenate((ordered, ordered)) + (q - 1)
+    diagonals = np.lib.stride_tricks.sliding_window_view(ahead, k)[:k]  # row t: s_(j + t)
+    counts = np.zeros(q if cyclic else 2 * q - 1, dtype=np.int64)
+    mask = counts.view(bool)[-counts.size:]
+    for t in range(0, k, per):
+        mask[(diagonals[t:t + per] - ordered).ravel()] = True
+    zero = 0 if cyclic else q - 1
+    mask[zero] = False  # difference 0: the k pairs s = t
+    if np.count_nonzero(mask) != k * (k - 1):
+        return None
+    if cyclic and k * (k - 1) == q - 1:
+        counts.fill(1)
+    else:
+        counts[:] = mask  # numpy reads the overlapping mask from a copy
+    counts[zero] = k
     return counts
 
 

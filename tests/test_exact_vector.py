@@ -49,10 +49,12 @@ def vectors(draw):
 def probes(numerators, denominator):
     """Numbers in and out of the vector, of every type tuple.count meets."""
     out = [0, 1, -1, True, 2**64, Fraction(1, 2), Fraction(1, 3), 0.5, 1.0, -0.0,
-           float("nan"), float("inf"), 1 + 0j, "1", None, np.int64(1), np.float64(0.25)]
+           float("nan"), float("inf"), 1 + 0j, 0j, 1 + 1j, complex(float("nan"), 0),
+           np.complex128(0.5), "1", None, np.int64(1), np.float64(0.25)]
     for n in numerators[:3]:
         value = Fraction(n, denominator)
-        out += [value, value + Fraction(1, 7), float(value)]
+        out += [value, value + Fraction(1, 7), float(value), complex(value),
+                np.complex128(value), complex(value, 1)]
         if value.denominator == 1:
             out.append(int(value))
     return out

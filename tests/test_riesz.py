@@ -256,8 +256,29 @@ class TestSparseCoefficients:
                 cmap[key]
             assert cmap.get(key) is None and cmap.get(key, -1) == -1 and key not in cmap
         # keys equal to an integer find it, as in a dict
-        for key in (24, 24.0, Fraction(24), np.int64(24), np.float64(24)):
+        for key in (24, 24.0, Fraction(24), np.int64(24), np.float64(24), 24 + 0j,
+                    np.complex128(24)):
             assert cmap[key] == 3 and key in cmap
+
+    @pytest.mark.parametrize("scales", [None, [1, 10**19]])
+    def test_complex_keys_read_as_in_the_dict(self, scales):
+        # a complex key equal to an integer (imaginary part 0) finds it; any other misses
+        cmap = partial_coeffs(make_plan([2, 3], scales=scales), 2).coefficients
+        as_dict = dict(cmap.items())
+        keys = [1 + 0j, 0j, -1 + 0j, 24 + 0j, np.complex128(1), np.complex128(-24), 1 + 1j,
+                0.5 + 0j, complex(float("nan"), 0), complex(float("inf"), 0), 10**30 + 0j]
+        for key in keys:
+            assert cmap.get(key) == as_dict.get(key) and (key in cmap) == (key in as_dict), key
+            if key in as_dict:
+                assert cmap[key] == as_dict[key] and type(cmap[key]) is int, key
+            else:
+                with pytest.raises(KeyError):
+                    cmap[key]
+        for vector in (cmap._freq, cmap._num):
+            oracle = tuple(vector)
+            for key in keys:
+                assert vector.count(key) == oracle.count(key) and (key in vector) == (key in oracle)
+        assert cmap.get(1 + 0j) == as_dict[1] and cmap[0j] == as_dict[0]
 
     def test_len_reads_no_item(self, monkeypatch):
         cmap = partial_coeffs(make_plan([2, 3, 5]), 3).coefficients

@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_pow_mod, gf_rem
 
@@ -15,14 +17,18 @@ from flatpoly.singer import (
     _BLOCK,
     FieldSpec,
     SingerSet,
+    _annihilator,
     _factor_group_order,
     _is_irreducible,
     _is_prime,
+    _mat_pow,
+    _mul_matrix,
     _scan_singer,
     canonical_field_spec,
     construct_singer,
     gap_statistic,
     normalize,
+    singer_modulus,
     verify_perfect_difference,
     verify_field_spec,
 )
@@ -37,6 +43,38 @@ def brute_force_difference_counts(residues, q):
                 d = (s - t) % q
                 counts[d] = counts.get(d, 0) + 1
     return counts
+
+
+def brute_force_pair_counts(support, q, cyclic):
+    """Independent oracle for _pair_counts: every ordered pair, s = t included, one at
+    a time; index l + q - 1 for the difference l, or l mod q when cyclic."""
+    counts = [0] * (q if cyclic else 2 * q - 1)
+    for s in support:
+        for t in support:
+            counts[(s - t) % q if cyclic else s - t + q - 1] += 1
+    return np.array(counts, dtype=np.int64)
+
+
+def int64_scan_residues(spec):
+    """Oracle for _scan_singer's float64 test: the same blockwise scan, with each
+    block's functional values reduced by int64 % p and tested for zero rows."""
+    p, m = spec.p, spec.m
+    q = singer_modulus(p, m)
+    step = _mul_matrix(spec.generator, spec.modulus_poly, p)
+    omega = _mat_pow(step, q, p)
+    eye = np.eye(len(step), dtype=np.int64)
+    funcs = _annihilator([(_mat_pow(omega, t, p) @ h % p)[0].tolist()
+                          for t in range(m) for h in (eye, step)], p)
+    rows = eye[:1]
+    while len(rows) < min(_BLOCK // (3 * m), q):
+        rows = np.vstack([rows, rows @ step % p])
+        step = step @ step % p
+    residues = []
+    for start in range(0, q, len(rows)):
+        hits = start + np.flatnonzero(~(rows @ funcs % p).any(axis=1))
+        residues.extend(hits[hits < q].tolist())
+        funcs = step @ funcs % p
+    return residues
 
 
 class _SubspaceTest:
@@ -174,6 +212,15 @@ class TestConstruct:
         spec = canonical_field_spec(p, m)
         assert list(_scan_singer(spec).residues) == scalar_scan_residues(spec)
 
+    @pytest.mark.parametrize(
+        "p, m",
+        [(p, 1) for p in sympy.primerange(2, 400)] + [(1009, 1)]
+        + [(2, 2), (3, 2), (5, 2), (7, 2), (13, 2), (2, 3), (3, 3), (2, 4)],
+    )
+    def test_float_scan_matches_int64_scan(self, p, m):
+        spec = canonical_field_spec(p, m)
+        assert list(_scan_singer(spec).residues) == int64_scan_residues(spec)
+
     @pytest.mark.parametrize("p", list(sympy.primerange(2, 32)))
     def test_small_primes_are_perfect(self, p, singer_cache):
         s = singer_cache(p)
@@ -242,6 +289,112 @@ class TestVerify:
             tracemalloc.stop()
         assert counts.sum() == 4096**2
         assert peak <= counts.nbytes + 4 * 2**20
+
+
+PAIR_SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+GOLOMB_RULERS = [(0, 1), (0, 1, 3), (0, 1, 4, 6), (0, 1, 4, 9, 11), (0, 1, 4, 10, 12, 17),
+                 (0, 1, 4, 10, 18, 23, 25), (0, 1, 4, 9, 15, 22, 32, 34),
+                 (0, 1, 5, 12, 25, 27, 35, 41, 44), (0, 1, 6, 10, 23, 26, 34, 41, 53, 55)]
+
+
+@st.composite
+def supports(draw):
+    """(support, q): distinct residues in [0, q), sparse enough that some repeat no
+    difference and dense enough that others must."""
+    q = draw(st.integers(1, 600))
+    k = draw(st.integers(0, min(q, 40)))
+    return draw(st.lists(st.integers(0, q - 1), min_size=k, max_size=k, unique=True)), q
+
+
+class TestPairCounts:
+    """_pair_counts against the pair-by-pair oracle: the bitmap route for supports
+    that repeat no difference, the np.add.at route for the rest."""
+
+    @staticmethod
+    def check(support, q):
+        for cyclic in (False, True):
+            counts = singer._pair_counts(support, q, cyclic)
+            assert counts.dtype == np.int64 and counts.flags.writeable
+            assert np.array_equal(counts, brute_force_pair_counts(support, q, cyclic)), cyclic
+
+    @pytest.mark.parametrize("p, m", [(p, m) for m in (1, 2) for p in sympy.primerange(2, 32)])
+    def test_singer_sets(self, p, m, singer_cache):
+        s = singer_cache(p, m)
+        self.check(s.residues, s.q)
+
+    @pytest.mark.parametrize("ruler", GOLOMB_RULERS)
+    def test_golomb_rulers(self, ruler):
+        # q = length + 1 and + 2 wrap differences onto each other; 2 * length + 1 does not
+        for q in (ruler[-1] + 1, ruler[-1] + 2, 2 * ruler[-1] + 1, 3 * ruler[-1] + 7):
+            self.check(ruler, q)
+            self.check([q - 1 - r for r in reversed(ruler)], q)
+
+    @PAIR_SETTINGS
+    @given(supports())
+    def test_random_supports(self, case):
+        support, q = case
+        self.check(support, q)
+
+    def test_empty_and_singleton(self):
+        for support, q in (([], 1), ([], 9), ([0], 1), ([0], 9), ([8], 9)):
+            self.check(support, q)
+
+    # slots: the nonzero differences, q - 1 residues cyclic, 2q - 2 integers aperiodic.  The
+    # bitmap is tried up to k(k - 1) = slots; k(k - 1) is even, so slots - 1 only occurs cyclic.
+    @pytest.mark.parametrize("support, q, cyclic, distinct", [
+        ((0, 1, 3), 8, True, True),  # k(k - 1) = slots - 1
+        ((0, 1, 4, 6), 14, True, True),
+        ((0, 1, 2), 8, True, False),
+        ((0, 1, 3, 7), 14, True, False),  # 7 = -7 mod 14
+        ((0, 1, 3), 7, True, True),  # k(k - 1) = slots: a perfect difference set
+        ((0, 1, 3), 4, False, True),  # a perfect ruler
+        ((0, 1, 4, 6), 7, False, True),
+        ((0, 1, 3), 5, False, True),  # k(k - 1) = slots - 2
+        ((0, 1, 2), 5, False, False),
+        ((0, 1, 3), 6, True, False),  # k(k - 1) = slots + 1: skipped by pigeonhole
+        ((0, 1, 2, 4), 5, False, False),  # k(k - 1) = slots + 4
+    ])
+    def test_boundary_of_the_bitmap(self, monkeypatch, support, q, cyclic, distinct):
+        slots = q - 1 if cyclic else 2 * q - 2
+        k = len(support)
+        tried = []
+
+        def spy(*args):
+            tried.append(singer_distinct(*args))
+            return tried[-1]
+
+        singer_distinct = singer._distinct_pair_counts
+        monkeypatch.setattr(singer, "_distinct_pair_counts", spy)
+        counts = singer._pair_counts(support, q, cyclic)
+        assert np.array_equal(counts, brute_force_pair_counts(support, q, cyclic))
+        if k * (k - 1) > slots:
+            assert tried == []
+        else:
+            assert len(tried) == 1 and (tried[0] is not None) == distinct
+
+    def test_perfect_set_peaks_at_its_counts(self, singer_cache):
+        # the mask takes no memory of its own: the peak is the 8q-byte counts, one block of
+        # differences and numpy's iteration buffers (2^18 bytes), where a q-byte mask
+        # beside the counts would not fit
+        s = singer_cache(1009)
+        support = np.array(s.residues)
+        tracemalloc.start()
+        try:
+            counts = singer._pair_counts(support, s.q, cyclic=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts[0] == s.size and counts.sum() == s.size + s.q - 1
+        assert peak <= counts.nbytes + 8 * _BLOCK + 2**18 < counts.nbytes + s.q
+
+    def test_corrupted_singer_set(self, singer_cache):
+        s = singer_cache(31)
+        residues = (0, 2) + s.residues[2:]  # 2 - 0 is now a second difference 2
+        counts = singer._pair_counts(residues, s.q, cyclic=True)
+        assert np.array_equal(counts, brute_force_pair_counts(residues, s.q, True))
+        report = verify_perfect_difference(residues, s.q)
+        assert not report.valid and report.first_violation == 1 and report.counts[2] == 2
 
 
 class TestNormalize:
@@ -413,6 +566,21 @@ class TestFieldSpec:
         p = sympy.nextprime(2**31)  # 3 * p^2 > 2^63
         with pytest.raises(BudgetError, match="int64"):
             canonical_field_spec(p)
+
+    def test_float_scan_bound_refused_before_search(self, monkeypatch):
+        # the scan's float64 products are exact while 3m * p^2 < 2^53
+        def no_search(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(singer, "_is_irreducible", no_search)
+        monkeypatch.setattr(singer, "DEFAULT_MAX_FIELD_ORDER", 10**60)
+        top = math.isqrt((2**53 - 1) // 3)  # the largest p with 3 p^2 < 2^53
+        with pytest.raises(BudgetError, match=r"2\^53"):
+            canonical_field_spec(sympy.nextprime(top))
+        with pytest.raises(BudgetError, match=r"2\^53"):
+            canonical_field_spec(sympy.nextprime(math.isqrt((2**53 - 1) // 6)), 2)
+        with pytest.raises(AssertionError, match="the search started"):
+            canonical_field_spec(sympy.prevprime(top + 1))
 
 
 class TestSingerSetValidation:
