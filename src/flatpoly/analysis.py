@@ -237,10 +237,12 @@ def _power_mean(exps, coeffs, N, alpha):
 def mz_ratio(poly, alpha, n):
     """Discrete n-point alpha-mean of |P| against its quadrature integral.
 
-    Requires a nonzero P of degree(P) <= n - 1 (no aliasing on the sample
-    grid) and alpha > 1.  For alpha = 2 and degree < n the ratio is 1 up to
-    rounding, by discrete Parseval.  The integral is the mean over
-    max(2^14, 4(degree + 1)) points, reported as grid_size.
+    Requires a nonzero P with real coefficients (both means stream from the
+    mirrored |P| grid; a complex one raises ValueError), degree(P) <= n - 1
+    (no aliasing on the sample grid) and alpha > 1.  For alpha = 2 and
+    degree < n the ratio is 1 up to rounding, by discrete Parseval.  The
+    integral is the mean over max(2^14, 4(degree + 1)) points, reported as
+    grid_size.
     """
     if alpha <= 1:
         raise ValueError(f"alpha must exceed 1, got {alpha}")

@@ -25,6 +25,7 @@ from .singer import ExactVector, SingerSet, _BLOCK, _exact_fields, _factorint, _
 GRID_BUDGET = 2**28  # points of one |P| grid: 2 GiB where a caller materializes it
 _ROW_MIN, _ROW_MAX = 2**8, 2**14  # row lengths _grid_blocks aims for
 _ROW_PRIME_MAX = 64  # largest prime factor of a fast row length
+_TWIST_SPAN = 2**16  # entries of the twist table step: its rows R are this // the row length
 
 __all__ = [
     "NewmanPolynomial",
@@ -238,37 +239,35 @@ def check_grid_budget(N):
 
 
 def _grid_blocks(exponents, coeffs, N, offset=0.0, halo=0):
-    """|P|, or P with a halo, on the N-point grid e^(2 pi i (j+offset)/N), in blocks of rows.
+    """|P|, or P with a halo, on the N-point grid e^(2 pi i (j+offset)/N), in blocks of rows,
+    for real coefficients at offset 0 or 1/2, the geometry of every library |P| grid.  Any
+    other input raises ValueError: eval_support_grid evaluates it.
 
     Fold.  With L = N/M, grid index j = L*b + a has
     P(e^(2 pi i (j+offset)/N)) = sum_m x_a[m] e^(2 pi i m b/M), where x_a[m] sums the twisted
     terms c_s e^(2 pi i (a+offset) s/N) over s = m mod M: row a is one length-M FFT, and M
     need not exceed the degree.  M comes from _row_length: a divisor of N of at most
     _ROW_MAX with small prime factors and at least as many bins as terms, so the rows are
-    fast FFTs that stay in cache.  The twist of row a0 + t is the product of
-    e^(2 pi i (a0 s mod N + offset s)/N) and e^(2 pi i (t s mod N)/N), each numerator
-    reduced exactly in int64 (offset*s is exact for the offsets 1/2 and 1/4), so no trig
-    call sees a large angle; the second factor is shared by every block.
+    fast FFTs that stay in cache.
 
     Mirror.  For real coefficients P(e^(-i theta)) = conj P(e^(i theta)).  At offset 0,
     N - (L*b + a) = L*(M-1-b) + (L-a), so row L-a is row a reversed (and conjugated) and
     rows 0 .. L//2 are computed; at offset 1/2, N-1 - (L*b + a) = L*(M-1-b) + (L-1-a), so
     row L-1-a is row a reversed and rows 0 .. ceil(L/2)-1 are computed.  A self-paired
     row (row 0 at offset 0, the middle row when there is one) has its second half set to
-    its first reversed, so |P| is exactly symmetric.  Offset 1/4 and complex coefficients
-    compute every row.
+    its first reversed, so |P| is exactly symmetric.
 
     Yields (a0, rows, weight) for the computed rows a0 .. a0+n-1 in ascending blocks of
     max(1, _BLOCK // M) rows: rows[halo + i, b] is |P| at grid index L*b + a0 + i, and
     weight[i] is 2 when row a0 + i stands for a mirror partner as well, else 1, so the
-    weighted rows cover every grid index exactly once.  With halo > 0 (mirrored grids
-    only) rows holds complex P, whose |P| is the halo-free rows' bit for bit, and the halo
-    rows a0 - halo .. a0 - 1 and a0 + n .. a0 + n + halo - 1, rolled by a row of L where
-    they leave [0, L) and taken from computed rows and the mirror, so rows[i - 1] and
-    rows[i + 1] hold the grid neighbours j -+ 1 of rows[i].  rows is a view that the next
-    block overwrites.  Memory: one block of FFT temporaries and a window of a block's rows
-    plus 2 halo, or all computed rows plus 2 halo where there are at most
-    2 max(block rows, halo) + 2 of them; N-long only on such small grids.
+    weighted rows cover every grid index exactly once.  With halo > 0 rows holds complex
+    P, whose |P| is the halo-free rows' bit for bit, and the halo rows a0 - halo .. a0 - 1
+    and a0 + n .. a0 + n + halo - 1, rolled by a row of L where they leave [0, L) and taken
+    from computed rows and the mirror, so rows[i - 1] and rows[i + 1] hold the grid
+    neighbours j -+ 1 of rows[i].  rows is a view that the next block overwrites.  Memory:
+    one block of FFT temporaries and a window of a block's rows plus 2 halo, or all
+    computed rows plus 2 halo where there are at most 2 max(block rows, halo) + 2 of them;
+    N-long only on such small grids.
     """
     check_grid_budget(N)
     exponents = np.asarray(exponents, dtype=np.int64)
@@ -278,26 +277,37 @@ def _grid_blocks(exponents, coeffs, N, offset=0.0, halo=0):
     s, inverse = np.unique(exponents, return_inverse=True)
     c = np.zeros(s.size, dtype=np.complex128)
     np.add.at(c, inverse, coeffs)
+    if np.any(c.imag) or offset not in (0.0, 0.5):
+        raise ValueError("the |P| grid takes real coefficients at offset 0 or 1/2; "
+                         "eval_support_grid evaluates complex ones or other offsets")
     M = _row_length(N, int(s.max(initial=0)), s.size)
     L = N // M
-    sigma = None if np.any(c.imag) else {0.0: 0, 0.5: 1}.get(offset)
-    if halo and sigma is None:
-        raise ValueError("a halo needs a mirrored grid: real coefficients at offset 0 or 1/2")
-    h = L if sigma is None else (L - sigma) // 2 + 1  # rows computed by FFT
-    weight = np.ones(h) if sigma is None else np.full(h, 2.0)
+    sigma = int(2 * offset)
+    h = (L - sigma) // 2 + 1  # rows computed by FFT
+    weight = np.full(h, 2.0)
     selfpaired = [0] if sigma == 0 else []
-    if sigma is not None and (L + sigma) % 2 == 0:
+    if (L + sigma) % 2 == 0:
         selfpaired.append((L - sigma) // 2)
     weight[selfpaired] = 1.0
     return _fold_rows(s, c, N, M, offset, sigma, weight, selfpaired, halo)
 
 
 def _fold_rows(s, c, N, M, offset, sigma, weight, selfpaired, halo):
-    """The generator of _grid_blocks, whose arguments it has checked and reduced."""
+    """The generator of _grid_blocks, whose arguments it has checked and reduced.
+
+    Twist.  Row a = R*u + v, with R = max(1, min(_TWIST_SPAN // M, h)), takes the twist
+    step[v] * lift[u]: step[v] = e^(2 pi i (v s mod N)/N) and
+    lift[u] = c_s e^(2 pi i (R u s mod N + offset s)/N), each numerator reduced exactly in
+    int64 (offset*s is exact for offset 1/2), so no trig call sees a large angle.  This
+    is the four-step FFT's twiddle split: the twist is a function of the row index alone,
+    so a row's bits do not depend on _BLOCK, which only decides how many rows go through
+    one 2-D FFT (and so the buffer of rows), nor on the blocks it was computed in.
+    """
     L, h = N // M, len(weight)
     per = max(1, min(_BLOCK // M, h))  # rows per FFT block
+    R = max(1, min(_TWIST_SPAN // M, h))  # twist radix
+    step = np.exp((2j * np.pi / N) * (np.arange(R, dtype=np.int64)[:, None] * s % N))
     t = np.arange(per, dtype=np.int64)[:, None]
-    step = np.exp((2j * np.pi / N) * (t * s % N))
     # bins of the real and imaginary parts of the folded rows, as one float array
     bins = (2 * (t * M + s % M))[:, :, None] + np.arange(2)
     # buf holds rows lo .. lo + cap - 1: a block's rows and its halo rows, or all rows of
@@ -321,12 +331,10 @@ def _fold_rows(s, c, N, M, offset, sigma, weight, selfpaired, halo):
     for a0 in range(0, h, per):
         a1 = min(a0 + per, h)
         while filled < a1 + halo:
-            # the FFT block's rows base + t, t >= t0, that this block needs, or one mirror row;
-            # each takes the twist step[t] * e^(2 pi i (base s mod N + offset s)/N), so a
-            # row's values do not depend on the blocks it was computed in
-            t0 = filled % per
-            base = filled - t0
-            n = min(base + per, h, a1 + halo) - filled if filled < h else 1
+            # the rows this block needs that share one lift, at most per of them, or one
+            # mirror row
+            u, v = divmod(filled, R)
+            n = min(filled + per, filled + R - v, h, a1 + halo) - filled if filled < h else 1
             if filled + n - lo > cap:
                 keep = a0 - halo
                 for r in range(keep, filled):  # row by row: no temporary for the overlap
@@ -335,8 +343,8 @@ def _fold_rows(s, c, N, M, offset, sigma, weight, selfpaired, halo):
             if filled >= h:
                 fill(filled)
             else:
-                twist = step[t0:t0 + n] * (c * np.exp((2j * np.pi / N)
-                                                      * (base * s % N + offset * s)))
+                twist = step[v:v + n] * (c * np.exp((2j * np.pi / N)
+                                                    * (R * u * s % N + offset * s)))
                 x = np.bincount(bins[:n].ravel(), twist.view(np.float64).ravel(), 2 * n * M)
                 x = x.view(np.complex128).reshape(n, M)
                 rows = buf[filled - lo:filled - lo + n]
@@ -358,12 +366,13 @@ def _fold_rows(s, c, N, M, offset, sigma, weight, selfpaired, halo):
 
 def _abs_support_grid(exponents, coeffs, N, offset=0.0):
     """|P| on the N-point grid as one array, np.abs(eval_support_grid(exponents, coeffs, N,
-    offset)): the materializing consumer of _grid_blocks, which writes each computed row
-    and its reversed mirror partner.  8 bytes per point plus the kernel's blocks; the
-    reductions stream the blocks instead, and this serves realline_flatness and the tests.
+    offset)) for real coefficients at offset 0 or 1/2: the materializing consumer of
+    _grid_blocks, which writes each computed row and its reversed mirror partner.  8 bytes
+    per point plus the kernel's blocks; the reductions stream the blocks instead, and this
+    serves realline_flatness and the tests.
     """
     blocks = _grid_blocks(exponents, coeffs, N, offset)  # checks the budget first
-    sigma = int(2 * offset)  # 0 or 1 wherever a row has weight 2
+    sigma = int(2 * offset)
     out = np.empty(N)
     for a0, rows, weight in blocks:
         grid = out.reshape(rows.shape[1], -1)  # grid[b, a] is grid index L*b + a

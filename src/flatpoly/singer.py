@@ -65,6 +65,7 @@ __all__ = [
 DEFAULT_MAX_FIELD_ORDER = 10**13
 
 _BLOCK = 2**16  # entries per temporary of a chunked loop (1 MB complex): _BLOCK // width rows
+# (the grid kernel's twist table is sized by poly._TWIST_SPAN, not by _BLOCK)
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

@@ -6,11 +6,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from flatpoly import poly
+from flatpoly import analysis, mahler, poly, singer
+from flatpoly.analysis import mz_ratio
 from flatpoly.errors import BudgetError
 from flatpoly.poly import (
     DefectPolynomial,
     _abs_support_grid,
+    _grid_blocks,
     _perfect_defect_abs,
     _row_length,
     build_polynomial,
@@ -198,6 +200,46 @@ class TestAbsSupportGrid:
     def test_rejects_exponents_outside_the_grid(self, exps):
         with pytest.raises(ValueError):
             _abs_support_grid(exps, [1.0, 1.0], 8)
+
+    @pytest.mark.parametrize("coeffs, offset", [([1.0, -0.5j], 0.0), ([1.0, 2.0], 0.25),
+                                                ([1.0, 1j], 0.5)])
+    def test_mirrored_geometry_only(self, coeffs, offset):
+        # complex coefficients or an offset other than 0 and 1/2 are eval_support_grid's
+        with pytest.raises(ValueError, match="eval_support_grid"):
+            _grid_blocks([0, 5], coeffs, 64, offset)
+        if offset == 0.0:
+            with pytest.raises(ValueError, match="eval_support_grid"):
+                mz_ratio({0: coeffs[0], 5: coeffs[1]}, 1.5, 64)
+        direct = np.exp(2j * np.pi * np.outer(np.arange(64) + offset, [0, 5]) / 64) @ coeffs
+        assert np.max(np.abs(eval_support_grid([0, 5], coeffs, 64, offset) - direct)) < 1e-13
+
+    @pytest.mark.parametrize("block", [2**14, 2**12])
+    @pytest.mark.parametrize("p, N, offset, halo", [
+        (211, 2**20, 0.5, mahler._STENCIL),  # p = 211's Mahler grid, halo'd: 64 rows of 2^14
+        (211, None, 0.0, 0),  # its 16q grid: 48 rows of 14911
+        (401, None, 0.0, 0),  # 16q: 112 Bluestein rows of the prime 23029
+    ])
+    def test_rows_do_not_depend_on_the_block_size(self, p, N, offset, halo, block,
+                                                  monkeypatch, singer_cache):
+        # every grid row, halo copies included, keeps its bits when _BLOCK shrinks: the
+        # twist is a function of the row index, not of the FFT block it is computed in
+        s = singer_cache(p)
+        N = N or 16 * s.q
+        c = np.full(s.size, 1 / np.sqrt(s.size))
+
+        def rows_by_index():
+            out = {}
+            for a0, rows, weight in _grid_blocks(s.residues, c, N, offset, halo):
+                for i, row in enumerate(rows):
+                    out.setdefault(a0 - halo + i, row.tobytes())
+                    assert out[a0 - halo + i] == row.tobytes()
+                out.update({("weight", a0 + i): w for i, w in enumerate(weight)})
+            return out
+
+        default = rows_by_index()
+        for module in (singer, poly, mahler, analysis):
+            monkeypatch.setattr(module, "_BLOCK", block)
+        assert rows_by_index() == default
 
 
 class TestCorrelations:
