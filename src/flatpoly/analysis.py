@@ -307,9 +307,12 @@ def periodized_kernel_truncated(spec: KernelSpec, theta):
     With u = s theta/2 and phi_n = pi s n the n-th term is s sin^2(u + phi_n)/(u + phi_n)^2,
     and sin(u + phi_n) = sin u cos phi_n + cos u sin phi_n, so every node takes two trig
     evaluations whatever the truncation.  sin^2 has period pi, so s n is reduced mod 1
-    before it is multiplied by pi: sin phi_n is exactly 0 for integer s n.  Where
-    |u + phi_n| < 1 the addition formula would cancel, and the term is s sinc^2 as in
-    kernel_value, s at u + phi_n = 0.
+    before it is multiplied by pi.  Where that phase is exactly 0 (every n at integer s,
+    every even n at half-integer s) the numerator is sin u alone: the addition formula's
+    cos u * 0 is a zero, or nan only where sin u is already nan, so it can change no more
+    than the sign of a zero, which the square removes.  Where |u + phi_n| < 1 the
+    addition formula would cancel, and the term is s sinc^2 as in kernel_value, s at
+    u + phi_n = 0.  Each node's value depends on that node alone.
     """
     th = np.asarray(theta, dtype=float)
     u = 0.5 * spec.s * th.ravel()
@@ -324,8 +327,11 @@ def periodized_kernel_truncated(spec: KernelSpec, theta):
         for n in shifts:
             phi = np.pi * ((spec.s * n) % 1.0)
             x = u + step * n
-            term = sin_u * math.cos(phi) + cos_u * math.sin(phi)
-            term /= x
+            if phi == 0.0:
+                term = sin_u / x
+            else:
+                term = sin_u * math.cos(phi) + cos_u * math.sin(phi)
+                term /= x
             term *= term
             if n in near_n:
                 near = np.abs(x) < 1.0
@@ -353,16 +359,17 @@ _GL32 = np.polynomial.legendre.leggauss(32)
 def _eval_chunked(fun, t, width):
     """fun at the nodes t, _BLOCK // width at a time: fun makes width entries per node."""
     per = max(1, _BLOCK // width)
-    return np.concatenate([fun(c) for c in np.split(t, range(per, len(t), per))])
+    return np.concatenate([fun(t[i:i + per]) for i in range(0, max(len(t), 1), per)])
 
 
 def _adaptive_panels(fun, edges):
     """Adaptive 16/32-node Gauss-Legendre over the given initial panels.
 
-    Panels are processed in waves (all node evaluations batched, _BLOCK nodes per call of
-    fun); a panel is accepted when its 16- and 32-node values agree to _PANEL_TOL per unit
-    length, otherwise it is bisected, at most _PANEL_MAX_DEPTH times.  fsum makes the
-    total independent of accumulation order, so the result is deterministic.
+    Panels are processed in waves: the 16- and 32-node sets of a wave's panels go to fun
+    together, _BLOCK nodes per call, so fun must give each node a value that depends on
+    that node alone.  A panel is accepted when its 16- and 32-node values agree to
+    _PANEL_TOL per unit length, otherwise it is bisected, at most _PANEL_MAX_DEPTH times.
+    fsum makes the total independent of accumulation order, so the result is deterministic.
     """
     intervals = np.stack([edges[:-1], edges[1:]], axis=1)
     pieces = []
@@ -370,8 +377,9 @@ def _adaptive_panels(fun, edges):
         a, b = intervals[:, 0], intervals[:, 1]
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
-        f16 = _eval_chunked(fun, (mid[:, None] + half[:, None] * _GL16[0]).ravel(), 1)
-        f32 = _eval_chunked(fun, (mid[:, None] + half[:, None] * _GL32[0]).ravel(), 1)
+        nodes = [(mid[:, None] + half[:, None] * gl[0]).ravel() for gl in (_GL16, _GL32)]
+        f = _eval_chunked(fun, np.concatenate(nodes), 1)
+        f16, f32 = f[:nodes[0].size], f[nodes[0].size:]
         v16 = half * (f16.reshape(len(intervals), -1) @ _GL16[1])
         v32 = half * (f32.reshape(len(intervals), -1) @ _GL32[1])
         done = np.abs(v32 - v16) <= _PANEL_TOL * np.maximum(b - a, 1e-6)

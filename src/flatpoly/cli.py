@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import io
 import json
 import sys
@@ -138,6 +139,7 @@ _OPTIONS = (
 _DEFAULT_RULES = {"riesz": "margin", "rankone": "margin:2"}
 
 
+@functools.cache  # the parser holds no state between parse_args calls
 def _build_parser():
     parser = argparse.ArgumentParser(prog="flatpoly", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)

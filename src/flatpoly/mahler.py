@@ -210,15 +210,15 @@ def _root_seeds(rows, size, a0, weight, N):
     the mirrored condition, with its stencil reversed and conjugated.  Returns s and V,
     V[k] = P(s - m + k) for k = 0 .. 2m, one column per seed.
     """
-    m, n = _STENCIL, len(weight)
+    m, n, M = _STENCIL, len(weight), rows.shape[1]
     left, mid, right = size[:n], size[1:n + 1], size[2:]
     here, mirrored = (mid < left) & (mid <= right), (mid <= left) & (mid < right)
-    first_half = np.arange(rows.shape[1]) < rows.shape[1] // 2
+    first_half = np.arange(M) < M // 2
     i, b = np.nonzero((here | mirrored) & ((weight == 2)[:, None] | first_half))
     plausible = _plausible(left[i, b], mid[i, b], right[i, b])
     i, b = i[plausible], b[plausible]
-    y = (N // rows.shape[1]) * b + a0 + i
-    V = rows[i + np.arange(2 * m + 1)[:, None], b]
+    y = (N // M) * b + a0 + i
+    V = rows.ravel()[i * M + b + M * np.arange(2 * m + 1)[:, None]]  # rows[i + k, b], k <= 2m
     here = here[i, b] & ((y < N // 2 + m) | (y >= N - m))
     mirrored = mirrored[i, b] & ((y > N // 2 - m - 1) | (y < m))
     s = np.concatenate([np.where(y < N // 2 + m, y, y - N)[here],
@@ -322,11 +322,16 @@ def _horner(C, z, u):
     """(C(z), Q(u)) per column, for the polynomial C (C[k] the coefficient of u^k, one
     column each) and its quotient Q = (C - C(z)) / (u - z), so Q(z) = C'(z): Horner's rule
     at z, whose partial sums are Q's coefficients (synthetic division from the top, stable
-    for a zero z near u = 0), and Horner's rule for Q at u in the same pass."""
-    value, quotient = C[-1], 0
-    for c in C[-2::-1]:
-        quotient = quotient * u + value
-        value = value * z + c
+    for a zero z near u = 0), and Horner's rule for Q at u in the same pass.  C has at least
+    two rows; after the first step both sums are updated in place, by the same operations
+    in the same order as quotient = quotient * u + value, value = value * z + c."""
+    quotient = 0 * u + C[-1]
+    value = C[-1] * z + C[-2]
+    for c in C[-3::-1]:
+        quotient *= u
+        quotient += value
+        value *= z
+        value += c
     return value, quotient
 
 

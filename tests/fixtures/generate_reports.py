@@ -31,6 +31,7 @@ REPORTS = (
     ("flat", "--primes", "31,211", "--alpha", "0.5"),
     ("realline", "--primes", "2,3,5", "--alpha", "0.5", "--kernel-s", "3"),
     ("realline", "--primes", "2,3", "--alpha", "1.5", "--kernel-s", "2.5"),
+    ("realline", "--primes", "7", "--alpha", "1", "--kernel-s", "0.7"),  # s n mod 1 takes 10 values
     ("mahler", "--primes", "7,23"),
     ("beta", "--primes", "13,61"),
     ("singer", "--p", "1009"),

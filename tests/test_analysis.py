@@ -50,6 +50,68 @@ def P7(singer_cache):
     return build_polynomial(singer_cache(2))
 
 
+def kernel_truncated_oracle(spec, theta):
+    """periodized_kernel_truncated with the addition formula at every shift, zero phase
+    included: the bit-for-bit oracle of its zero-phase branch."""
+    th = np.asarray(theta, dtype=float)
+    u = 0.5 * spec.s * th.ravel()
+    sin_u, cos_u = np.sin(u), np.cos(u)
+    out = np.zeros_like(u)
+    step = np.pi * spec.s
+    lo, hi = (-1.0 - u.max(initial=0.0)) / step, (1.0 - u.min(initial=0.0)) / step
+    shifts = range(-spec.truncation, spec.truncation + 1)
+    near_n = range(math.ceil(lo), math.floor(hi) + 1) if math.isfinite(lo + hi) else shifts
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n in shifts:
+            phi = np.pi * ((spec.s * n) % 1.0)
+            x = u + step * n
+            term = sin_u * math.cos(phi) + cos_u * math.sin(phi)
+            term /= x
+            term *= term
+            if n in near_n:
+                near = np.abs(x) < 1.0
+                term[near] = np.sinc(x[near] / np.pi) ** 2
+            out += term
+    out *= spec.s
+    return out.reshape(th.shape) if th.ndim else float(out[0])
+
+
+def assert_same_bits(got, want):
+    """Equal arrays bit for bit: the same nan positions, and every other entry's bits."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def adaptive_panels_two_calls(fun, edges):
+    """_adaptive_panels with separate calls of fun for the 16- and the 32-node sets: the
+    oracle of its joined calls."""
+    intervals = np.stack([edges[:-1], edges[1:]], axis=1)
+    pieces = []
+    for depth in range(analysis._PANEL_MAX_DEPTH + 1):
+        a, b = intervals[:, 0], intervals[:, 1]
+        half = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        f16 = analysis._eval_chunked(fun, (mid[:, None] + half[:, None] * analysis._GL16[0]).ravel(), 1)
+        f32 = analysis._eval_chunked(fun, (mid[:, None] + half[:, None] * analysis._GL32[0]).ravel(), 1)
+        v16 = half * (f16.reshape(len(intervals), -1) @ analysis._GL16[1])
+        v32 = half * (f32.reshape(len(intervals), -1) @ analysis._GL32[1])
+        done = np.abs(v32 - v16) <= analysis._PANEL_TOL * np.maximum(b - a, 1e-6)
+        if depth == analysis._PANEL_MAX_DEPTH:
+            done[:] = True
+        pieces.extend(v32[done].tolist())
+        rest = intervals[~done]
+        if not len(rest):
+            break
+        mid_r = 0.5 * (rest[:, 0] + rest[:, 1])
+        intervals = np.concatenate(
+            [np.stack([rest[:, 0], mid_r], 1), np.stack([mid_r, rest[:, 1]], 1)]
+        )
+    return math.fsum(pieces)
+
+
 class TestMean:
     @pytest.mark.parametrize("n", [1, 7, 1000, 2**16 + 3, 2**22])
     def test_against_fsum_oracle(self, n):
@@ -308,17 +370,44 @@ class TestKernel:
         assert np.max(np.abs(periodized_kernel_truncated(spec, theta) - oracle)) <= 1e-13
         assert periodized_kernel_truncated(spec, 0.5) == pytest.approx(oracle[0], abs=1e-13)
 
-    @pytest.mark.parametrize("s", [0.5, 1.0, 2.7, 3.0, math.sqrt(2)])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.5, 2.7, 3.0, 0.7, math.sqrt(2), 1 / 32])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_truncated_sum_at_a_non_finite_node(self, s, bad):
         # a non-finite node reads nan and leaves every other node's value bit for bit,
-        # although every shift then takes the sinc branch near the poles
+        # although every shift then takes the sinc branch near the poles; the same holds
+        # with the node in the middle of the array, and against the addition-formula oracle
         spec = KernelSpec(s)
         theta = np.array([0.0, 1e-12, 2 * np.pi - 1e-9, -1e-12, np.pi, 40.0, 0.5])
         with np.errstate(invalid="ignore"):
             got = periodized_kernel_truncated(spec, np.append(theta, bad))
+            mixed = np.insert(theta, 3, bad)
+            got_mixed = periodized_kernel_truncated(spec, mixed)
+            assert_same_bits(got_mixed, kernel_truncated_oracle(spec, mixed))
         assert np.isnan(got[-1])
         assert np.array_equal(got[:-1], periodized_kernel_truncated(spec, theta))
+        assert_same_bits(np.delete(got_mixed, 3), got[:-1])
+
+    @pytest.mark.parametrize("s", [3.0, 2.5, 1.0, 0.7, math.sqrt(2), 1 / 32])
+    def test_truncated_sum_bits_equal_the_addition_formula(self, s):
+        # the zero-phase shifts (every n at integer s, even n at s = 2.5, n = 0 mod 10 at
+        # s = 0.7) take sin u / x; every value keeps the bits of the addition formula at
+        # every shift.  Nodes: signed zeros, a subnormal-scale one, the poles 0 and 2 pi, and
+        # the two sides of each point where |u + pi s n| crosses 1 for a shift in the window
+        spec = KernelSpec(s)
+        n = np.arange(-3, 4)
+        crossings = (2.0 / s) * (np.concatenate([1.0 - np.pi * s * n, -1.0 - np.pi * s * n]))
+        rng = np.random.default_rng(11)
+        theta = np.concatenate([
+            [0.0, -0.0, 1e-300, -1e-300, 2 * np.pi, -2 * np.pi, np.pi, 1e-12],
+            crossings, np.nextafter(crossings, np.inf), np.nextafter(crossings, -np.inf),
+            rng.uniform(-2 * np.pi, 4 * np.pi, 2000)])
+        assert_same_bits(periodized_kernel_truncated(spec, theta), kernel_truncated_oracle(spec, theta))
+        assert periodized_kernel_truncated(spec, np.empty(0)).shape == (0,)
+        assert_same_bits(periodized_kernel_truncated(spec, np.empty((0, 3))),
+                         kernel_truncated_oracle(spec, np.empty((0, 3))))
+        for node in (0.0, -0.0, 1e-300, 2 * np.pi):
+            got, want = periodized_kernel_truncated(spec, node), kernel_truncated_oracle(spec, node)
+            assert isinstance(got, float) and np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
     def test_fejer_special_case(self):
         # integer s periodizes to the classical kernel (sin(s t/2)/sin(t/2))^2 / s
@@ -326,6 +415,45 @@ class TestKernel:
         spec = KernelSpec(3.0)
         fejer = (np.sin(3 * theta / 2) / np.sin(theta / 2)) ** 2 / 3
         assert np.max(np.abs(periodized_kernel(spec, theta) - fejer)) < 1e-12
+
+    def test_panels_take_one_call_per_wave(self):
+        # a kinked integrand: |sin 3t - 0.2|^(1/2) has square-root cusps that the panels
+        # bisect for several waves.  The 16- and 32-node sets of a wave go to one call,
+        # which the two-call route splits in two, and every bit of the total stays
+        def fun(t):
+            calls.append(t.size)
+            return np.sqrt(np.abs(np.sin(3.0 * t) - 0.2)) * np.exp(-t)
+
+        edges = np.array([0.0, 0.5, 1.0, 2.0, np.pi])
+        calls = []
+        joined = analysis._adaptive_panels(fun, edges)
+        joined_calls, calls = calls, []
+        two_calls = adaptive_panels_two_calls(fun, edges)
+        assert joined == two_calls
+        assert len(joined_calls) > 3  # several waves
+        assert max(joined_calls) <= analysis._BLOCK
+        assert 2 * len(joined_calls) == len(calls)
+        assert joined_calls == [a + b for a, b in zip(calls[::2], calls[1::2])]
+
+    def test_eval_chunked_slices(self):
+        # _BLOCK // width nodes per call, the last call takes the rest; an empty input is
+        # one call on the empty array
+        seen = []
+
+        def fun(t):
+            seen.append(t.size)
+            return 2.0 * t
+
+        per = analysis._BLOCK // 7
+        t = np.arange(2 * per + 5, dtype=float)
+        assert np.array_equal(analysis._eval_chunked(fun, t, 7), 2.0 * t)
+        assert seen == [per, per, 5]
+        seen.clear()
+        assert np.array_equal(analysis._eval_chunked(fun, t[:2 * per], 7), 2.0 * t[:2 * per])
+        assert seen == [per, per]
+        seen.clear()
+        out = analysis._eval_chunked(fun, np.empty(0), 1)
+        assert out.shape == (0,) and out.dtype == float and seen == [0]
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
     def test_mass_is_one(self, s):

@@ -127,6 +127,28 @@ class TestParse:
         assert parse(["rankone", "--primes", "2,3"]).rule == "margin:2"
         assert parse(["riesz", "--primes", "2,3"]).rule == "margin"
 
+    def test_one_parser_for_a_sequence_of_subcommands(self, capsys):
+        # _build_parser runs once per process.  Parses in a row, with options set, then a
+        # bad argv, then the same subcommands with their options left out, give the
+        # Commands that a fresh parser gives each argv
+        def parse_or_exit(argv):
+            try:
+                return parse(argv)
+            except SystemExit as exc:
+                return exc.code
+
+        sequence = [*ROUND_TRIP_ARGVS[7:], ["singer", "--p", "2", "--bogus"], *ROUND_TRIP_ARGVS[:7]]
+        cached = [parse_or_exit(argv) for argv in sequence]
+        assert cli._build_parser() is cli._build_parser()
+        fresh = []
+        for argv in sequence:
+            cli._build_parser.cache_clear()
+            fresh.append(parse_or_exit(argv))
+        capsys.readouterr()
+        assert cached == fresh
+        assert cached[8] == 2
+        assert cached[9] == Command(subcommand="singer", p=2, m=1)
+
     @pytest.mark.parametrize("argv", ROUND_TRIP_ARGVS)
     def test_canonical_round_trip(self, argv):
         cmd = parse(argv)

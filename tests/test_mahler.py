@@ -280,6 +280,34 @@ def zero_one_times(d, sign, seed):
     return np.concatenate([B, np.zeros(d - B.size), sign * B]).astype(float)
 
 
+def horner_out_of_place(C, z, u):
+    """mahler._horner with new arrays at every step: the oracle of its in-place updates."""
+    value, quotient = C[-1], 0
+    for c in C[-2::-1]:
+        quotient = quotient * u + value
+        value = value * z + c
+    return value, quotient
+
+
+class TestHorner:
+    @pytest.mark.parametrize("rows", [2, 3, 2 * mahler._STENCIL])
+    def test_in_place_sums_equal_the_out_of_place_oracle(self, rows):
+        # value and quotient bit for bit, at u = z (the Newton steps, diverged runs' inf and
+        # nan included) and at the real u = Re z of the amplitude call
+        rng = np.random.default_rng(rows)
+        k = 2000
+        C = rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k))
+        C[:, :3] = [0.0, -0.0, 1e-300]
+        z = rng.uniform(-2, 2, k) + 1j * rng.uniform(-0.1, 0.1, k)
+        z[3:8] = [0.0, -0.0, np.inf, np.nan, complex(np.inf, np.nan)]
+        with np.errstate(all="ignore"):
+            for u in (z, z.real):
+                got, want = mahler._horner(C, z, u), horner_out_of_place(C, z, u)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype == np.complex128
+                    assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
 class TestStreamedRoots:
     """The seeds _root_seeds takes from a window of fold rows are the seeds of the whole
     grid's first half, so the streamed pass finds the roots the one-array pass finds.  The
