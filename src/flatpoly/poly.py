@@ -165,8 +165,9 @@ def correlation_table(support, q):
     """Exact integer pair counts for any distinct support in [0, q)."""
     support = list(support)
     aper = _pair_counts(support, q)
-    cyc = aper[q - 1:].copy()  # gamma_r = c_r + c_(r-q)
-    cyc[1:] += aper[:q - 1]
+    cyc = np.empty(q, dtype=np.int64)  # gamma_r = c_r + c_(r-q), in one add
+    cyc[0] = aper[q - 1]
+    np.add(aper[q:], aper[:q - 1], out=cyc[1:])
     return CorrelationTable(q=q, size=len(support), aperiodic=ExactVector._adopt(aper),
                             cyclic=ExactVector._adopt(cyc))
 

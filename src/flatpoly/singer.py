@@ -57,11 +57,11 @@ __all__ = [
 ]
 
 # Desk-scale cap on p^(3m), read at call time; it keeps p below 21545, far inside the scan's
-# 3m p^2 < 2^53.  Memory sets the documented range p <= 7919, m = 1: construct_singer, and so
-# the singer report, peaks at ~8 bytes per residue mod q (its int64 difference counts, whose
-# buffer also holds the bitmap they are read from), 512 MB and 0.9-1.5 s at p = 7919; a direct
-# verify_perfect_difference call after it returns those counts as an ExactVector and stays
-# within that peak (0.5-1.1 s there).
+# 3m p^2 < 2^53.  The documented range is p <= 7919, m = 1: construct_singer, and so the
+# singer report, peaks at ~1 byte per residue mod q (the bool mask of its difference check),
+# 94 MB RSS and 0.5-1.1 s at p = 7919 (the int64 counts took 512 MB).  A direct
+# verify_perfect_difference call whose counts are then read still allocates them, 8 bytes per
+# residue: construction, that call, the read and counts.count(1) peak at 572 MB there.
 DEFAULT_MAX_FIELD_ORDER = 10**13
 
 _BLOCK = 2**16  # entries per temporary of a chunked loop (1 MB complex): _BLOCK // width rows
@@ -115,8 +115,8 @@ def _digits(n, p, width):
 
 
 def _mat_pow(M, e, p):
-    """M^e mod p by repeated squaring."""
-    out = np.eye(len(M), dtype=np.int64)
+    """M^e mod p by repeated squaring, for one matrix or a stack of them."""
+    out = np.eye(M.shape[-1], dtype=np.int64)
     while e:
         if e & 1:
             out = out @ M % p
@@ -130,15 +130,17 @@ def _mul_matrix(a, modulus, p):
 
     Row j holds the coordinates of x^j * a, so row 0 is a itself and
     (coordinates of e) @ M = coordinates of e * a.  Built by Horner in
-    the companion matrix of x.
+    the companion matrix of x.  A (B, len) stack of elements gives the
+    (B, d, d) stack of their matrices.
     """
     d = len(modulus) - 1
     x = np.eye(d, k=1, dtype=np.int64)  # row j < d-1 is x^(j+1)
     x[-1] = [-c % p for c in modulus[:-1]]  # x^d mod f
     eye = np.eye(d, dtype=np.int64)
-    out = np.zeros((d, d), dtype=np.int64)
-    for c in reversed(a):
-        out = (out @ x + c % p * eye) % p
+    a = np.asarray(a, dtype=np.int64)
+    out = np.zeros(a.shape[:-1] + (d, d), dtype=np.int64)
+    for c in np.moveaxis(a, -1, 0)[::-1]:
+        out = (out @ x + (c % p)[..., None, None] * eye) % p
     return out
 
 
@@ -160,6 +162,25 @@ def _is_primitive(g, modulus, p, prime_divisors):
     one = np.eye(len(G), dtype=np.int64)
     return (all(not np.array_equal(_mat_pow(G, n // ell, p), one) for ell in prime_divisors)
             and np.array_equal(_mat_pow(G, n, p), one))
+
+
+def _first_primitive(candidates, modulus, p, prime_divisors):
+    """Index of the first row of a (B, d) stack of elements that _is_primitive accepts,
+    or None.
+
+    Each power is taken of the whole (B, d, d) stack of multiplication matrices at
+    once, and a candidate leaves the stack at its first failed test.  Entries stay
+    below p, so a row-by-column sum stays below d p^2 < 2^63 in int64.
+    """
+    n = p ** (len(modulus) - 1) - 1
+    G = _mul_matrix(candidates, modulus, p)
+    one = np.eye(G.shape[-1], dtype=np.int64)
+    alive = np.arange(len(G))
+    for ell in prime_divisors:
+        keep = ~(_mat_pow(G, n // ell, p) == one).all(axis=(1, 2))
+        G, alive = G[keep], alive[keep]
+    alive = alive[(_mat_pow(G, n, p) == one).all(axis=(1, 2))]
+    return int(alive[0]) if alive.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -365,21 +386,74 @@ class SingerSet:
         return len(self.residues)
 
 
-@dataclass(frozen=True)
 class DifferenceReport:
     """Exhaustive ordered-pair difference counts for a residue set.
 
     counts is an ExactVector of q integers (denominator 1): counts[r] is the
     number of ordered pairs (s, t), s != t, with s - t = r mod q; counts[0]
     is 0 by convention.  valid means every count for r in [1, q) equals one.
+
+    verify_perfect_difference decides a support that repeats no difference
+    without its counts, and the report builds them when counts is first read:
+    0 then all ones when valid, else a recount of the support it keeps.  The
+    report compares, hashes and pickles the same before and after that read.
     """
 
-    valid: bool
-    counts: ExactVector
-    first_violation: int | None
+    __slots__ = ("_valid", "_first", "_source", "_counts")
 
-    def __post_init__(self):
-        _exact_fields(self, "counts")
+    def __init__(self, valid, counts, first_violation):
+        self._valid, self._first, self._source = valid, first_violation, None
+        self._counts = counts if isinstance(counts, ExactVector) else ExactVector(counts)
+
+    @classmethod
+    def _deferred(cls, q, support, first_violation):
+        """The report of a support in [0, q) that repeats no difference: valid when
+        support is None, which then stands for every perfect difference set mod q."""
+        report = cls.__new__(cls)
+        report._valid, report._first = support is None, first_violation
+        report._source, report._counts = (q, support), None
+        return report
+
+    @property
+    def valid(self):
+        return self._valid
+
+    @property
+    def first_violation(self):
+        return self._first
+
+    @property
+    def counts(self):
+        if self._counts is None:
+            q, support = self._source
+            if support is None:  # one pair for each nonzero residue
+                counts = np.ones(q, dtype=np.int64)
+            else:
+                counts = _pair_counts(support, q, cyclic=True)
+            counts[0] = 0
+            self._counts = ExactVector._adopt(counts)
+        return self._counts
+
+    def __eq__(self, other):
+        if not isinstance(other, DifferenceReport):
+            return NotImplemented
+        if (self._valid, self._first) != (other._valid, other._first):
+            return False
+        return (self._source is not None and self._source == other._source
+                or self.counts == other.counts)
+
+    def __hash__(self):
+        return hash((self._valid, self._first, self.counts))
+
+    def __repr__(self):
+        return (f"DifferenceReport(valid={self._valid!r}, counts={self.counts!r}, "
+                f"first_violation={self._first!r})")
+
+    def __reduce__(self):
+        if self._source is None:
+            return DifferenceReport, (self._valid, self._counts, self._first)
+        q, support = self._source
+        return DifferenceReport._deferred, (q, support, self._first)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +475,19 @@ def canonical_field_spec(p, m=1):
     start = p if p % 3 == 2 else 0
     modulus = next(f for f in (_digits(n, p, d) + (1,) for n in range(start, order))
                    if _is_irreducible(f, p))
-    # The constants (n < p) have orders dividing p - 1, so none of them is primitive.
+    # The constants (n < p) have orders dividing p - 1, so none of them is primitive.  The
+    # candidates n = p, p + 1, .. are tested in stacks of doubling size, so the first primitive
+    # one is found in a few numpy calls per power, and at most twice as many are tested.
     prime_divisors = sorted(_factor_group_order(p, m))
-    generator = next(g for g in (_digits(n, p, d) for n in range(p, order))
-                     if _is_primitive(g, modulus, p, prime_divisors))
+    place = p ** np.arange(d, dtype=np.int64)  # p^d <= the budget fits int64
+    start, batch = p, 8
+    while True:
+        block = np.arange(start, min(start + batch, order), dtype=np.int64)[:, None] // place % p
+        hit = _first_primitive(block, modulus, p, prime_divisors)
+        if hit is not None:
+            break
+        start, batch = start + batch, 2 * batch
+    generator = tuple(block[hit].tolist())
     return FieldSpec(p=p, m=m, modulus_poly=modulus, generator=generator)
 
 
@@ -496,6 +579,18 @@ def construct_singer(p, m=1):
     return normalize(_scan_singer(canonical_field_spec(p, m)))
 
 
+def _checked_support(support, q):
+    """The support as int64, and ascending; ValueError unless it is distinct and
+    inside [0, q)."""
+    s = np.asarray(support, dtype=np.int64)
+    ordered = np.sort(s)  # not np.unique, whose first plain call imports numpy.ma
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError("support must be distinct")
+    if s.size and (ordered[0] < 0 or ordered[-1] >= q):
+        raise ValueError(f"support must lie in [0, {q})")
+    return s, ordered
+
+
 def _pair_counts(support, q, cyclic=False):
     """Ordered-pair difference counts of a support, as int64.
 
@@ -508,20 +603,15 @@ def _pair_counts(support, q, cyclic=False):
     Otherwise the pairs are added up with np.add.at, in the counts' memory.
     Raises ValueError unless the support is distinct and inside [0, q).
     """
-    s = np.asarray(support, dtype=np.int64)
-    ordered = np.sort(s)  # not np.unique, whose first plain call imports numpy.ma
-    if np.any(ordered[1:] == ordered[:-1]):
-        raise ValueError("support must be distinct")
-    if s.size and (s.min() < 0 or s.max() >= q):
-        raise ValueError(f"support must lie in [0, {q})")
+    s, ordered = _checked_support(support, q)
     size = q if cyclic else 2 * q - 1
-    per = max(1, _BLOCK // max(s.size, 1))
     if s.size * (s.size - 1) <= size - 1:  # else some difference repeats, by pigeonhole
-        counts = _distinct_pair_counts(ordered, q, cyclic, per)
+        counts = _distinct_pair_counts(ordered, q, cyclic)
         if counts is not None:
             return counts
     shifted = s if cyclic else s - (q - 1)
     counts = np.zeros(size, dtype=np.int64)
+    per = max(1, _BLOCK // max(s.size, 1))
     for lo in range(0, s.size, per):
         diffs = s[lo:lo + per, None] - shifted
         if cyclic:
@@ -530,52 +620,76 @@ def _pair_counts(support, q, cyclic=False):
     return counts
 
 
-def _distinct_pair_counts(ordered, q, cyclic, per):
+def _distinct_pair_counts(ordered, q, cyclic):
     """_pair_counts of an ascending support none of whose nonzero differences
     repeats, or None.
 
-    Each pair marks one byte of a bool mask: l + q - 1 for the difference l,
-    or the residue l mod q when cyclic.  The pairs run by diagonals, per at a
-    time: diagonal t pairs s_((j + t) mod k) with s_j, whose differences lie
-    near t q / k, so each block writes into a narrow stretch of the mask.
-    The support repeats no difference exactly when k(k - 1) bytes are set;
-    the counts are then the mask as int64, with k at difference 0, and all
-    ones for a perfect difference set.  The mask is the last bytes of the
-    counts' own buffer, so the peak stays the counts' 8 bytes an entry.
-    Two equal gaps between neighbours are a repeat found before any mask:
-    a random support of the same density almost always has them.
+    The counts are the mask of _mark_differences as int64, with k at
+    difference 0, and all ones for a perfect difference set.  The mask is
+    the last bytes of the counts' own buffer, so the peak stays the counts'
+    8 bytes an entry.
+    """
+    k = ordered.size
+    counts = np.zeros(q if cyclic else 2 * q - 1, dtype=np.int64)
+    mask = counts.view(bool)[-counts.size:]
+    if not _mark_differences(ordered, q, cyclic, mask):
+        return None
+    if cyclic and k * (k - 1) == q - 1:
+        counts.fill(1)
+    else:
+        counts[:] = mask  # numpy reads the overlapping mask from a copy
+    counts[0 if cyclic else q - 1] = k
+    return counts
+
+
+def _mark_differences(ordered, q, cyclic, mask):
+    """Set the byte of each nonzero difference of an ascending support in a zeroed
+    bool mask: l + q - 1 for the difference l, or the residue l mod q when cyclic.
+    Returns whether no nonzero difference repeats, when the mask holds exactly the
+    support's k(k - 1) nonzero differences.
+
+    The pairs run by diagonals, _BLOCK // k at a time: diagonal t pairs
+    s_((j + t) mod k) with s_j, whose differences lie near t q / k, so each
+    block writes into a narrow stretch of the mask.  Two equal gaps between
+    neighbours are a repeat found before any mask is written: a random
+    support of the same density almost always has them.
     """
     gaps = np.sort(np.diff(ordered))
     if np.any(gaps[1:] == gaps[:-1]):
-        return None
+        return False
     k = ordered.size
     if cyclic:  # s_(j + t - k) + q - s_j is the residue of a wrapped pair
         ahead = np.concatenate((ordered, ordered + q))
     else:
         ahead = np.concatenate((ordered, ordered)) + (q - 1)
     diagonals = np.lib.stride_tricks.sliding_window_view(ahead, k)[:k]  # row t: s_(j + t)
-    counts = np.zeros(q if cyclic else 2 * q - 1, dtype=np.int64)
-    mask = counts.view(bool)[-counts.size:]
+    per = max(1, _BLOCK // max(k, 1))
     for t in range(0, k, per):
         mask[(diagonals[t:t + per] - ordered).ravel()] = True
-    zero = 0 if cyclic else q - 1
-    mask[zero] = False  # difference 0: the k pairs s = t
-    if np.count_nonzero(mask) != k * (k - 1):
-        return None
-    if cyclic and k * (k - 1) == q - 1:
-        counts.fill(1)
-    else:
-        counts[:] = mask  # numpy reads the overlapping mask from a copy
-    counts[zero] = k
-    return counts
+    mask[0 if cyclic else q - 1] = False  # difference 0: the k pairs s = t
+    return np.count_nonzero(mask) == k * (k - 1)
 
 
 def verify_perfect_difference(residues, q):
     """Count every ordered-pair difference mod q; exact, no tolerance.
 
     first_violation is the least r in [1, q) whose count is not one, or None.
+    A support that repeats no difference is decided from a q-byte mask of its
+    differences: by pigeonhole, k(k - 1) = q - 1 distinct nonzero differences
+    cover every nonzero residue once.  Its report builds the counts when they
+    are first read.  A support with a repeated difference is counted pair by
+    pair.  Raises ValueError unless the residues are distinct and in [0, q).
     """
-    counts = _pair_counts(residues, q, cyclic=True)
+    s, ordered = _checked_support(residues, q)
+    k = s.size
+    if k * (k - 1) <= q - 1:
+        mask = np.zeros(q, dtype=bool)
+        if _mark_differences(ordered, q, True, mask):
+            if k * (k - 1) == q - 1:
+                return DifferenceReport._deferred(q, None, None)
+            first = 1 + int(np.argmin(mask[1:]))  # the least residue no pair reaches
+            return DifferenceReport._deferred(q, tuple(ordered.tolist()), first)
+    counts = _pair_counts(s, q, cyclic=True)
     counts[0] = 0  # only the pairs s = t have difference 0
     first = None
     for lo in range(1, q, _BLOCK):  # no q-long temporary

@@ -225,14 +225,15 @@ class TestExecute:
             "message": f"grid of {points} points exceeds the grid budget 268435456"}
 
     def test_singer_report_counts_differences_once(self, tmp_path, monkeypatch):
+        # one pass marks every difference in a q-byte mask; a valid report builds no counts
         calls = []
-        pair_counts = singer._pair_counts
+        mark_differences = singer._mark_differences
 
-        def counted(support, q, cyclic=False):
+        def counted(ordered, q, cyclic, mask):
             calls.append((q, cyclic))
-            return pair_counts(support, q, cyclic)
+            return mark_differences(ordered, q, cyclic, mask)
 
-        monkeypatch.setattr(singer, "_pair_counts", counted)
+        monkeypatch.setattr(singer, "_mark_differences", counted)
         code, text = run_to_file(tmp_path, ["singer", "--p", "7"])
         assert code == 0
         assert json.loads(text)["results"]["difference_counts_all_one"] is True

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import time
 import tracemalloc
@@ -15,12 +16,15 @@ from flatpoly import singer
 from flatpoly.errors import BudgetError
 from flatpoly.singer import (
     _BLOCK,
+    DifferenceReport,
     FieldSpec,
     SingerSet,
     _annihilator,
     _factor_group_order,
+    _first_primitive,
     _is_irreducible,
     _is_prime,
+    _is_primitive,
     _mat_pow,
     _mul_matrix,
     _scan_singer,
@@ -53,6 +57,30 @@ def brute_force_pair_counts(support, q, cyclic):
         for t in support:
             counts[(s - t) % q if cyclic else s - t + q - 1] += 1
     return np.array(counts, dtype=np.int64)
+
+
+def bincount_report(residues, q):
+    """Independent recount of a DifferenceReport: (valid, first_violation, counts)."""
+    s = np.array(residues, dtype=np.int64)
+    counts = np.bincount(((s[:, None] - s) % q).ravel(), minlength=q)
+    counts[0] = 0
+    bad = np.flatnonzero(counts[1:] != 1)
+    return bad.size == 0, 1 + int(bad[0]) if bad.size else None, tuple(counts.tolist())
+
+
+# (residues, q), or (p, m) of a Singer set with q None
+REPORT_CASES = [
+    ((2, 1), None), ((13, 1), None), ((3, 2), None),  # perfect difference sets
+    ((0, 1, 3), 8), ((0, 1, 4, 6), 14),  # no repeated difference, some residues missed
+    ((0, 1, 2), 7),  # differences 1 and -1 occur twice
+]
+
+
+def report_case(residues, q, singer_cache):
+    if q is None:
+        s = singer_cache(*residues)
+        return s.residues, s.q
+    return residues, q
 
 
 def int64_scan_residues(spec):
@@ -205,6 +233,18 @@ class TestConstruct:
         assert len(s.residues) == 5
         assert verify_perfect_difference(s.residues, 21).valid
 
+    def test_construction_peaks_below_two_bytes_a_residue(self):
+        # normalize's check holds a q-byte mask of the differences, not 8q bytes of counts
+        construct_singer(13)  # first-call set-up outside the trace
+        q = singer_modulus(1009)
+        tracemalloc.start()
+        try:
+            s = construct_singer(1009)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.q == q and peak < 2 * q
+
     @pytest.mark.parametrize(
         "p, m", [(p, 1) for p in sympy.primerange(2, 102)] + [(2, 2), (3, 2), (5, 2), (2, 3)]
     )
@@ -268,12 +308,42 @@ class TestVerify:
         assert report.counts == tuple(oracle.get(r, 0) for r in range(q))
 
     def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
-            verify_perfect_difference([0, 0, 3], 7)
+        # the mask route ([0, 0, 3]) and the counting route (5 residues, 20 pairs > 6)
+        for residues in ([0, 0, 3], [0, 1, 2, 3, 3]):
+            with pytest.raises(ValueError, match="^support must be distinct$"):
+                verify_perfect_difference(residues, 7)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            verify_perfect_difference([0, 1, 7], 7)
+        for residues in ([0, 1, 7], [-1, 1, 3], [0, 1, 2, 3, 7]):
+            with pytest.raises(ValueError, match=r"^support must lie in \[0, 7\)$"):
+                verify_perfect_difference(residues, 7)
+
+    @pytest.mark.parametrize("residues, q", REPORT_CASES)
+    def test_matches_a_bincount_recount(self, residues, q, singer_cache):
+        residues, q = report_case(residues, q, singer_cache)
+        report = verify_perfect_difference(residues, q)
+        valid, first, counts = bincount_report(residues, q)
+        assert (report.valid, report.first_violation) == (valid, first)
+        assert report.counts == counts and report.counts.denominator == 1
+
+    @pytest.mark.parametrize("residues, q", REPORT_CASES)
+    def test_reading_counts_changes_no_comparison_or_pickle(self, residues, q, singer_cache):
+        residues, q = report_case(residues, q, singer_cache)
+        report, other = (verify_perfect_difference(residues, q) for _ in range(2))
+        pickled = pickle.dumps(report)
+        assert report == other
+        counts = report.counts
+        assert pickle.dumps(report) == pickled
+        assert report == other and other == report and hash(report) == hash(other)
+        restored = pickle.loads(pickled)
+        assert restored == report and restored.counts == counts
+        public = DifferenceReport(valid=report.valid, counts=tuple(counts),
+                                  first_violation=report.first_violation)
+        assert public == report and report == public and hash(public) == hash(report)
+        assert pickle.loads(pickle.dumps(public)) == public
+        assert repr(public) == repr(report)
+        with pytest.raises(AttributeError):
+            report.valid = not report.valid
 
     @pytest.mark.parametrize("cyclic", [False, True])
     def test_pair_kernel_scratch_is_one_block(self, cyclic):
@@ -546,6 +616,31 @@ class TestFieldSpec:
         for n in range(1, n_g):  # includes the constants, which the search skips
             assert element_order(element(n, p, d), spec.modulus_poly, p) < group_order
         assert element_order(spec.generator, spec.modulus_poly, p) == group_order
+
+    @pytest.mark.parametrize(
+        "p, m",
+        [(p, 1) for p in sympy.primerange(2, 400)] + [(1009, 1), (2003, 1), (7919, 1), (21529, 1)]
+        + [(p, 2) for p in sympy.primerange(2, 32)] + [(p, 3) for p in (2, 3, 5, 7)] + [(2, 4)],
+    )
+    def test_stacked_generator_search_matches_the_one_candidate_oracle(self, p, m):
+        spec = canonical_field_spec(p, m)
+        d = 3 * m
+        divisors = sorted(_factor_group_order(p, m))
+        oracle = next(g for g in (element(n, p, d) for n in range(p, p**d))
+                      if _is_primitive(g, spec.modulus_poly, p, divisors))
+        assert spec.generator == oracle
+
+    @pytest.mark.parametrize("p, m", [(5, 1), (2, 2)])
+    def test_first_primitive_of_every_window(self, p, m):
+        spec = canonical_field_spec(p, m)
+        d = 3 * m
+        divisors = sorted(_factor_group_order(p, m))
+        stack = np.array([element(n, p, d) for n in range(p**d)])  # zero and constants included
+        primitive = [_is_primitive(g, spec.modulus_poly, p, divisors) for g in stack.tolist()]
+        for lo in range(len(stack)):
+            window = primitive[lo:lo + 8]
+            expected = window.index(True) if True in window else None
+            assert _first_primitive(stack[lo:lo + 8], spec.modulus_poly, p, divisors) == expected
 
     def test_budget_edge_spec(self):
         """21529 is the largest prime with p^3 <= 10^13, the default field budget."""
