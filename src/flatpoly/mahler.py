@@ -121,9 +121,9 @@ def mahler_log(P, grid_size=None):
     power of two, on which a real polynomial never vanishes (see _grid_means); an
     explicit grid_size must be one.  Memory: a window of poly._grid_blocks rows of P (a
     block and _STENCIL halo rows on each side, complex) and the stencils of a block's
-    seeds; a grid of at most 2^18 points has 16 rows, which all stay in the window, up to
-    1.25 N complex values.  A coefficient with a nonzero imaginary part raises ValueError:
-    use mahler_jensen.
+    seeds; a grid of at most 2^18 points has at most 128 rows, whose computed half all
+    stays in the window, up to 1.25 N complex values (at 16 rows).  A coefficient with a
+    nonzero imaginary part raises ValueError: use mahler_jensen.
     """
     exps, coeffs = _nonzero_terms(P)
     if np.any(np.imag(coeffs)):
@@ -214,13 +214,17 @@ def _root_seeds(rows, size, a0, weight, N):
     left, mid, right = size[:n], size[1:n + 1], size[2:]
     here, mirrored = (mid < left) & (mid <= right), (mid <= left) & (mid < right)
     first_half = np.arange(M) < M // 2
-    i, b = np.nonzero((here | mirrored) & ((weight == 2)[:, None] | first_half))
-    plausible = _plausible(left[i, b], mid[i, b], right[i, b])
-    i, b = i[plausible], b[plausible]
+    # flat index idx = i M + b of row i, column b: size's rows i, i + 1, i + 2 are at
+    # idx, idx + M, idx + 2M of its raveled array
+    idx = np.flatnonzero((here | mirrored) & ((weight == 2)[:, None] | first_half))
+    flat = size.reshape(-1)
+    plausible = _plausible(flat[idx], flat[idx + M], flat[idx + 2 * M])
+    idx = idx[plausible]
+    i, b = np.divmod(idx, M)
     y = (N // M) * b + a0 + i
-    V = rows.ravel()[i * M + b + M * np.arange(2 * m + 1)[:, None]]  # rows[i + k, b], k <= 2m
-    here = here[i, b] & ((y < N // 2 + m) | (y >= N - m))
-    mirrored = mirrored[i, b] & ((y > N // 2 - m - 1) | (y < m))
+    V = rows.reshape(-1)[idx + M * np.arange(2 * m + 1)[:, None]]  # rows[i + k, b], k <= 2m
+    here = here.reshape(-1)[idx] & ((y < N // 2 + m) | (y >= N - m))
+    mirrored = mirrored.reshape(-1)[idx] & ((y > N // 2 - m - 1) | (y < m))
     s = np.concatenate([np.where(y < N // 2 + m, y, y - N)[here],
                         np.where(y < m, -1 - y, N - 1 - y)[mirrored]])
     return s, np.concatenate([V[:, here], V[::-1, mirrored].conj()], axis=1)

@@ -24,6 +24,7 @@ from .singer import ExactVector, SingerSet, _BLOCK, _exact_fields, _factorint, _
 
 GRID_BUDGET = 2**28  # points of one |P| grid: 2 GiB where a caller materializes it
 _ROW_MIN, _ROW_MAX = 2**8, 2**14  # row lengths _grid_blocks aims for
+_ROW_FAST = 2**11  # longest row that fits L1 as complex128 (32 KiB): the first tier's cap
 _ROW_PRIME_MAX = 64  # largest prime factor of a fast row length
 _TWIST_SPAN = 2**16  # entries of the twist table step: its rows R are this // the row length
 
@@ -211,24 +212,29 @@ def _divisors(factors):
 
 
 def _row_length(N, degree, terms):
-    """Row length M of _grid_blocks' N-point grid.
+    """Row length M of _grid_blocks' N-point grid, by one rule applied in two tiers.
 
-    The candidates are the divisors of N of at most _ROW_MAX with every prime factor at
-    most _ROW_PRIME_MAX and at least the term count: the smallest one at or above
-    clamp(degree + 1, _ROW_MIN, _ROW_MAX), else the largest one, else the smallest divisor
-    of N with at least the term count.  Such a row is a Bluestein FFT, and one of length
-    4014013 (q at p = 2003) raises the peak RSS by 550 MB, so the shortest row that holds
-    the terms is the cheapest; the fold lets M sit below the degree.
+    The rule, over the divisors of N of at most a cap with every prime factor at most
+    _ROW_PRIME_MAX and at least the term count: the smallest one at or above
+    clamp(degree + 1, _ROW_MIN, cap), else the largest one.  The first tier caps rows at
+    _ROW_FAST, whose complex row (32 KiB) fits a 48 KiB L1 data cache; only a grid with
+    no such divisor takes the second tier's cap _ROW_MAX, so no grid gives up a fast row
+    (p = 1597's 16q grid keeps 2064 = 2^4 3 43 where a plain 2^11 cap finds only the
+    Bluestein length 1626 = 2 3 271).  np.fft.ifft over 2^16 entries took 5.7 ns per
+    point in rows of 2^11, 13 ns in rows of 2^14 (256 KiB) and 30 ns in p = 211's old
+    rows of 14911 = 13 31 37 (on a Xeon with 48 KiB L1d per core; minimum of 15 runs).
+    With neither tier, M is the smallest divisor of N with at least the term count.  Such
+    a row is a Bluestein FFT, and one of length 4014013 (q at p = 2003) raises the peak
+    RSS by 550 MB, so the shortest row that holds the terms is the cheapest; the fold
+    lets M sit below the degree.
     """
     factors = _factorint(N)
-    smooth = {prime: e for prime, e in factors.items() if prime <= _ROW_PRIME_MAX}
-    fast = [m for m in _divisors(smooth) if terms <= m <= _ROW_MAX]
-    target = min(max(degree + 1, _ROW_MIN), _ROW_MAX)
-    above = [m for m in fast if m >= target]
-    if above:
-        return above[0]
-    if fast:
-        return fast[-1]
+    smooth = _divisors({prime: e for prime, e in factors.items() if prime <= _ROW_PRIME_MAX})
+    for cap in (_ROW_FAST, _ROW_MAX):
+        fast = [m for m in smooth if terms <= m <= cap]
+        if fast:
+            target = min(max(degree + 1, _ROW_MIN), cap)
+            return next((m for m in fast if m >= target), fast[-1])
     return next(m for m in _divisors(factors) if m >= terms)
 
 
@@ -247,9 +253,9 @@ def _grid_blocks(exponents, coeffs, N, offset=0.0, halo=0):
     Fold.  With L = N/M, grid index j = L*b + a has
     P(e^(2 pi i (j+offset)/N)) = sum_m x_a[m] e^(2 pi i m b/M), where x_a[m] sums the twisted
     terms c_s e^(2 pi i (a+offset) s/N) over s = m mod M: row a is one length-M FFT, and M
-    need not exceed the degree.  M comes from _row_length: a divisor of N of at most
-    _ROW_MAX with small prime factors and at least as many bins as terms, so the rows are
-    fast FFTs that stay in cache.
+    need not exceed the degree.  M comes from _row_length: a divisor of N with small
+    prime factors and at least as many bins as terms, of at most _ROW_FAST points (a
+    complex row that fits L1) where N has one, else of at most _ROW_MAX.
 
     Mirror.  For real coefficients P(e^(-i theta)) = conj P(e^(i theta)).  At offset 0,
     N - (L*b + a) = L*(M-1-b) + (L-a), so row L-a is row a reversed (and conjugated) and

@@ -308,6 +308,42 @@ class TestHorner:
                     assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
+def root_seeds_2d(rows, size, a0, weight, N):
+    """mahler._root_seeds on 2-D (row, column) indices, np.nonzero and [i, b] gathers: the
+    oracle of its flat-index gathers."""
+    m, n, M = mahler._STENCIL, len(weight), rows.shape[1]
+    left, mid, right = size[:n], size[1:n + 1], size[2:]
+    here, mirrored = (mid < left) & (mid <= right), (mid <= left) & (mid < right)
+    first_half = np.arange(M) < M // 2
+    i, b = np.nonzero((here | mirrored) & ((weight == 2)[:, None] | first_half))
+    plausible = mahler._plausible(left[i, b], mid[i, b], right[i, b])
+    i, b = i[plausible], b[plausible]
+    y = (N // M) * b + a0 + i
+    V = rows.ravel()[i * M + b + M * np.arange(2 * m + 1)[:, None]]
+    here = here[i, b] & ((y < N // 2 + m) | (y >= N - m))
+    mirrored = mirrored[i, b] & ((y > N // 2 - m - 1) | (y < m))
+    s = np.concatenate([np.where(y < N // 2 + m, y, y - N)[here],
+                        np.where(y < m, -1 - y, N - 1 - y)[mirrored]])
+    return s, np.concatenate([V[:, here], V[::-1, mirrored].conj()], axis=1)
+
+
+class TestRootSeeds:
+    @pytest.mark.parametrize("p", [31, 211])
+    def test_flat_gathers_equal_the_2d_oracle(self, p, singer_cache):
+        # every block of the halo'd Mahler grid, as _grid_means hands it over
+        exps, coeffs = mahler._nonzero_terms(build_polynomial(singer_cache(p)))
+        N, m = mahler.mahler_grid(int(exps[-1])), mahler._STENCIL
+        seeds = 0
+        for a0, rows, weight in _grid_blocks(exps, coeffs, N, offset=0.5, halo=m):
+            size = np.abs(rows[m - 1:len(rows) - m + 1])
+            s, V = mahler._root_seeds(rows, size, a0, weight, N)
+            s0, V0 = root_seeds_2d(rows, size, a0, weight, N)
+            assert s.dtype == s0.dtype and s.tobytes() == s0.tobytes()
+            assert V.shape == V0.shape and V.tobytes() == V0.tobytes()
+            seeds += s.size
+        assert seeds > 0
+
+
 class TestStreamedRoots:
     """The seeds _root_seeds takes from a window of fold rows are the seeds of the whole
     grid's first half, so the streamed pass finds the roots the one-array pass finds.  The
@@ -315,16 +351,17 @@ class TestStreamedRoots:
     are paired by their nearest neighbours, not by sorting."""
 
     @pytest.mark.parametrize("poly, N", [
-        ("singer 101", None),  # L = 16 rows, two blocks
-        ("singer 307", None),  # L = 128 rows, 32 blocks of 4 and a sliding window
-        ({0: 1.0, 8192: 1.0}, None),  # zeros at grid index 16(2k+1) - 1/2: across rows 15 and 0
+        ("singer 101", None),  # L = 128 rows of 2^11, two blocks of 32
+        ("singer 307", None),  # L = 1024 rows, 16 blocks of 32 and a sliding window
+        ({0: 1.0, 8192: 1.0}, None),  # zeros at grid index 16(2k+1) - 1/2: inside a block
+        ({0: 1.0, 1024: 1.0}, None),  # the same with L = 16 rows of 2^11: across rows 15 and 0
         (zero_one_times(255, 1, 1), None),  # a zero at theta = pi, between N/2 - 1 and N/2
         (zero_one_times(256, -1, 2), None),  # zeros at theta = 0 and pi
         (zero_one_times(8191, 1, 3), None),
-        (zero_one_times(40000, -1, 4), None),  # L = 64 rows, 16 blocks
+        (zero_one_times(40000, -1, 4), None),  # L = 32 rows of 2^15, 8 blocks
         (zero_one_times(2001, 1, 5), 4096),  # one self-paired row of 4096, read in its first half
-    ], ids=["singer 101", "singer 307", "1+z^8192", "B(1+z^255)", "B(1-z^256)", "B(1+z^8191)",
-            "B(1-z^40000)", "one row"])
+    ], ids=["singer 101", "singer 307", "1+z^8192", "1+z^1024", "B(1+z^255)", "B(1-z^256)",
+            "B(1+z^8191)", "B(1-z^40000)", "one row"])
     def test_same_roots_as_the_materialized_grid(self, poly, N, singer_cache):
         if isinstance(poly, str):
             poly = build_polynomial(singer_cache(int(poly.split()[1])))

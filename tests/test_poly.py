@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import sympy
 
 from flatpoly import analysis, mahler, poly, singer
 from flatpoly.analysis import mz_ratio
@@ -25,6 +26,23 @@ from flatpoly.poly import (
 from flatpoly.singer import SingerSet
 
 NON_PERFECT = SingerSet(p=2, m=1, q=7, residues=(0, 1, 2))  # cyclic counts 2, 1, 0, 0, 1, 2
+
+
+def _smooth(m):
+    return max(sympy.factorint(m), default=1) <= 64
+
+
+def _row_length_up_to_2_14(N, degree, terms):
+    """The one-tier row rule _row_length had before its 2^11 tier: the oracle that a grid
+    with a 64-smooth row keeps one."""
+    fast = [d for d in sympy.divisors(N) if terms <= d <= 2**14 and _smooth(d)]
+    target = min(max(degree + 1, 2**8), 2**14)
+    above = [d for d in fast if d >= target]
+    if above:
+        return above[0]
+    if fast:
+        return fast[-1]
+    return next(d for d in sympy.divisors(N) if d >= terms)
 
 
 def grid_values(P, N):
@@ -130,7 +148,7 @@ class TestAbsSupportGrid:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
-        j = np.array([0, 1, 1023, 1024, 123457, N - 1])  # 1024 rows of length 4096
+        j = np.array([0, 1, 2047, 2048, 123457, N - 1])  # 2048 rows of length 2048
         direct = np.abs(np.exp(2j * np.pi * np.outer(j + 0.5, exps) / N) @ coeffs)
         assert np.max(np.abs(absv[j] - direct)) < 1e-12
 
@@ -145,7 +163,7 @@ class TestAbsSupportGrid:
         assert peak < 2**20
 
     def test_fold_path_memory_and_values(self, singer_cache):
-        # p = 307 at 16q: rows of M = 2064 fold 308 terms of degree 94k; the result
+        # p = 307 at 16q: rows of M = 1032 fold 308 terms of degree 94k; the result
         # (11.5 MB) plus one block of rows in flight
         s = singer_cache(307)
         N, c = 16 * s.q, np.full(s.size, 1 / np.sqrt(s.size))
@@ -159,15 +177,44 @@ class TestAbsSupportGrid:
         oracle = np.abs(eval_support_grid(s.residues, c, N))
         assert np.max(np.abs(absv - oracle)) <= 1e-12 * (1 + c.sum())
 
-    @pytest.mark.parametrize("p, m16q, m22", [(31, 48, 1024), (211, 14911, 2**14), (307, 2064, 2**14)])
+    @pytest.mark.parametrize("N, offset, M", [(None, 0.0, 1924), (2**20, 0.5, 2**11)])
+    def test_p211_grids_against_the_complex_route(self, N, offset, M, singer_cache):
+        # p = 211's 16q grid and its offset-1/2 Mahler grid
+        s = singer_cache(211)
+        N, c = N or 16 * s.q, np.full(s.size, 1 / np.sqrt(s.size))
+        assert _row_length(N, s.residues[-1], s.size) == M
+        absv = _abs_support_grid(s.residues, c, N, offset)
+        oracle = np.abs(eval_support_grid(s.residues, c, N, offset))
+        assert np.max(np.abs(absv - oracle)) <= 1e-12 * (1 + c.sum())
+
+    @pytest.mark.parametrize("p, m16q, m22", [(31, 48, 1024), (211, 1924, 2**11), (307, 1032, 2**11)])
     def test_row_length_on_the_benchmark_grids(self, p, m16q, m22, singer_cache):
         s = singer_cache(p)
         assert _row_length(16 * s.q, s.residues[-1], s.size) == m16q
         assert _row_length(2**22, s.residues[-1], s.size) == m22
 
+    @pytest.mark.parametrize("p", [31, 101, 401, 1009, 2003, *sympy.primerange(900, 1200)])
+    def test_row_length_sweep(self, p, singer_cache):
+        # the 16q grid and the Mahler grid: a row of at most 2^11 wherever one holds the
+        # terms, and never a Bluestein row where the one-tier rule found a fast one
+        s = singer_cache(p)
+        degree = s.residues[-1]
+        for N in (16 * s.q, mahler.mahler_grid(degree)):
+            M = _row_length(N, degree, s.size)
+            assert N % M == 0 and M >= s.size
+            if any(N % d == 0 and _smooth(d) for d in range(s.size, 2**11 + 1)):
+                assert M <= 2**11
+            if _smooth(_row_length_up_to_2_14(N, degree, s.size)):
+                assert _smooth(M)
+
     @pytest.mark.parametrize("N, degree, terms, M", [
         (2**22, 6, 3, 256),  # tiny degree: rows of the smallest fast length, not length 7
-        (3 * 2**15, 20000, 10, 2**14),  # the smallest fast divisor at the clamped target
+        (3 * 2**15, 20000, 10, 2**11),  # the smallest fast divisor at the clamped target
+        # 16q grids with no 64-smooth divisor in [terms, 2^11] keep a fast row of at most
+        # 2^14, not the Bluestein row that a plain 2^11 cap falls back to
+        (16 * 2552007, 2552006, 1598, 2064),  # p = 1597: not 1626 = 2 3 271
+        (16 * 2888301, 2888300, 1700, 9672),  # p = 1699: not the prime 2389
+        (16 * 4159561, 4159560, 2040, 5488),  # p = 2039: not 2534 = 2 7 181
         (64 * 8191, 100000, 20, 64),  # every fast divisor below the degree: the largest
         (64 * 8191, 100000, 100, 8191),  # too few fast bins: the shortest row that holds the terms
         (397, 396, 3, 397),  # N prime: one row
@@ -177,8 +224,8 @@ class TestAbsSupportGrid:
         assert _row_length(N, degree, terms) == M
 
     @pytest.mark.parametrize("N, exps", [
-        (16 * 94557, [0, 17, 94556]),  # M = 2064 folds the terms, L = 733 rows
-        (3 * 2**15, [1, 5000, 20000]),  # M = 2^14 folds the terms, L = 6
+        (16 * 94557, [0, 17, 94556]),  # M = 1032 folds the terms, L = 1466 rows
+        (3 * 2**15, [1, 5000, 20000]),  # M = 2^11 folds the terms, L = 48
         (5 * 2**12, [0, 7, 300]),  # M = 320, L = 64
         (3 * 2**8, [0, 2]),  # M = 256, L = 3
         (397, [0, 5, 396]),  # N prime: M = N, L = 1
@@ -215,8 +262,8 @@ class TestAbsSupportGrid:
 
     @pytest.mark.parametrize("block", [2**14, 2**12])
     @pytest.mark.parametrize("p, N, offset, halo", [
-        (211, 2**20, 0.5, mahler._STENCIL),  # p = 211's Mahler grid, halo'd: 64 rows of 2^14
-        (211, None, 0.0, 0),  # its 16q grid: 48 rows of 14911
+        (211, 2**20, 0.5, mahler._STENCIL),  # p = 211's Mahler grid, halo'd: 512 rows of 2^11
+        (211, None, 0.0, 0),  # its 16q grid: 372 rows of 1924
         (401, None, 0.0, 0),  # 16q: 112 Bluestein rows of the prime 23029
     ])
     def test_rows_do_not_depend_on_the_block_size(self, p, N, offset, halo, block,

@@ -252,10 +252,11 @@ SINGER_2, SINGER_307 = construct_singer(2).residues, construct_singer(307).resid
 @example((397, [0, 5, 396], [1.0, -1.0, 0.5], 0.0))  # N prime, real: one row, mirrored in itself
 @example((16 * 31, [1, 5, 11, 24, 25, 27], [0.5] * 6, 0.0))  # the p = 5 Singer set at 16q
 @example((400, [0, 2], [1.0, 3.0], 0.5))  # degree 2: one row of the fast length 400
-@example((16 * 94557, SINGER_307, [308**-0.5] * 308, 0.0))  # p = 307 at 16q: fold, L = 733 odd
+@example((16 * 94557, SINGER_307, [308**-0.5] * 308, 0.0))  # p = 307 at 16q: fold, L = 1466 even
+@example((7 * 2**11, [0, 17, 14000], [1.0, -0.7, 0.3], 0.0))  # fold, L = 7 odd
 @example((16 * 94557, SINGER_307, [308**-0.5] * 308, 0.5))
 @example((64 * 8191, [0, 9, 70000, 99999], [1.0, -2.0, 0.5, 1.5], 0.5))  # fast rows all below the degree
-@example((3 * 2**15, [1, 5000, 20000], [1.0, -0.7, 0.3], 0.0))  # fold, L = 6 even
+@example((3 * 2**15, [1, 5000, 20000], [1.0, -0.7, 0.3], 0.0))  # fold, L = 48 even
 @example((3 * 2**15, [1, 5000, 20000], [1.0, -0.7, 0.3], 0.5))
 @example((5 * 2**12, [0, 7, 300], [1.0, 0.25, -1.0], 0.0))  # L = 64 even
 @example((3 * 2**8, [0, 2], [1.0, 3.0], 0.5))  # L = 3 odd
@@ -293,7 +294,8 @@ SINGER_101 = construct_singer(101).residues
 @PROPERTY_SETTINGS
 @given(stream_cases())
 @example((16 * 10303, SINGER_101, [102**-0.5] * 102, 0.0))  # p = 101 at 16q: rows of M = q
-@example((16 * 94557, SINGER_307, [308**-0.5] * 308, 0.5))  # 733 rows of 2064, L odd
+@example((16 * 94557, SINGER_307, [308**-0.5] * 308, 0.5))  # 1466 rows of 1032, L even
+@example((7 * 2**11, [0, 17, 14000], [1.0, -0.7, 0.3], 0.5))  # 7 rows of 2^11: a self-paired middle row
 @example((2**21, SINGER_307, [308**-0.5] * 308, 0.5))  # mahler_log's grid: a sliding window
 @example((8 * 127, list(range(0, 1016, 40)), [1.0] * 26, 0.0))  # fallback rows of 127, L = 8
 @example((397, [0, 5, 396], [1.0, -1.0, 0.5], 0.5))  # N prime: one self-paired row
