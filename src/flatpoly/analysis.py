@@ -370,9 +370,10 @@ def _adaptive_panels(fun, edges):
     that node alone.  A panel is accepted when its 16- and 32-node values agree to
     _PANEL_TOL per unit length, otherwise it is bisected, at most _PANEL_MAX_DEPTH times.
     fsum makes the total independent of accumulation order, so the result is deterministic.
+    Returns it with the count of panels accepted unconverged at _PANEL_MAX_DEPTH.
     """
     intervals = np.stack([edges[:-1], edges[1:]], axis=1)
-    pieces = []
+    pieces, unconverged = [], 0
     for depth in range(_PANEL_MAX_DEPTH + 1):
         a, b = intervals[:, 0], intervals[:, 1]
         half = 0.5 * (b - a)
@@ -384,6 +385,7 @@ def _adaptive_panels(fun, edges):
         v32 = half * (f32.reshape(len(intervals), -1) @ _GL32[1])
         done = np.abs(v32 - v16) <= _PANEL_TOL * np.maximum(b - a, 1e-6)
         if depth == _PANEL_MAX_DEPTH:
+            unconverged = int(np.count_nonzero(~done))
             done[:] = True
         pieces.extend(v32[done].tolist())
         rest = intervals[~done]
@@ -393,7 +395,7 @@ def _adaptive_panels(fun, edges):
         intervals = np.concatenate(
             [np.stack([rest[:, 0], mid_r], 1), np.stack([mid_r, rest[:, 1]], 1)]
         )
-    return math.fsum(pieces)
+    return math.fsum(pieces), unconverged
 
 
 def _si_tail(y):
@@ -443,6 +445,7 @@ class KernelMassReport:
     line_mass: float
     window: tuple
     tail_mass: float
+    unconverged_panels: int  # line-route panels accepted at the bisection cap
 
 
 def kernel_mass(spec: KernelSpec):
@@ -455,7 +458,7 @@ def kernel_mass(spec: KernelSpec):
     theta = 2 * np.pi * (np.arange(_KERNEL_MASS_GRID) + 0.5) / _KERNEL_MASS_GRID
     circle = _mean(periodized_kernel(spec, theta))
     periods = 2 * np.pi * np.arange(-spec.truncation, spec.truncation + 2)
-    line = _adaptive_panels(lambda t: kernel_value(spec, t), periods)
+    line, unconverged = _adaptive_panels(lambda t: kernel_value(spec, t), periods)
     window, tail = _line_window(spec)
     return KernelMassReport(
         s=spec.s,
@@ -463,6 +466,7 @@ def kernel_mass(spec: KernelSpec):
         line_mass=line + tail,
         window=window,
         tail_mass=tail,
+        unconverged_panels=unconverged,
     )
 
 
@@ -486,6 +490,7 @@ class RealLineReport:
     tail_mass: float
     integrand_sup: float
     tail_bound: float
+    unconverged_panels: int  # line_value's panels accepted at the bisection cap
 
 
 def realline_grid(q, grid_multiplier=GRID_MULTIPLIER):
@@ -554,7 +559,7 @@ def realline_flatness(P: NewmanPolynomial, alpha, spec: KernelSpec,
         upper = [b - length * ratio for ratio in (0.25**k for k in range(1, 7))]
         edges.extend([a] + lower + [a + 0.5 * length] + upper)
     edges.append(2 * np.pi)
-    line_value = _adaptive_panels(integrand, np.array(edges)) / (2 * np.pi)
+    line_value, unconverged = _adaptive_panels(integrand, np.array(edges))
     window, tail_mass = _line_window(spec)
     sup = float(f.max())
     return RealLineReport(
@@ -564,9 +569,10 @@ def realline_flatness(P: NewmanPolynomial, alpha, spec: KernelSpec,
         circle_grid=N,
         circle_value=circle_exact,
         circle_truncated=circle_trunc,
-        line_value=line_value,
+        line_value=line_value / (2 * np.pi),
         window=window,
         tail_mass=tail_mass,
         integrand_sup=sup,
         tail_bound=sup * tail_mass,
+        unconverged_panels=unconverged,
     )

@@ -25,7 +25,7 @@ from .singer import normalize, singer_modulus
 from .poly import build_polynomial, check_grid_budget
 from .analysis import GRID_MULTIPLIER, KernelSpec, _check_alpha, flatness, realline_flatness
 from .analysis import realline_grid
-from .mahler import mahler_grid, mahler_jensen, mahler_log
+from .mahler import check_jensen_budget, mahler_grid, mahler_jensen, mahler_log
 from .riesz import _margin_constant, check_dissociated, ergodicity_sum, make_plan, partial_coeffs
 from .riesz import plan_to_json
 from .rankone import build_tower, derive_map_params, measure_growth
@@ -194,32 +194,21 @@ def _run_singer(cmd):
     }
 
 
-def _flat_row(p, m, alpha, grid_multiplier):
-    N = grid_multiplier * singer_modulus(p, m)
-    check_grid_budget(N)  # before the Singer set is built
-    P = build_polynomial(construct_singer(p, m))
-    rep = flatness(P, alpha, N)  # its row blocks are freed before mahler_log's
-    ml = mahler_log(P)
-    return {
-        "p": rep.p,
-        "q": rep.q,
-        "alpha": alpha,
-        "grid": rep.grid_size,
-        "defect_sq": rep.defect_sq,
-        "defect_abs": rep.defect_abs,
-        "l1": rep.l1_norm,
-        "mahler": ml.value,
-        "mahler_converged": ml.detail["converged"],
-        "s3_bound": rep.s3_bound,
-        "l2_defect_closed": rep.l2_defect_closed,
-        "defect_dominance_min_gap": rep.defect_dominance_min_gap,
-    }
+def _per_prime(methods, budgets):
+    """Decorator: a row(cmd, p, P) function becomes the runner of a table, one row per prime.
 
-
-def _per_prime(methods):
-    """Decorator: a row(cmd, p) function becomes the runner of a table, one row per prime."""
+    budgets(cmd, q) lists the (check, size) pairs the row meets at modulus q; every prime's
+    are checked before the first Singer set is built, and P is then built once per prime.
+    A Mahler grid and a Jensen degree are priced at q - 1, which no Singer degree exceeds.
+    """
     def runner(row):
-        return lambda cmd: {"rows": [row(cmd, p) for p in cmd.primes], "methods": methods}
+        def run(cmd):
+            for p in cmd.primes:
+                for check, size in budgets(cmd, singer_modulus(p, cmd.m)):
+                    check(size)
+            return {"rows": [row(cmd, p, build_polynomial(construct_singer(p, cmd.m)))
+                             for p in cmd.primes], "methods": methods}
+        return run
     return runner
 
 
@@ -236,9 +225,25 @@ def _per_prime(methods):
     "defect_dominance_min_gap": "min over grid of |Q(z)| - ||P(z)|^2 - 1|, with |Q| in "
                                 "closed form |sin((q-1)theta/2)| / (k |sin(theta/2)|) "
                                 "(observational; not asserted)",
-})
-def _run_flat(cmd, p):
-    return _flat_row(p, cmd.m, cmd.alpha, cmd.grid_multiplier)
+}, budgets=lambda cmd, q: [(check_grid_budget, cmd.grid_multiplier * q),
+                           (check_grid_budget, mahler_grid(q - 1))])
+def _run_flat(cmd, p, P):
+    rep = flatness(P, cmd.alpha, cmd.grid_multiplier * P.q)  # rows freed before mahler_log's
+    ml = mahler_log(P)
+    return {
+        "p": rep.p,
+        "q": rep.q,
+        "alpha": cmd.alpha,
+        "grid": rep.grid_size,
+        "defect_sq": rep.defect_sq,
+        "defect_abs": rep.defect_abs,
+        "l1": rep.l1_norm,
+        "mahler": ml.value,
+        "mahler_converged": ml.detail["converged"],
+        "s3_bound": rep.s3_bound,
+        "l2_defect_closed": rep.l2_defect_closed,
+        "defect_dominance_min_gap": rep.defect_dominance_min_gap,
+    }
 
 
 @_per_prime({
@@ -246,10 +251,8 @@ def _run_flat(cmd, p):
     "mahler_jensen": "|lead| * prod |root| over |root| > 1, roots by Aberth sweeps on the "
                      "sparse form, certified by inclusion disks (error below 1e-10 for p <= 43)",
     "cross_method_gap": "tolerance 1e-6",
-})
-def _run_mahler(cmd, p):
-    check_grid_budget(mahler_grid(singer_modulus(p, cmd.m) - 1))  # the degree is below q
-    P = build_polynomial(construct_singer(p, cmd.m))
+}, budgets=lambda cmd, q: [(check_grid_budget, mahler_grid(q - 1)), (check_jensen_budget, q - 1)])
+def _run_mahler(cmd, p, P):
     ml, mj = mahler_log(P), mahler_jensen(P)
     return {
         "p": p,
@@ -267,10 +270,8 @@ def _run_mahler(cmd, p):
           "grid error of each root within 30/N of the circle",
     "mahler": "log-integral, " + MAHLER_NEAR_ROOT,
     "note": "suprema over the family tend to 1; tabulated only, not asserted",
-})
-def _run_beta(cmd, p):
-    check_grid_budget(mahler_grid(singer_modulus(p, cmd.m) - 1))
-    P = build_polynomial(construct_singer(p, cmd.m))
+}, budgets=lambda cmd, q: [(check_grid_budget, mahler_grid(q - 1))])
+def _run_beta(cmd, p, P):
     ml = mahler_log(P)
     return {"p": p, "q": P.q, "l1": ml.l1, "mahler": ml.value,
             "mahler_converged": ml.detail["converged"]}
@@ -364,10 +365,8 @@ def _run_rankone(cmd):
     "line_value": "kink-seeded adaptive Gauss-Legendre over the same window; "
                   "agreement with circle_truncated is limited by the circle "
                   "grid (1e-6 at the acceptance scale q = 7)",
-})
-def _run_realline(cmd, p):
-    check_grid_budget(realline_grid(singer_modulus(p, cmd.m), cmd.grid_multiplier))
-    P = build_polynomial(construct_singer(p, cmd.m))
+}, budgets=lambda cmd, q: [(check_grid_budget, realline_grid(q, cmd.grid_multiplier))])
+def _run_realline(cmd, p, P):
     rep = realline_flatness(P, cmd.alpha, KernelSpec(s=cmd.kernel_s, truncation=cmd.truncation),
                             cmd.grid_multiplier)
     return {

@@ -339,6 +339,15 @@ def _horner(C, z, u):
     return value, quotient
 
 
+def check_jensen_budget(degree):
+    """BudgetError unless mahler_jensen takes this degree: the one place JENSEN_DEGREE_BUDGET
+    is compared.  A Singer set mod q priced at q - 1 fails exactly when its degree d does:
+    its q - 1 nonzero differences lie in [-d, d], so 2d >= q - 1, and every q in (1893, 3785]
+    has d > 1892."""
+    if degree > JENSEN_DEGREE_BUDGET:
+        raise BudgetError(f"degree {degree} exceeds the root-finding budget {JENSEN_DEGREE_BUDGET}")
+
+
 def mahler_jensen(P):
     """Mahler measure via roots: |lead| * prod of root moduli outside the disk, certified.
 
@@ -354,12 +363,12 @@ def mahler_jensen(P):
     that meet the unit circle; counted, never raised).  An empty product is 1, so a
     constant a has measure |a|.  No grid is evaluated, so l1 is None; mahler_log reports
     it.  The route is the oracle of mahler_log, and a degree above JENSEN_DEGREE_BUDGET
-    raises BudgetError before any sweep runs; real and complex coefficients cost the same.
+    raises BudgetError (check_jensen_budget) before any sweep runs; real and complex
+    coefficients cost the same.
     """
     exps, coeffs = _nonzero_terms(P)
     degree = int(exps[-1])
-    if degree > JENSEN_DEGREE_BUDGET:
-        raise BudgetError(f"degree {degree} exceeds the root-finding budget {JENSEN_DEGREE_BUDGET}")
+    check_jensen_budget(degree)
     lead = abs(complex(coeffs[-1]))
     detail = {"degree": degree, "roots_outside": 0, "error": 0.0, "sweeps": 0,
               "converged": True, "clusters": 0, "circle_components": 0}

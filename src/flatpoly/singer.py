@@ -598,47 +598,30 @@ def _pair_counts(support, q, cyclic=False):
     Cyclic: counts[r] = #{(s, t) in support^2 : s - t = r mod q}.  Rows
     are taken _BLOCK // k at a time, so no k x k difference array is built.
     Where the k(k - 1) off-diagonal pairs fit in the nonzero differences,
-    they are first marked in a bool mask (_distinct_pair_counts), and when
-    no difference repeats, as in a Singer set, that mask is the counts.
+    they are first marked in a bool mask (_mark_differences) in the last
+    bytes of the counts' own buffer, and when no difference repeats, as in
+    a Singer set, that mask is the counts, with k at difference 0.
     Otherwise the pairs are added up with np.add.at, in the counts' memory.
     Raises ValueError unless the support is distinct and inside [0, q).
     """
     s, ordered = _checked_support(support, q)
-    size = q if cyclic else 2 * q - 1
-    if s.size * (s.size - 1) <= size - 1:  # else some difference repeats, by pigeonhole
-        counts = _distinct_pair_counts(ordered, q, cyclic)
-        if counts is not None:
+    k = s.size
+    counts = np.zeros(q if cyclic else 2 * q - 1, dtype=np.int64)
+    if k * (k - 1) <= counts.size - 1:  # else some difference repeats, by pigeonhole
+        mask = counts.view(bool)[-counts.size:]
+        if _mark_differences(ordered, q, cyclic, mask):
+            # all ones for a perfect difference set; numpy reads an overlapping mask from a copy
+            counts[:] = 1 if cyclic and k * (k - 1) == q - 1 else mask
+            counts[0 if cyclic else q - 1] = k
             return counts
+        counts.fill(0)
     shifted = s if cyclic else s - (q - 1)
-    counts = np.zeros(size, dtype=np.int64)
-    per = max(1, _BLOCK // max(s.size, 1))
-    for lo in range(0, s.size, per):
+    per = max(1, _BLOCK // max(k, 1))
+    for lo in range(0, k, per):
         diffs = s[lo:lo + per, None] - shifted
         if cyclic:
             diffs[diffs < 0] += q
         np.add.at(counts, diffs.ravel(), 1)  # no q-long temporary per block
-    return counts
-
-
-def _distinct_pair_counts(ordered, q, cyclic):
-    """_pair_counts of an ascending support none of whose nonzero differences
-    repeats, or None.
-
-    The counts are the mask of _mark_differences as int64, with k at
-    difference 0, and all ones for a perfect difference set.  The mask is
-    the last bytes of the counts' own buffer, so the peak stays the counts'
-    8 bytes an entry.
-    """
-    k = ordered.size
-    counts = np.zeros(q if cyclic else 2 * q - 1, dtype=np.int64)
-    mask = counts.view(bool)[-counts.size:]
-    if not _mark_differences(ordered, q, cyclic, mask):
-        return None
-    if cyclic and k * (k - 1) == q - 1:
-        counts.fill(1)
-    else:
-        counts[:] = mask  # numpy reads the overlapping mask from a copy
-    counts[0 if cyclic else q - 1] = k
     return counts
 
 

@@ -426,10 +426,14 @@ class TestKernel:
 
         edges = np.array([0.0, 0.5, 1.0, 2.0, np.pi])
         calls = []
-        joined = analysis._adaptive_panels(fun, edges)
+        joined, unconverged = analysis._adaptive_panels(fun, edges)
         joined_calls, calls = calls, []
         two_calls = adaptive_panels_two_calls(fun, edges)
         assert joined == two_calls
+        # the cusps reach the bisection cap, and the panels accepted there unconverged are
+        # counted, not dropped silently
+        assert len(joined_calls) == analysis._PANEL_MAX_DEPTH + 1
+        assert unconverged == 4
         assert len(joined_calls) > 3  # several waves
         assert max(joined_calls) <= analysis._BLOCK
         assert 2 * len(joined_calls) == len(calls)
@@ -460,6 +464,7 @@ class TestKernel:
         rep = kernel_mass(KernelSpec(s))
         assert abs(rep.circle_mass - 1.0) < 1e-8
         assert abs(rep.line_mass - 1.0) < 1e-8
+        assert rep.unconverged_panels == 0
 
 
 class TestSincTail:
@@ -507,6 +512,7 @@ class TestRealLine:
         rep = realline_flatness(P7, 1.0, KernelSpec(1.0), grid_multiplier=2341)
         assert abs(rep.circle_truncated - rep.line_value) < 1e-6
         assert abs(rep.circle_value - rep.circle_truncated) <= rep.tail_bound
+        assert rep.unconverged_panels == 0  # every line panel met its tolerance
 
     def test_other_scale(self, P7):
         rep = realline_flatness(P7, 1.5, KernelSpec(2.0), grid_multiplier=2341)

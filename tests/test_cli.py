@@ -16,7 +16,7 @@ import pytest
 import flatpoly
 from flatpoly import analysis, cli, mahler, poly, riesz, singer
 from flatpoly.analysis import flatness
-from flatpoly.cli import Command, UsageError, _flat_row, main, parse
+from flatpoly.cli import Command, UsageError, main, parse
 from flatpoly.poly import (
     _abs_support_grid,
     _grid_blocks,
@@ -79,6 +79,19 @@ PINNED_COMMANDS = [
     ("rankone --primes 2,3 --scales 1,8", "rankone --primes 2,3 --m 1 --scales 1,8 --format json"),
     ("rankone --primes 2,3,5,7,2", "rankone --primes 2,3,5,7,2 --m 1 --rule margin:2 --format json"),
     ("beta --primes 13,61", "beta --primes 13,61 --m 1 --format json"),
+]
+
+
+# Reports that fail on a budget priced from q alone.  flat at p = 5003: the 8q grid fits, the
+# 2^29-point Mahler grid does not; with p = 31 first, the 16q grid of p = 5003 fails before
+# p = 31 is built.  mahler: the Jensen degree q - 1 at p = 47 (q = 2257) and p = 2003.
+PRICED = [
+    ("flat --primes 5003 --alpha 1 --grid-multiplier 8",
+     "grid of 536870912 points exceeds the grid budget 268435456"),
+    ("flat --primes 31,5003 --alpha 1",
+     "grid of 400560208 points exceeds the grid budget 268435456"),
+    ("mahler --primes 47", "degree 2256 exceeds the root-finding budget 1892"),
+    ("mahler --primes 2003", "degree 4014012 exceeds the root-finding budget 1892"),
 ]
 
 
@@ -183,6 +196,8 @@ class TestParse:
         ("riesz --primes 2,3 --rule bogus", "--rule"),
         ("riesz --primes 2,3 --rule margin:x", "--rule"),
         ("rankone --primes 2,3 --rule margin:1", "--rule"),
+        ("flat --primes 2 --alpha 1 --grid-multiplier 7", "--grid-multiplier"),
+        ("riesz --primes 2,3 --stages 0", "--stages"),
     ])
     def test_bad_value_exits_2_naming_the_flag(self, argv, flag, capsys):
         assert main(argv.split() + ["--no-timestamp"]) == 2
@@ -223,6 +238,17 @@ class TestExecute:
         assert json.loads(text)["error"] == {
             "type": "BudgetError",
             "message": f"grid of {points} points exceeds the grid budget 268435456"}
+
+    @pytest.mark.parametrize("argv, message", PRICED)
+    def test_every_budget_priced_before_any_singer_set(self, argv, message, tmp_path,
+                                                       monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("every budget of every prime is priced before any Singer set")
+
+        monkeypatch.setattr(cli, "construct_singer", forbidden)
+        code, text = run_to_file(tmp_path, argv.split())
+        assert code == 1
+        assert json.loads(text)["error"] == {"type": "BudgetError", "message": message}
 
     def test_singer_report_counts_differences_once(self, tmp_path, monkeypatch):
         # one pass marks every difference in a q-byte mask; a valid report builds no counts
@@ -284,6 +310,12 @@ class TestExecute:
         assert code == 1
         report = json.loads(text)
         assert report["error"]["type"] == "ValueError"
+
+    def test_stages_beyond_the_plan_exit_1(self, tmp_path):
+        code, text = run_to_file(tmp_path, ["riesz", "--primes", "2,3", "--stages", "3"])
+        assert code == 1
+        assert json.loads(text)["error"] == {
+            "type": "ValueError", "message": "--stages 3 exceeds the plan's 2 stages"}
 
     def test_mahler_report(self, tmp_path):
         code, text = run_to_file(tmp_path, ["mahler", "--primes", "2,3"])
@@ -366,14 +398,22 @@ class TestExecute:
         assert "timestamp" in json.loads(capsys.readouterr().out)
 
 
+def flat_row(monkeypatch, singer_cache, p, alpha, multiplier):
+    """The row of `flat --primes p`, through its runner, with the Singer set from the cache."""
+    monkeypatch.setattr(cli, "construct_singer", singer_cache)
+    cmd = Command("flat", primes=(p,), alpha=alpha, grid_multiplier=multiplier)
+    [row] = cli._run_flat(cmd)["rows"]
+    return row
+
+
 class TestFlatRow:
     """One |P| evaluation feeds the defects, L1 and the dominance gap."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
-    def test_matches_flatness(self, p, alpha, singer_cache):
+    def test_matches_flatness(self, p, alpha, singer_cache, monkeypatch):
         sset = singer_cache(p)
-        row = _flat_row(p, 1, alpha, 16)
+        row = flat_row(monkeypatch, singer_cache, p, alpha, 16)
         rep = flatness(build_polynomial(sset), alpha, 16 * sset.q)
         assert row["grid"] == rep.grid_size == 16 * sset.q
         assert row["defect_sq"] == rep.defect_sq
@@ -381,7 +421,7 @@ class TestFlatRow:
         assert row["l1"] == rep.l1_norm
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_dominance_gap_matches_fraction_route(self, p, singer_cache):
+    def test_dominance_gap_matches_fraction_route(self, p, singer_cache, monkeypatch):
         # oracle: Q through its Fraction coefficients and a second evaluation of P;
         # the row takes |Q| from its closed form, so the two agree to rounding
         sset = singer_cache(p)
@@ -391,7 +431,7 @@ class TestFlatRow:
         Q = defect_poly(sset)
         qvals = eval_support_grid(np.arange(1, sset.q), Q.coefficient_array()[1:], grid)
         oracle = float((np.abs(qvals) - np.abs(np.abs(values) ** 2 - 1.0)).min())
-        gap = _flat_row(p, 1, 1.0, 16)["defect_dominance_min_gap"]
+        gap = flat_row(monkeypatch, singer_cache, p, 1.0, 16)["defect_dominance_min_gap"]
         assert abs(gap - oracle) <= 1e-13 * (sset.q - 1) / sset.size
 
     @pytest.mark.parametrize("p", [5, 31, 101, 307])
@@ -420,17 +460,18 @@ class TestFlatRow:
             return _perfect_defect_abs(q, size, N, j)
 
         monkeypatch.setattr(analysis, "_perfect_defect_abs", counted)
-        assert _flat_row(p, 1, 1.0, multiplier)["defect_dominance_min_gap"] == whole
+        row = flat_row(monkeypatch, singer_cache, p, 1.0, multiplier)
+        assert row["defect_dominance_min_gap"] == whole
         if p == 307:
             assert sum(evaluated) < grid / 40
 
-    def test_flat_grid_freed_before_mahler(self, singer_cache):
+    def test_flat_grid_freed_before_mahler(self, singer_cache, monkeypatch):
         # p = 307: flatness streams the 16q grid (12 MB as one array) and mahler_log its
         # 2^21-point grid (17 MB) in row blocks; either grid as an array would break this
         singer_cache(307)
         tracemalloc.start()
         try:
-            _flat_row(307, 1, 1.0, 16)
+            flat_row(monkeypatch, singer_cache, 307, 1.0, 16)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -450,7 +491,7 @@ class TestFlatRow:
             monkeypatch.setattr(module, "_grid_blocks", counted, raising=False)
             monkeypatch.setattr(module, "correlations", forbidden, raising=False)
         q = singer_cache(5).q
-        _flat_row(5, 1, 1.0, 16)
+        flat_row(monkeypatch, singer_cache, 5, 1.0, 16)
         assert grids.count(16 * q) == 1  # P once; |Q| in closed form
         assert sorted(N for N in grids if N != 16 * q) == [2048, 4096]  # mahler_log's N and N/2
 
@@ -459,6 +500,27 @@ def _run_python(code):
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(flatpoly.__file__).parents[1]))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True).stdout
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in PRICED])
+def test_priced_failure_is_quick_in_a_fresh_process(argv, tmp_path):
+    # before every budget was priced up front these ran for 3 s to over 25 s, up to 296 MB.
+    # A small parent runs the command: a child's peak RSS counts the memory it was forked
+    # from, which here would be this test process's
+    report = tmp_path / "report.json"
+    code = textwrap.dedent(f"""
+        import resource, subprocess, sys, time
+        start = time.perf_counter()
+        code = subprocess.call([sys.executable, "-m", "flatpoly.cli", *{argv.split()!r},
+                                "--no-timestamp", "-o", {str(report)!r}])
+        print(code, time.perf_counter() - start,
+              resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+    """)
+    exit_code, elapsed, peak_kb = _run_python(code).split()
+    assert int(exit_code) == 1
+    assert json.loads(report.read_text())["error"]["type"] == "BudgetError"
+    assert int(peak_kb) < 40 * 1024  # the interpreter and numpy, no construction
+    assert float(elapsed) < 2.0  # 0.16-0.19 s on a 2-core x86-64 host
 
 
 def test_import_leaves_out_scipy_and_sympy():
@@ -471,13 +533,13 @@ def test_singer_flat_and_mahler_rows_leave_out_numpy_ma():
     # a plain np.unique imports numpy.ma on its first call, 12-35 ms in every fresh process
     code = textwrap.dedent("""
         import sys
-        from flatpoly.cli import _flat_row
+        from flatpoly.cli import _run_flat, parse
         from flatpoly.mahler import mahler_jensen
         from flatpoly.poly import build_polynomial
         from flatpoly.singer import construct_singer
 
         mahler_jensen(build_polynomial(construct_singer(7)))
-        _flat_row(7, 1, 1.0, 16)
+        _run_flat(parse(["flat", "--primes", "7", "--alpha", "1"]))
         print("numpy.ma" in sys.modules)
     """)
     assert _run_python(code).strip() == "False"

@@ -136,6 +136,23 @@ def test_two_fourths_equal_one_half():
     assert hash(ExactVector([2, 4], 4)) == hash((Fraction(1, 2), Fraction(1)))
 
 
+def test_rejects_what_is_not_a_vector_of_rationals():
+    with pytest.raises(ValueError, match="denominator must be positive, got 0"):
+        ExactVector([1], denominator=0)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        ExactVector(np.zeros((2, 2), dtype=np.int64))
+    with pytest.raises(TypeError, match="expected rationals, got 1.5"):
+        ExactVector([1, 1.5])
+
+
+def test_no_array_view_where_a_copy_is_needed():
+    # __array__ called directly, as np.asarray(copy=False) does on numpy 2 only
+    with pytest.raises(ValueError, match="a vector over a denominator has no array view"):
+        ExactVector([1, 2], denominator=3).__array__(copy=False)
+    with pytest.raises(ValueError, match="int64 numerators have no float64 view"):
+        ExactVector([1, 2]).__array__(np.float64, copy=False)
+
+
 def test_is_read_only_and_never_aliases_its_caller():
     caller = np.array([3, 1, 1, 1], dtype=np.int64)
     vec = ExactVector(caller)

@@ -9,10 +9,12 @@ from scipy.special import ellipe
 
 from flatpoly.errors import BudgetError
 from flatpoly import mahler
-from flatpoly.mahler import JENSEN_DEGREE_BUDGET, mahler_jensen, mahler_log, riesz_mahler
+from flatpoly.mahler import JENSEN_DEGREE_BUDGET, check_jensen_budget, mahler_jensen, mahler_log
+from flatpoly.mahler import riesz_mahler
 from flatpoly.analysis import mz_ratio
 from flatpoly.poly import _grid_blocks, build_polynomial, eval_support_grid, newman_from_support
 from flatpoly.riesz import make_plan
+from flatpoly.singer import singer_modulus
 
 
 class TestBasics:
@@ -80,6 +82,38 @@ class TestBasics:
     def test_grid_budget(self):
         with pytest.raises(BudgetError, match="grid budget 268435456"):
             mahler_log([1.0, 2.0], grid_size=2**29)
+
+    def test_singer_degree_priced_at_q_minus_one(self, singer_cache, monkeypatch):
+        # every (p, m) with q <= 3785 = 2 * 1892 + 1: pricing at q - 1 accepts and rejects
+        # what mahler_jensen does on the built set (above 3785 both reject, as 2d >= q - 1)
+        class Accepted(Exception):
+            pass
+
+        def accepted(exps, coeffs):
+            raise Accepted  # past the budget, where the sweeps start
+
+        def verdict(route, degree):
+            try:
+                route()
+            except Accepted:
+                return True
+            except BudgetError as exc:
+                assert str(exc) == f"degree {degree} exceeds the root-finding budget 1892"
+                return False
+            return True
+
+        monkeypatch.setattr(mahler, "_aberth_roots", accepted)
+        cases = [(p, m) for m in range(1, 6) for p in range(2, 62)
+                 if all(p % d for d in range(2, p)) and singer_modulus(p, m) <= 3785]
+        assert len(cases) == 26
+        rejected = []
+        for p, m in cases:
+            q, P = singer_modulus(p, m), build_polynomial(singer_cache(p, m))
+            priced = verdict(lambda: check_jensen_budget(q - 1), q - 1)
+            assert priced == verdict(lambda: mahler_jensen(P), P.degree), (p, m)
+            if not priced:
+                rejected.append((p, m))
+        assert rejected == [(47, 1), (53, 1), (59, 1), (61, 1), (7, 2)]
 
 
 class TestCrossMethod:
@@ -496,6 +530,19 @@ class TestAberthRoots:
         assert time.perf_counter() - start < 1.0
         assert rep.detail["converged"] is True and rep.detail["sweeps"] < 20
         assert abs(math.log(rep.value)) <= rep.detail["error"] < 1e-10
+
+    @pytest.mark.parametrize("sweeps", [1, 8])
+    def test_roots_active_at_the_sweep_cap(self, sweeps, monkeypatch, singer_cache):
+        # p = 7 converges in 10 sweeps: with fewer the active roots are tested once more and
+        # kept as they are, converged is False, and the stated error still bounds the
+        # measure of the np.roots eigensolve
+        P = build_polynomial(singer_cache(7))
+        dense = P.coefficient_array()[:P.degree + 1]
+        oracle = math.log(abs(dense[-1]) * np.prod(np.maximum(1.0, np.abs(np.roots(dense[::-1])))))
+        monkeypatch.setattr(mahler, "_ABERTH_SWEEPS", sweeps)
+        rep = mahler_jensen(P)
+        assert rep.detail["sweeps"] == sweeps and rep.detail["converged"] is False
+        assert abs(math.log(rep.value) - oracle) <= rep.detail["error"] + 1e-12
 
     def test_zero_roots_are_divided_out(self):
         # z^3 (z - 2): the triple zero at 0 is inside the circle and never swept

@@ -12,6 +12,7 @@ from flatpoly.analysis import mz_ratio
 from flatpoly.errors import BudgetError
 from flatpoly.poly import (
     DefectPolynomial,
+    NewmanPolynomial,
     _abs_support_grid,
     _grid_blocks,
     _perfect_defect_abs,
@@ -23,7 +24,7 @@ from flatpoly.poly import (
     eval_support_grid,
     newman_from_support,
 )
-from flatpoly.singer import SingerSet
+from flatpoly.singer import ExactVector, SingerSet
 
 NON_PERFECT = SingerSet(p=2, m=1, q=7, residues=(0, 1, 2))  # cyclic counts 2, 1, 0, 0, 1, 2
 
@@ -96,6 +97,8 @@ class TestNewman:
             newman_from_support([], q=3)
         with pytest.raises(ValueError):
             newman_from_support([0, 5], q=4)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            NewmanPolynomial(q=4, support=(2, 1))
 
 
 class TestEvalGrid:
@@ -353,6 +356,12 @@ class TestDefectPolynomial:
         assert value == sum(coeffs, Fraction(0)) == Fraction(449, 120)
         assert isinstance(value, Fraction)
         assert DefectPolynomial(q=1, size=1, coefficients=()).value_at_one() == 0
+        assert Q.degree == len(coeffs)
+
+    def test_value_at_one_past_int64(self):
+        # int64 numerators of 2^62 whose sum 2^63 does not fit: summed as Python ints
+        coeffs = ExactVector(np.full(2, 2**62, dtype=np.int64), denominator=3)
+        assert DefectPolynomial(q=3, size=2, coefficients=coeffs).value_at_one() == Fraction(2**63, 3)
 
     def test_coefficient_array_matches_float_of_each_fraction(self, singer_cache):
         Q = defect_poly(singer_cache(1009))

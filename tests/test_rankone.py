@@ -130,6 +130,10 @@ class TestMeasureGrowth:
         assert rep.partial_sums == (Fraction(1, 3), Fraction(49, 12))
         assert not rep.finite_measure
 
+    def test_no_stage_rejected(self):
+        with pytest.raises(ValueError, match="at least one stage"):
+            measure_growth(rankone.RankOneParams(base_height=1, stages=()))
+
     def test_zero_spacers_finite(self):
         params = derive_map_params(zero_spacer_plan())
         rep = measure_growth(params)
@@ -216,6 +220,12 @@ class TestBaseOccurrences:
         with pytest.raises(ValueError):
             base_occurrences(params23, 0, 3)
 
+    def test_budget(self, params23, monkeypatch):
+        # stages 1 and 2 cut 3 and 4 columns: 12 occurrences, checked before any sum
+        monkeypatch.setattr(rankone, "OCCURRENCE_BUDGET", 11)
+        with pytest.raises(BudgetError, match="^12 occurrences exceed the budget 11$"):
+            base_occurrences(params23, 0, 2)
+
 
 class TestCorrelation:
     def test_small_shifts(self, params23):
@@ -253,6 +263,11 @@ class TestCorrelation:
     def test_n_out_of_range(self, params23):
         with pytest.raises(ValueError):
             correlation(params23, 0, 2, 76)
+
+    @pytest.mark.parametrize("k, K", [(1, 1), (0, 3), (-1, 1)])
+    def test_stages_out_of_range(self, params23, k, K):
+        with pytest.raises(ValueError, match=r"need 0 <= k < K <= 2"):
+            correlation(params23, k, K, 0)
 
     def test_sweep_replays_the_tower_once_per_stage_pair(self, monkeypatch):
         params = derive_map_params(make_plan([2, 3, 5], rule="margin:2"))

@@ -125,6 +125,11 @@ class TestDissociation:
         assert check_dissociated(plan, mode="differences").valid
         assert check_dissociated(plan, mode="sums").valid
 
+    @pytest.mark.parametrize("stages", [0, 3])
+    def test_stages_out_of_range(self, stages):
+        with pytest.raises(ValueError, match=r"stages must lie in \[1, 2\]"):
+            check_dissociated(make_plan([2, 3], scales=[1, 14]), stages)
+
     def test_collision_witness_scales_1_2(self):
         # scales (1, 2): 2 = 0 + 2 = 2 + 0 across the difference blocks
         plan = manual_plan([2, 3], [1, 2])

@@ -218,6 +218,8 @@ class TestConstruct:
             construct_singer(4)
         with pytest.raises(ValueError):
             construct_singer(1)
+        with pytest.raises(ValueError, match="m must be a positive integer, got 0"):
+            construct_singer(2, 0)
 
     def test_budget(self, monkeypatch):
         monkeypatch.setattr(singer, "DEFAULT_MAX_FIELD_ORDER", 10**5)
@@ -345,6 +347,11 @@ class TestVerify:
         with pytest.raises(AttributeError):
             report.valid = not report.valid
 
+    def test_report_compares_only_with_reports(self):
+        valid = verify_perfect_difference((0, 1, 3), 7)
+        assert valid.__eq__((0, 1, 3)) is NotImplemented and valid != (0, 1, 3)
+        assert valid != verify_perfect_difference((0, 1, 2), 7)  # valid differs: no counts read
+
     @pytest.mark.parametrize("cyclic", [False, True])
     def test_pair_kernel_scratch_is_one_block(self, cyclic):
         # 4096 rows of 4096 differences: _BLOCK // k = 16 rows a block, 0.5 MB, where rows of
@@ -431,17 +438,17 @@ class TestPairCounts:
         tried = []
 
         def spy(*args):
-            tried.append(singer_distinct(*args))
+            tried.append(mark_differences(*args))
             return tried[-1]
 
-        singer_distinct = singer._distinct_pair_counts
-        monkeypatch.setattr(singer, "_distinct_pair_counts", spy)
+        mark_differences = singer._mark_differences
+        monkeypatch.setattr(singer, "_mark_differences", spy)
         counts = singer._pair_counts(support, q, cyclic)
         assert np.array_equal(counts, brute_force_pair_counts(support, q, cyclic))
         if k * (k - 1) > slots:
             assert tried == []
         else:
-            assert len(tried) == 1 and (tried[0] is not None) == distinct
+            assert tried == [distinct]
 
     def test_perfect_set_peaks_at_its_counts(self, singer_cache):
         # the mask takes no memory of its own: the peak is the 8q-byte counts, one block of
@@ -690,6 +697,10 @@ class TestSingerSetValidation:
     def test_unsorted(self):
         with pytest.raises(ValueError):
             SingerSet(p=2, m=1, q=7, residues=(1, 0, 3))
+
+    def test_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            SingerSet(p=2, m=1, q=7, residues=(1, 3, 7))
 
     def test_normalized_flag_checked(self):
         with pytest.raises(ValueError):
