@@ -43,7 +43,7 @@ print(f"  Ktilde_2({theta:.3f}) = {periodized_kernel(KernelSpec(2.0), theta):.12
 
 print()
 P7 = build_polynomial(construct_singer(2))
-rep = realline_flatness(P7, 1.0, KernelSpec(1.0), grid_multiplier=2341)  # 16387 points
+rep = realline_flatness(P7, 1.0, KernelSpec(1.0), grid_multiplier=2341)  # 16387 -> 2^15 points
 print("Identity check for P_7, alpha = 1, s = 1:")
 print(f"  circle integral, kernel truncated to the window : {rep.circle_truncated:.10f}")
 print(f"  direct line quadrature over the same window     : {rep.line_value:.10f}")

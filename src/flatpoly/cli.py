@@ -360,12 +360,15 @@ def _run_rankone(cmd):
 
 
 @_per_prime({
-    "circle_value": "midpoint grid mean against the exact periodized kernel",
+    "circle_value": "midpoint grid mean against the exact periodized kernel, on the least "
+                    "power of two >= max(4096, grid-multiplier q, 2 ceil(s)) points",
     "circle_truncated": "same grid, kernel truncated to the periodization window",
     "line_value": "kink-seeded adaptive Gauss-Legendre over the same window; "
-                  "agreement with circle_truncated is limited by the circle "
-                  "grid (1e-6 at the acceptance scale q = 7)",
-}, budgets=lambda cmd, q: [(check_grid_budget, realline_grid(q, cmd.grid_multiplier))])
+                  "agreement with circle_truncated is limited by the circle grid: "
+                  "measured within 2e-5 at alpha = 1 and s = 3 for 17 <= p <= 37 "
+                  "(1.3e-4 at alpha = 0.5), 1.7e-9 at q = 7 on 2^15 points",
+}, budgets=lambda cmd, q: [(check_grid_budget,
+                            realline_grid(q, cmd.kernel_s, cmd.grid_multiplier))])
 def _run_realline(cmd, p, P):
     rep = realline_flatness(P, cmd.alpha, KernelSpec(s=cmd.kernel_s, truncation=cmd.truncation),
                             cmd.grid_multiplier)

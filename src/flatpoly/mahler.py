@@ -43,7 +43,7 @@ import numpy as np
 
 from .analysis import _fsum_mean, _nonzero_terms
 from .errors import BudgetError
-from .poly import _grid_blocks, build_polynomial
+from .poly import _grid_blocks, build_polynomial, power_grid
 from .singer import _BLOCK
 
 __all__ = ["MahlerReport", "mahler_log", "mahler_jensen", "riesz_mahler"]
@@ -100,7 +100,7 @@ def _grid_means(exps, coeffs, N, find_roots=False):
 
 def mahler_grid(degree):
     """mahler_log's default grid: the least power of two >= max(4096, 16 (degree + 1))."""
-    return max(4096, 1 << (16 * degree + 15).bit_length())
+    return power_grid(16 * (degree + 1))
 
 
 def mahler_log(P, grid_size=None):

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BudgetError
 from .singer import ExactVector, SingerSet, _BLOCK, _exact_fields, _factorint, _pair_counts
 
-GRID_BUDGET = 2**28  # points of one |P| grid: 2 GiB where a caller materializes it
+GRID_BUDGET = 2**28  # points of one grid: 4 GiB per complex array of eval_support_grid
 _ROW_MIN, _ROW_MAX = 2**8, 2**14  # row lengths _grid_blocks aims for
 _ROW_FAST = 2**11  # longest row that fits L1 as complex128 (32 KiB): the first tier's cap
 _ROW_PRIME_MAX = 64  # largest prime factor of a fast row length
@@ -183,13 +183,21 @@ def defect_poly(sset: SingerSet):
                             coefficients=ExactVector._adopt(gamma, sset.size))
 
 
+def power_grid(points):
+    """The least power of two >= max(4096, points): the size of every grid the library
+    picks for itself (Mahler, real line, kernel mass, the MZ integral), all but flat's."""
+    return max(4096, 1 << (points - 1).bit_length())
+
+
 def eval_support_grid(exponents, coeffs, N, offset=0.0):
     """values[j] = sum_k coeffs[k] exp(2*pi*i*(j+offset)*exponents[k]/N), by one FFT.
 
-    Exponents must lie in [0, N) so the grid resolves the polynomial.  This is
-    the complex-valued route, 32 bytes per point; library |P| grids go through
-    _grid_blocks, and this stays their oracle.
+    Exponents must lie in [0, N) so the grid resolves the polynomial, and N must fit
+    GRID_BUDGET.  The one route that materializes a grid, complex and 32 bytes per
+    point: realline_flatness reads |P| off it, and it is the oracle of the streamed
+    |P| grids of _grid_blocks.
     """
+    check_grid_budget(N)
     exponents = np.asarray(exponents, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if exponents.size and (exponents.min() < 0 or exponents.max() >= N):
@@ -240,7 +248,7 @@ def _row_length(N, degree, terms):
 
 def check_grid_budget(N):
     """BudgetError unless an N-point grid fits GRID_BUDGET: the one place that budget is
-    compared, by the row kernel and by callers that price a grid before building P."""
+    compared, by both grid routes and by callers that price a grid before building P."""
     if N > GRID_BUDGET:
         raise BudgetError(f"grid of {N} points exceeds the grid budget {GRID_BUDGET}")
 
@@ -248,7 +256,8 @@ def check_grid_budget(N):
 def _grid_blocks(exponents, coeffs, N, offset=0.0, halo=0):
     """|P|, or P with a halo, on the N-point grid e^(2 pi i (j+offset)/N), in blocks of rows,
     for real coefficients at offset 0 or 1/2, the geometry of every library |P| grid.  Any
-    other input raises ValueError: eval_support_grid evaluates it.
+    other input raises ValueError: eval_support_grid evaluates it.  Every consumer streams
+    the blocks: flatness, analysis._power_mean and mahler._grid_means.
 
     Fold.  With L = N/M, grid index j = L*b + a has
     P(e^(2 pi i (j+offset)/N)) = sum_m x_a[m] e^(2 pi i m b/M), where x_a[m] sums the twisted
@@ -369,24 +378,6 @@ def _fold_rows(s, c, N, M, offset, sigma, weight, selfpaired, halo):
             for r in range(-halo, 0):
                 fill(r)
         yield a0, buf[a0 - halo - lo:a1 + halo - lo], weight[a0:a1]
-
-
-def _abs_support_grid(exponents, coeffs, N, offset=0.0):
-    """|P| on the N-point grid as one array, np.abs(eval_support_grid(exponents, coeffs, N,
-    offset)) for real coefficients at offset 0 or 1/2: the materializing consumer of
-    _grid_blocks, which writes each computed row and its reversed mirror partner.  8 bytes
-    per point plus the kernel's blocks; the reductions stream the blocks instead, and this
-    serves realline_flatness and the tests.
-    """
-    blocks = _grid_blocks(exponents, coeffs, N, offset)  # checks the budget first
-    sigma = int(2 * offset)
-    out = np.empty(N)
-    for a0, rows, weight in blocks:
-        grid = out.reshape(rows.shape[1], -1)  # grid[b, a] is grid index L*b + a
-        grid[:, a0:a0 + len(rows)] = rows.T
-        paired = weight == 2
-        grid[:, grid.shape[1] - sigma - a0 - np.flatnonzero(paired)] = rows[paired, ::-1].T
-    return out
 
 
 def _perfect_defect_abs(q, size, N, j):

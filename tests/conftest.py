@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from flatpoly import mahler
+from flatpoly.poly import _grid_blocks
 from flatpoly.singer import construct_singer
 
 
@@ -16,6 +17,27 @@ def singer_cache():
         return cache[(p, m)]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def abs_grid():
+    """|P| on the N-point grid as one array, written from poly._grid_blocks' computed rows
+    and their mirror partners: the streamed kernel materialized, for comparison with
+    np.abs(eval_support_grid(...)) and with the stream itself.  8 bytes per point plus the
+    kernel's blocks, and the kernel's budget check comes before the array."""
+
+    def materialize(exponents, coeffs, N, offset=0.0):
+        blocks = _grid_blocks(exponents, coeffs, N, offset)
+        sigma = int(2 * offset)
+        out = np.empty(N)
+        for a0, rows, weight in blocks:
+            grid = out.reshape(rows.shape[1], -1)  # grid[b, a] is grid index L*b + a
+            grid[:, a0:a0 + len(rows)] = rows.T
+            paired = weight == 2
+            grid[:, grid.shape[1] - sigma - a0 - np.flatnonzero(paired)] = rows[paired, ::-1].T
+        return out
+
+    return materialize
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ import pathlib
 
 import numpy as np
 
+from flatpoly.poly import power_grid
 from flatpoly.singer import construct_singer
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -59,7 +60,7 @@ def mz_table():
         sset = construct_singer(p)
         degree = sset.residues[-1]
         n = sset.q
-        grid = max(2**14, 4 * (degree + 1))
+        grid = power_grid(max(2**14, 4 * (degree + 1)))
         discrete = fsum_mean(np.abs(direct_values(sset.residues, n)) ** 1.5)
         integral = fsum_mean(np.abs(direct_values(sset.residues, grid)) ** 1.5)
         table[str(p)] = discrete / integral

@@ -195,7 +195,7 @@ def build_report():
             "dev": max(abs(km.circle_mass - 1.0), abs(km.line_mass - 1.0)),
         }
     P7 = build_polynomial(construct_singer(2))
-    rl = realline_flatness(P7, 1.0, KernelSpec(1.0), grid_multiplier=2341)  # 16387 points
+    rl = realline_flatness(P7, 1.0, KernelSpec(1.0), grid_multiplier=2341)  # 16387 -> 2^15 points
     report["realline"] = {
         "kernel_mass": masses,
         "circle_truncated": rl.circle_truncated,

@@ -315,6 +315,15 @@ class TestMZ:
             rep = mz_ratio(build_polynomial(s), 2.0, s.q)
             assert abs(rep.ratio - 1.0) < 1e-10
 
+    def test_integral_grid_is_a_power_of_two(self, singer_cache):
+        # p = 67: degree 4544, so 4(degree + 1) = 18180 points rounded up to 2^15; the
+        # 18180-point grid was 3.2e-5 off the 2^21-point mean
+        P = build_polynomial(singer_cache(67))
+        rep = mz_ratio(P, 1.5, P.q)
+        assert rep.grid_size == 2**15
+        fine = _power_mean(np.array(P.support), np.full(P.size, P.scale), 2**21, 1.5)
+        assert abs(rep.integral - fine) < 5e-6
+
     def test_alpha2_at_degree_plus_one(self, singer_cache):
         # the tightest admissible sample count: n = degree + 1
         for p in (2, 3, 5):
@@ -459,6 +468,20 @@ class TestKernel:
         out = analysis._eval_chunked(fun, np.empty(0), 1)
         assert out.shape == (0,) and out.dtype == float and seen == [0]
 
+    def test_circle_grid_resolves_a_wide_kernel(self, monkeypatch):
+        # s = 4500: 2 ceil(s) = 9000 rounded up to 2^14 midpoints; 4096 read 0.82
+        sizes = []
+        kernel = analysis.periodized_kernel
+
+        def counted(spec, theta):
+            sizes.append(theta.size)
+            return kernel(spec, theta)
+
+        monkeypatch.setattr(analysis, "periodized_kernel", counted)
+        rep = kernel_mass(KernelSpec(4500.0))
+        assert sizes == [2**14]
+        assert abs(rep.circle_mass - 1.0) < 1e-9
+
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
     def test_mass_is_one(self, s):
         rep = kernel_mass(KernelSpec(s))
@@ -514,6 +537,27 @@ class TestRealLine:
         assert abs(rep.circle_value - rep.circle_truncated) <= rep.tail_bound
         assert rep.unconverged_panels == 0  # every line panel met its tolerance
 
+    def test_power_of_two_grid_p23(self, singer_cache):
+        # q = 553: 16q = 8848 points rounded up to 2^14, no node a q-th root of unity;
+        # on the 16q grid the gap was 8.9e-5
+        rep = realline_flatness(build_polynomial(singer_cache(23)), 1.0, KernelSpec(3.0))
+        assert rep.circle_grid == 2**14
+        assert abs(rep.circle_truncated - rep.line_value) < 2e-5
+
+    def test_grid_resolves_a_wide_kernel(self, P7):
+        # s = 4500: 2 ceil(s) = 9000 points rounded up to 2^14; 4096 points gave a
+        # circle_truncated 0.13 off the line route
+        rep = realline_flatness(P7, 1.0, KernelSpec(4500.0))
+        assert rep.circle_grid == 2**14
+        assert abs(rep.circle_truncated - rep.line_value) < 1e-9
+
+    @pytest.mark.parametrize("q, s, multiplier, N", [
+        (7, 1.0, 16, 4096), (7, 1.0, 2341, 2**15), (7, 2048.0, 16, 4096),
+        (7, 2048.5, 16, 2**13), (993, 3.0, 16, 2**14), (10**6, 0.5, 8, 2**23),
+    ])
+    def test_realline_grid(self, q, s, multiplier, N):
+        assert analysis.realline_grid(q, s, multiplier) == N
+
     def test_other_scale(self, P7):
         rep = realline_flatness(P7, 1.5, KernelSpec(2.0), grid_multiplier=2341)
         assert abs(rep.circle_truncated - rep.line_value) < 1e-6
@@ -525,7 +569,7 @@ class TestRealLine:
         def forbidden(*args, **kwargs):
             raise AssertionError("the grid was built")
 
-        monkeypatch.setattr(analysis, "_abs_support_grid", forbidden)
+        monkeypatch.setattr(analysis, "eval_support_grid", forbidden)
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 2\]"):
             realline_flatness(P7, alpha, KernelSpec(1.0))
 

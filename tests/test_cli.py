@@ -18,7 +18,6 @@ from flatpoly import analysis, cli, mahler, poly, riesz, singer
 from flatpoly.analysis import flatness
 from flatpoly.cli import Command, UsageError, main, parse
 from flatpoly.poly import (
-    _abs_support_grid,
     _grid_blocks,
     _perfect_defect_abs,
     build_polynomial,
@@ -85,6 +84,8 @@ PINNED_COMMANDS = [
 # Reports that fail on a budget priced from q alone.  flat at p = 5003: the 8q grid fits, the
 # 2^29-point Mahler grid does not; with p = 31 first, the 16q grid of p = 5003 fails before
 # p = 31 is built.  mahler: the Jensen degree q - 1 at p = 47 (q = 2257) and p = 2003.
+# realline at s = 2e8: the circle grid resolves the kernel, 2^29 points, where a grid of
+# 4096 would pass and periodized_kernel would loop 2e8 times.
 PRICED = [
     ("flat --primes 5003 --alpha 1 --grid-multiplier 8",
      "grid of 536870912 points exceeds the grid budget 268435456"),
@@ -92,6 +93,8 @@ PRICED = [
      "grid of 400560208 points exceeds the grid budget 268435456"),
     ("mahler --primes 47", "degree 2256 exceeds the root-finding budget 1892"),
     ("mahler --primes 2003", "degree 4014012 exceeds the root-finding budget 1892"),
+    ("realline --primes 2 --alpha 1 --kernel-s 2e8",
+     "grid of 536870912 points exceeds the grid budget 268435456"),
 ]
 
 
@@ -225,15 +228,15 @@ class TestExecute:
                                       ["realline", "--primes", "5003", "--alpha", "1"],
                                       ["beta", "--primes", "5003"], ["mahler", "--primes", "5003"]])
     def test_grid_priced_before_the_singer_set(self, argv, tmp_path, monkeypatch):
-        # p = 5003: the budget fails from q alone, on the 16q = 400.6M points of flat and
-        # realline, and on the 2^29 points of mahler_log's grid at degree q - 1 (as at the
-        # built set's degree) for beta and mahler
+        # p = 5003: the budget fails from q alone, on the 16q = 400.6M points of flat, on
+        # realline's power of two above them, 2^29, and on the 2^29 points of mahler_log's
+        # grid at degree q - 1 (as at the built set's degree) for beta and mahler
         def forbidden(*args, **kwargs):
             raise AssertionError("the grid is priced before any Singer set is built")
 
         monkeypatch.setattr(cli, "construct_singer", forbidden)
         code, text = run_to_file(tmp_path, argv)
-        points = 400560208 if argv[0] in ("flat", "realline") else 2**29
+        points = 400560208 if argv[0] == "flat" else 2**29
         assert code == 1
         assert json.loads(text)["error"] == {
             "type": "BudgetError",
@@ -249,6 +252,27 @@ class TestExecute:
         code, text = run_to_file(tmp_path, argv.split())
         assert code == 1
         assert json.loads(text)["error"] == {"type": "BudgetError", "message": message}
+
+    @pytest.mark.parametrize("primes, multiplier, s", [("2,3", 16, 1.0), ("2", 2341, 1.0),
+                                                       ("2", 8, 2049.0), ("5", 300, 0.7)])
+    def test_realline_price_is_the_circle_grid(self, primes, multiplier, s, tmp_path,
+                                               monkeypatch):
+        # the grid the report prices is the grid realline_flatness builds
+        priced, built = [], []
+        report = cli.realline_flatness
+
+        def record(*args):
+            rep = report(*args)
+            built.append(rep.circle_grid)
+            return rep
+
+        monkeypatch.setattr(cli, "check_grid_budget", priced.append)
+        monkeypatch.setattr(cli, "realline_flatness", record)
+        code, _ = run_to_file(tmp_path, ["realline", "--primes", primes, "--alpha", "1",
+                                         "--grid-multiplier", str(multiplier),
+                                         "--kernel-s", str(s)])
+        assert code == 0
+        assert priced == built and len(built) == len(primes.split(","))
 
     def test_singer_report_counts_differences_once(self, tmp_path, monkeypatch):
         # one pass marks every difference in a q-byte mask; a valid report builds no counts
@@ -435,22 +459,22 @@ class TestFlatRow:
         assert abs(gap - oracle) <= 1e-13 * (sset.q - 1) / sset.size
 
     @pytest.mark.parametrize("p", [5, 31, 101, 307])
-    def test_dominance_gap_is_the_whole_grid_min(self, p, singer_cache, monkeypatch):
-        self.assert_gap_is_the_whole_grid_min(p, 16, singer_cache, monkeypatch)
+    def test_dominance_gap_is_the_whole_grid_min(self, p, singer_cache, monkeypatch, abs_grid):
+        self.assert_gap_is_the_whole_grid_min(p, 16, singer_cache, monkeypatch, abs_grid)
 
     @pytest.mark.parametrize("p", [31, 307])
-    def test_dominance_gap_on_a_user_fixed_4q_grid(self, p, singer_cache, monkeypatch):
-        self.assert_gap_is_the_whole_grid_min(p, 4, singer_cache, monkeypatch)
+    def test_dominance_gap_on_a_user_fixed_4q_grid(self, p, singer_cache, monkeypatch, abs_grid):
+        self.assert_gap_is_the_whole_grid_min(p, 4, singer_cache, monkeypatch, abs_grid)
 
     @staticmethod
-    def assert_gap_is_the_whole_grid_min(p, multiplier, singer_cache, monkeypatch):
+    def assert_gap_is_the_whole_grid_min(p, multiplier, singer_cache, monkeypatch, abs_grid):
         # the row reads half the grid block by block and evaluates |Q| only where it could
         # lower the min so far; the whole-grid expression is exact.  At p = 307 the 16q grid
         # has 12 blocks of rows, the 4q grid 3, and the pruning skips all but a few chunks
         sset = singer_cache(p)
         grid = multiplier * sset.q
         P = build_polynomial(sset)
-        absv = _abs_support_grid(P.support, [P.scale] * P.size, grid)
+        absv = abs_grid(P.support, [P.scale] * P.size, grid)
         dominance = _perfect_defect_abs(sset.q, sset.size, grid, np.arange(grid))
         whole = float((dominance - np.abs(absv**2 - 1.0)).min())
         evaluated = []

@@ -13,7 +13,6 @@ from flatpoly.errors import BudgetError
 from flatpoly.poly import (
     DefectPolynomial,
     NewmanPolynomial,
-    _abs_support_grid,
     _grid_blocks,
     _perfect_defect_abs,
     _row_length,
@@ -138,15 +137,33 @@ class TestEvalGrid:
             mean_sq = np.mean(np.abs(grid_values(P, N)) ** 2)
             assert abs(mean_sq - 1.0) < 1e-12
 
+    def test_grid_budget_fails_before_allocating(self):
+        # the one materializing route prices its grid as the row kernel does
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="268435457 points exceeds the grid budget 268435456"):
+                eval_support_grid([0], [1.0], 2**28 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+@pytest.mark.parametrize("points, N", [(-5, 4096), (0, 4096), (1, 4096), (4096, 4096),
+                                       (4097, 8192), (2**20 - 1, 2**20), (2**20, 2**20),
+                                       (10**9, 2**30)])
+def test_power_grid(points, N):
+    assert poly.power_grid(points) == N
+
 
 class TestAbsSupportGrid:
-    def test_memory_is_one_float_per_point(self):
+    def test_memory_is_one_float_per_point(self, abs_grid):
         # 2^22 points of a 3-term polynomial: the 32 MB result plus one block,
         # against 192 MB for three N-long complex arrays
         N, exps, coeffs = 2**22, [0, 1000, 4095], np.array([1.0, -0.5, 2.0])
         tracemalloc.start()
         try:
-            absv = _abs_support_grid(exps, coeffs, N, offset=0.5)
+            absv = abs_grid(exps, coeffs, N, offset=0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -155,24 +172,24 @@ class TestAbsSupportGrid:
         direct = np.abs(np.exp(2j * np.pi * np.outer(j + 0.5, exps) / N) @ coeffs)
         assert np.max(np.abs(absv[j] - direct)) < 1e-12
 
-    def test_grid_budget_fails_before_allocating(self):
+    def test_grid_budget_fails_before_allocating(self, abs_grid):
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError, match="268435457 points exceeds the grid budget 268435456"):
-                _abs_support_grid([0], [1.0], 2**28 + 1)
+                abs_grid([0], [1.0], 2**28 + 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_fold_path_memory_and_values(self, singer_cache):
+    def test_fold_path_memory_and_values(self, singer_cache, abs_grid):
         # p = 307 at 16q: rows of M = 1032 fold 308 terms of degree 94k; the result
         # (11.5 MB) plus one block of rows in flight
         s = singer_cache(307)
         N, c = 16 * s.q, np.full(s.size, 1 / np.sqrt(s.size))
         tracemalloc.start()
         try:
-            absv = _abs_support_grid(s.residues, c, N)
+            absv = abs_grid(s.residues, c, N)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -181,12 +198,12 @@ class TestAbsSupportGrid:
         assert np.max(np.abs(absv - oracle)) <= 1e-12 * (1 + c.sum())
 
     @pytest.mark.parametrize("N, offset, M", [(None, 0.0, 1924), (2**20, 0.5, 2**11)])
-    def test_p211_grids_against_the_complex_route(self, N, offset, M, singer_cache):
+    def test_p211_grids_against_the_complex_route(self, N, offset, M, singer_cache, abs_grid):
         # p = 211's 16q grid and its offset-1/2 Mahler grid
         s = singer_cache(211)
         N, c = N or 16 * s.q, np.full(s.size, 1 / np.sqrt(s.size))
         assert _row_length(N, s.residues[-1], s.size) == M
-        absv = _abs_support_grid(s.residues, c, N, offset)
+        absv = abs_grid(s.residues, c, N, offset)
         oracle = np.abs(eval_support_grid(s.residues, c, N, offset))
         assert np.max(np.abs(absv - oracle)) <= 1e-12 * (1 + c.sum())
 
@@ -234,22 +251,22 @@ class TestAbsSupportGrid:
         (397, [0, 5, 396]),  # N prime: M = N, L = 1
     ])
     @pytest.mark.parametrize("offset", [0.0, 0.5])
-    def test_real_grids_are_exactly_symmetric(self, N, exps, offset):
+    def test_real_grids_are_exactly_symmetric(self, N, exps, offset, abs_grid):
         coeffs = np.array([1.0, -0.7, 0.3])[:len(exps)]
-        absv = _abs_support_grid(exps, coeffs, N, offset)
+        absv = abs_grid(exps, coeffs, N, offset)
         mirrored = absv[::-1] if offset else np.roll(absv[::-1], 1)  # theta -> -theta
         assert absv.tobytes() == mirrored.tobytes()
         oracle = np.abs(eval_support_grid(exps, coeffs, N, offset))
         assert np.max(np.abs(absv - oracle)) <= 1e-12 * (1 + np.abs(coeffs).sum())
 
-    def test_merges_repeated_exponents(self):
-        got = _abs_support_grid([3, 0, 3], [1.0, 2.0, 0.5], 10)
+    def test_merges_repeated_exponents(self, abs_grid):
+        got = abs_grid([3, 0, 3], [1.0, 2.0, 0.5], 10)
         assert np.max(np.abs(got - np.abs(eval_support_grid([0, 3], [2.0, 1.5], 10)))) < 1e-14
 
     @pytest.mark.parametrize("exps", [[0, 8], [-1, 2]])
-    def test_rejects_exponents_outside_the_grid(self, exps):
+    def test_rejects_exponents_outside_the_grid(self, exps, abs_grid):
         with pytest.raises(ValueError):
-            _abs_support_grid(exps, [1.0, 1.0], 8)
+            abs_grid(exps, [1.0, 1.0], 8)
 
     @pytest.mark.parametrize("coeffs, offset", [([1.0, -0.5j], 0.0), ([1.0, 2.0], 0.25),
                                                 ([1.0, 1j], 0.5)])

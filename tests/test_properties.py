@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from flatpoly.analysis import l2_defect_sq_exact
 from flatpoly.mahler import _STENCIL, mahler_jensen, mahler_log
 from flatpoly.poly import (
-    _abs_support_grid,
     _grid_blocks,
     correlation_table,
     correlations,
@@ -261,10 +260,10 @@ SINGER_2, SINGER_307 = construct_singer(2).residues, construct_singer(307).resid
 @example((5 * 2**12, [0, 7, 300], [1.0, 0.25, -1.0], 0.0))  # L = 64 even
 @example((3 * 2**8, [0, 2], [1.0, 3.0], 0.5))  # L = 3 odd
 @example((2**22, SINGER_2, [3**-0.5] * 3, 0.5))  # p = 2 on the fine grid the Mahler l1 tests read
-def test_abs_grid_kernel_matches_direct_summation(case):
+def test_abs_grid_kernel_matches_direct_summation(abs_grid, case):
     N, exps, coeffs, offset = case
     coeffs = np.array(coeffs)
-    got = _abs_support_grid(exps, coeffs, N, offset=offset)
+    got = abs_grid(exps, coeffs, N, offset=offset)
     oracle = np.abs(eval_support_grid(exps, coeffs, N, offset=offset))
     # direct sums at every point of small grids, else at both ends and 2000 drawn points;
     # the angle's numerator j*s is reduced mod N exactly first
@@ -299,14 +298,14 @@ SINGER_101 = construct_singer(101).residues
 @example((2**21, SINGER_307, [308**-0.5] * 308, 0.5))  # mahler_log's grid: a sliding window
 @example((8 * 127, list(range(0, 1016, 40)), [1.0] * 26, 0.0))  # fallback rows of 127, L = 8
 @example((397, [0, 5, 396], [1.0, -1.0, 0.5], 0.5))  # N prime: one self-paired row
-def test_block_stream_equals_the_materialized_grid(case):
+def test_block_stream_equals_the_materialized_grid(abs_grid, case):
     # each computed row and, where its weight is 2, its mirror partner cover every grid
     # index once; the halo rows are the grid's rows beyond the block, and the reductions
     # of the stream are those of the materialized grid.  Halo'd rows hold P itself: their
     # |P| is the halo-free stream's bit for bit, and P is the complex FFT's to rounding
     N, exps, coeffs, offset = case
     coeffs = np.array(coeffs)
-    full = _abs_support_grid(exps, coeffs, N, offset=offset)
+    full = abs_grid(exps, coeffs, N, offset=offset)
     values = eval_support_grid(exps, coeffs, N, offset=offset)
     for halo in (0, _STENCIL):
         cover = np.zeros(N, dtype=np.int64)
