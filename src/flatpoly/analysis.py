@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import DefectPolynomial, NewmanPolynomial, _grid_blocks, _perfect_defect_abs
-from .poly import eval_support_grid, power_grid
+from .poly import check_grid_budget, eval_support_grid, power_grid
 from .singer import _BLOCK
 
 __all__ = [
@@ -510,16 +510,19 @@ def realline_flatness(P: NewmanPolynomial, alpha, spec: KernelSpec,
 
     which is a mean over the N = realline_grid(q, s, grid_multiplier) midpoints, |P| read
     off eval_support_grid.  N is a power of two, so no node is a q-th root of unity (q is
-    odd), and N >= 2s resolves Ktilde_s.  The line-side value integrates f K_s over the
-    truncation window by kink-seeded adaptive Gauss-Legendre panels, an independent
-    quadrature; agreement with circle_truncated is limited only by the midpoint grid: 2e-5
-    or better at s = 3, alpha = 1 for 17 <= p <= 37 (2.0e-4 at p = 31 on a 16q grid).
+    odd), and N >= 2s resolves Ktilde_s.  check_grid_budget prices the N ceil(s) node
+    evaluations of periodized_kernel, at least N, before any work.  The line-side value
+    integrates f K_s over the truncation window by kink-seeded adaptive Gauss-Legendre
+    panels, an independent quadrature; agreement with circle_truncated is limited only by
+    the midpoint grid: 2e-5 or better at s = 3, alpha = 1 for 17 <= p <= 37 (2.0e-4 at
+    p = 31 on a 16q grid).
     """
     _check_alpha(alpha)
     N = realline_grid(P.q, spec.s, grid_multiplier)
+    check_grid_budget(N * math.ceil(spec.s))  # periodized_kernel: an N-point pass per k < s
     if N < 8 * P.q:
         raise ValueError(f"grid {N} too small; need at least 8q = {8 * P.q}")
-    absP = np.abs(eval_support_grid(P.support, [P.scale] * P.size, N, offset=0.5))  # budget first
+    absP = np.abs(eval_support_grid(P.support, [P.scale] * P.size, N, offset=0.5))
     theta = 2 * np.pi * (np.arange(N) + 0.5) / N
     f = np.abs(absP - 1.0) ** alpha
     circle_exact = _mean(f * periodized_kernel(spec, theta))

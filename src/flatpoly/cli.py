@@ -15,6 +15,7 @@ import datetime
 import functools
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -367,8 +368,9 @@ def _run_rankone(cmd):
                   "agreement with circle_truncated is limited by the circle grid: "
                   "measured within 2e-5 at alpha = 1 and s = 3 for 17 <= p <= 37 "
                   "(1.3e-4 at alpha = 0.5), 1.7e-9 at q = 7 on 2^15 points",
-}, budgets=lambda cmd, q: [(check_grid_budget,
-                            realline_grid(q, cmd.kernel_s, cmd.grid_multiplier))])
+}, budgets=lambda cmd, q: [  # the circle grid, then periodized_kernel's ceil(s) passes over it
+    (check_grid_budget, realline_grid(q, cmd.kernel_s, cmd.grid_multiplier) * passes)
+    for passes in (1, math.ceil(cmd.kernel_s))])
 def _run_realline(cmd, p, P):
     rep = realline_flatness(P, cmd.alpha, KernelSpec(s=cmd.kernel_s, truncation=cmd.truncation),
                             cmd.grid_multiplier)

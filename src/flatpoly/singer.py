@@ -59,9 +59,9 @@ __all__ = [
 # Desk-scale cap on p^(3m), read at call time; it keeps p below 21545, far inside the scan's
 # 3m p^2 < 2^53.  The documented range is p <= 7919, m = 1: construct_singer, and so the
 # singer report, peaks at ~1 byte per residue mod q (the bool mask of its difference check),
-# 94 MB RSS and 0.5-1.1 s at p = 7919 (the int64 counts took 512 MB).  A direct
-# verify_perfect_difference call whose counts are then read still allocates them, 8 bytes per
-# residue: construction, that call, the read and counts.count(1) peak at 572 MB there.
+# 94 MB RSS and 0.5-1.1 s at p = 7919 (the int64 counts took 512 MB).  That mask is the
+# counts of verify_perfect_difference's report, so construction, a direct call and
+# counts.count(1) peak at 93 MB there too (572 MB while the counts were int64).
 DEFAULT_MAX_FIELD_ORDER = 10**13
 
 _BLOCK = 2**16  # entries per temporary of a chunked loop (1 MB complex): _BLOCK // width rows
@@ -192,11 +192,13 @@ class ExactVector(Sequence):
 
     The exact layer's long results (difference counts, correlation counts, defect
     coefficients, the two halves of a riesz.CoefficientMap) are this type, 8 bytes per
-    entry.  It reads as the tuple it stands for: indexing and iteration give ints when
-    the denominator is 1 and Fractions otherwise, slices are vectors, and ==, hash and
-    repr are the tuple's (2/4 equals 1/2).  count compares numerators in numpy; index
-    and `in` scan as a tuple's do.  np.asarray gives a read-only view of the
-    numerators when the denominator is 1; np.array a copy.
+    entry, or 1 for the int8 difference counts of a support that repeats no difference.
+    It reads as the tuple it stands for: indexing and iteration give ints when the
+    denominator is 1 and Fractions otherwise, slices are vectors, and ==, hash and repr
+    are the tuple's (2/4 equals 1/2), whatever the numerators' dtype.  count compares
+    numerators in numpy, one block at a time; index and `in` scan as a tuple's do.
+    np.asarray gives a read-only view of the numerators, in their own dtype, when the
+    denominator is 1; np.array a copy.
 
     ExactVector(values, denominator=1) holds values[i] / denominator, for an integer
     array or any sequence of rationals, which are brought to their common denominator.
@@ -240,7 +242,9 @@ class ExactVector(Sequence):
 
     @property
     def numerators(self):
-        """A read-only view of the numerators: int64, or object where they exceed int64."""
+        """A read-only view of the numerators: int64, object where they exceed int64, or
+        the int8 of verify_perfect_difference's counts of a support that repeats no
+        difference."""
         return self._num.view()
 
     @property
@@ -270,8 +274,8 @@ class ExactVector(Sequence):
 
     def _numerator_of(self, x):
         """The integer n with n / denominator == x, None where no entry can equal x: x is
-        no finite rational, float or complex with imaginary part 0, or n is no integer
-        that the numerators' dtype holds."""
+        no finite rational, float or complex with imaginary part 0, or n lies outside
+        int64 and the numerators are int64 or int8, which numpy compares with any int64."""
         if isinstance(x, complex) and x.imag == 0:  # np.complex128 too: 1+0j == 1
             x = x.real
         if not (isinstance(x, numbers.Rational) or isinstance(x, float) and math.isfinite(x)):
@@ -285,7 +289,10 @@ class ExactVector(Sequence):
         if not isinstance(x, (numbers.Rational, float, complex)):  # as tuple.count, by ==
             return sum(1 for v in self if v == x)
         n = self._numerator_of(x)
-        return 0 if n is None else int(np.count_nonzero(self._num == n))
+        if n is None:
+            return 0
+        return sum(int(np.count_nonzero(self._num[lo:lo + _BLOCK] == n))
+                   for lo in range(0, len(self._num), _BLOCK))
 
     def _total(self):
         """The exact sum of the numerators, in int64 where no partial sum can overflow."""
@@ -386,74 +393,23 @@ class SingerSet:
         return len(self.residues)
 
 
+@dataclass(frozen=True)
 class DifferenceReport:
     """Exhaustive ordered-pair difference counts for a residue set.
 
     counts is an ExactVector of q integers (denominator 1): counts[r] is the
     number of ordered pairs (s, t), s != t, with s - t = r mod q; counts[0]
     is 0 by convention.  valid means every count for r in [1, q) equals one.
-
-    verify_perfect_difference decides a support that repeats no difference
-    without its counts, and the report builds them when counts is first read:
-    0 then all ones when valid, else a recount of the support it keeps.  The
-    report compares, hashes and pickles the same before and after that read.
+    verify_perfect_difference holds the counts of a support that repeats no
+    difference as its q-byte difference mask, int8 numerators of 0 and 1.
     """
 
-    __slots__ = ("_valid", "_first", "_source", "_counts")
+    valid: bool
+    counts: ExactVector
+    first_violation: int | None
 
-    def __init__(self, valid, counts, first_violation):
-        self._valid, self._first, self._source = valid, first_violation, None
-        self._counts = counts if isinstance(counts, ExactVector) else ExactVector(counts)
-
-    @classmethod
-    def _deferred(cls, q, support, first_violation):
-        """The report of a support in [0, q) that repeats no difference: valid when
-        support is None, which then stands for every perfect difference set mod q."""
-        report = cls.__new__(cls)
-        report._valid, report._first = support is None, first_violation
-        report._source, report._counts = (q, support), None
-        return report
-
-    @property
-    def valid(self):
-        return self._valid
-
-    @property
-    def first_violation(self):
-        return self._first
-
-    @property
-    def counts(self):
-        if self._counts is None:
-            q, support = self._source
-            if support is None:  # one pair for each nonzero residue
-                counts = np.ones(q, dtype=np.int64)
-            else:
-                counts = _pair_counts(support, q, cyclic=True)
-            counts[0] = 0
-            self._counts = ExactVector._adopt(counts)
-        return self._counts
-
-    def __eq__(self, other):
-        if not isinstance(other, DifferenceReport):
-            return NotImplemented
-        if (self._valid, self._first) != (other._valid, other._first):
-            return False
-        return (self._source is not None and self._source == other._source
-                or self.counts == other.counts)
-
-    def __hash__(self):
-        return hash((self._valid, self._first, self.counts))
-
-    def __repr__(self):
-        return (f"DifferenceReport(valid={self._valid!r}, counts={self.counts!r}, "
-                f"first_violation={self._first!r})")
-
-    def __reduce__(self):
-        if self._source is None:
-            return DifferenceReport, (self._valid, self._counts, self._first)
-        q, support = self._source
-        return DifferenceReport._deferred, (q, support, self._first)
+    def __post_init__(self):
+        _exact_fields(self, "counts")
 
 
 # ---------------------------------------------------------------------------
@@ -657,23 +613,21 @@ def verify_perfect_difference(residues, q):
     """Count every ordered-pair difference mod q; exact, no tolerance.
 
     first_violation is the least r in [1, q) whose count is not one, or None.
-    A support that repeats no difference is decided from a q-byte mask of its
-    differences: by pigeonhole, k(k - 1) = q - 1 distinct nonzero differences
-    cover every nonzero residue once.  Its report builds the counts when they
-    are first read.  A support with a repeated difference is counted pair by
-    pair.  Raises ValueError unless the residues are distinct and in [0, q).
+    A support that repeats no difference is counted in a q-byte mask of its
+    differences, which is then its counts, held as int8: by pigeonhole,
+    k(k - 1) = q - 1 distinct nonzero differences cover every nonzero residue
+    once.  A support with a repeated difference is counted pair by pair, in
+    int64.  Raises ValueError unless the residues are distinct and in [0, q).
     """
     s, ordered = _checked_support(residues, q)
     k = s.size
-    if k * (k - 1) <= q - 1:
-        mask = np.zeros(q, dtype=bool)
-        if _mark_differences(ordered, q, True, mask):
-            if k * (k - 1) == q - 1:
-                return DifferenceReport._deferred(q, None, None)
-            first = 1 + int(np.argmin(mask[1:]))  # the least residue no pair reaches
-            return DifferenceReport._deferred(q, tuple(ordered.tolist()), first)
-    counts = _pair_counts(s, q, cyclic=True)
-    counts[0] = 0  # only the pairs s = t have difference 0
+    mask = np.zeros(q, dtype=bool) if k * (k - 1) <= q - 1 else None
+    if mask is not None and _mark_differences(ordered, q, True, mask):
+        counts = mask.view(np.int8)  # no difference repeats: every count is 0 or 1
+    else:
+        mask = None  # not held beside the int64 counts
+        counts = _pair_counts(s, q, cyclic=True)
+        counts[0] = 0  # only the pairs s = t have difference 0
     first = None
     for lo in range(1, q, _BLOCK):  # no q-long temporary
         bad = np.flatnonzero(counts[lo:lo + _BLOCK] != 1)

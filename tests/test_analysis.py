@@ -218,6 +218,9 @@ class TestFlatness:
                 flatness(P7, 1.0, 2**28 + 7)
             with pytest.raises(BudgetError, match="grid budget 268435456"):
                 realline_flatness(P7, 1.0, KernelSpec(1.0), grid_multiplier=2**28 // 7 + 1)
+            # a 2^28-point grid fits; periodized_kernel's 1e8 passes over it do not
+            with pytest.raises(BudgetError, match="^grid of 26843545600000000 points exceeds"):
+                realline_flatness(P7, 1.0, KernelSpec(1e8))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -2,6 +2,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -85,7 +86,8 @@ PINNED_COMMANDS = [
 # 2^29-point Mahler grid does not; with p = 31 first, the 16q grid of p = 5003 fails before
 # p = 31 is built.  mahler: the Jensen degree q - 1 at p = 47 (q = 2257) and p = 2003.
 # realline at s = 2e8: the circle grid resolves the kernel, 2^29 points, where a grid of
-# 4096 would pass and periodized_kernel would loop 2e8 times.
+# 4096 would pass and periodized_kernel would loop 2e8 times.  At s = 1e8 the grid, 2^28
+# points, fits, and periodized_kernel's 1e8 passes over it, 2^28 * 1e8 nodes, do not.
 PRICED = [
     ("flat --primes 5003 --alpha 1 --grid-multiplier 8",
      "grid of 536870912 points exceeds the grid budget 268435456"),
@@ -95,6 +97,8 @@ PRICED = [
     ("mahler --primes 2003", "degree 4014012 exceeds the root-finding budget 1892"),
     ("realline --primes 2 --alpha 1 --kernel-s 2e8",
      "grid of 536870912 points exceeds the grid budget 268435456"),
+    ("realline --primes 2 --alpha 1 --kernel-s 1e8",
+     "grid of 26843545600000000 points exceeds the grid budget 268435456"),
 ]
 
 
@@ -257,7 +261,8 @@ class TestExecute:
                                                        ("2", 8, 2049.0), ("5", 300, 0.7)])
     def test_realline_price_is_the_circle_grid(self, primes, multiplier, s, tmp_path,
                                                monkeypatch):
-        # the grid the report prices is the grid realline_flatness builds
+        # the grid the report prices is the grid realline_flatness builds, and after it
+        # the ceil(s) kernel passes over that grid
         priced, built = [], []
         report = cli.realline_flatness
 
@@ -272,10 +277,11 @@ class TestExecute:
                                          "--grid-multiplier", str(multiplier),
                                          "--kernel-s", str(s)])
         assert code == 0
-        assert priced == built and len(built) == len(primes.split(","))
+        assert priced == [N * passes for N in built for passes in (1, math.ceil(s))]
+        assert len(built) == len(primes.split(","))
 
     def test_singer_report_counts_differences_once(self, tmp_path, monkeypatch):
-        # one pass marks every difference in a q-byte mask; a valid report builds no counts
+        # one pass marks every difference in a q-byte mask, which is the report's counts
         calls = []
         mark_differences = singer._mark_differences
 

@@ -130,6 +130,30 @@ def test_iteration_crosses_block_boundaries(route):
         assert vec.count(x) == oracle.count(x), x
 
 
+def test_int8_numerators_read_as_their_int64_and_tuple_forms():
+    # the difference counts of a support that repeats no difference: its q-byte mask
+    numerators = np.array([0, 1, 1, 0, 1, -128, 127], dtype=np.int8)
+    vec, wide = ExactVector._adopt(numerators.copy()), ExactVector(numerators)
+    oracle = tuple(numerators.tolist())
+    assert vec.numerators.dtype == np.int8 and wide.numerators.dtype == np.int64
+    for x in (1, 1.0, 1 + 0j, Fraction(1, 2), 300, -129, 2**62, 2**63, -128, 127, 0):
+        assert vec.count(x) == wide.count(x) == oracle.count(x), x
+    assert vec == wide and wide == vec and vec == oracle and oracle == vec
+    assert hash(vec) == hash(wide) == hash(oracle) and repr(vec) == repr(oracle)
+    assert vec != ExactVector(oracle[:-1] + (126,))
+    assert vec._total() == wide._total() == sum(oracle) == 2
+    assert vec.numerator_bound == wide.numerator_bound == 128
+    again = pickle.loads(pickle.dumps(vec))
+    assert again == vec and again.numerators.dtype == np.int8
+    assert not again.numerators.flags.writeable
+    view = np.asarray(vec)
+    assert view.dtype == np.int8 and not view.flags.writeable
+    assert np.shares_memory(view, vec.numerators)
+    assert np.asarray(vec, dtype=np.int64).tolist() == list(oracle)
+    mask = verify_perfect_difference((0, 1, 3), 7).counts
+    assert mask.numerators.dtype == np.int8 and mask == (0, 1, 1, 1, 1, 1, 1)
+
+
 def test_two_fourths_equal_one_half():
     assert ExactVector([2, 4], 4) == ExactVector([1, 2], 2) == (Fraction(1, 2), 1)
     assert ExactVector([2, 4], 4) != ExactVector([1, 3], 2)
@@ -227,6 +251,11 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def verify_and_count_ones(residues, q):
+    report = verify_perfect_difference(residues, q)
+    return report, report.counts.count(1)
+
+
 def test_exact_layer_holds_its_arrays_and_no_more(singer_cache):
     # q = 4014013: correlations hold 2q - 1 + q int64 counts, the other two q each; a
     # tuple of q Python ints (or a list on the way to one) would add 8 bytes per residue
@@ -234,7 +263,7 @@ def test_exact_layer_holds_its_arrays_and_no_more(singer_cache):
     q, slack = sset.q, 4 * 2**20
     table, peak = traced_peak(correlations, sset)
     assert peak <= 24 * q + slack and table.is_perfect
-    report, peak = traced_peak(verify_perfect_difference, sset.residues, q)
-    assert peak <= 8 * q + slack and report.valid
+    (report, ones), peak = traced_peak(verify_and_count_ones, sset.residues, q)
+    assert peak <= q + slack and report.valid and ones == q - 1  # the q-byte mask is the counts
     defect, peak = traced_peak(defect_poly, sset)
     assert peak <= 8 * q + slack and defect.coefficients.count(Fraction(1, 2004)) == q - 1

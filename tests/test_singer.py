@@ -350,7 +350,7 @@ class TestVerify:
     def test_report_compares_only_with_reports(self):
         valid = verify_perfect_difference((0, 1, 3), 7)
         assert valid.__eq__((0, 1, 3)) is NotImplemented and valid != (0, 1, 3)
-        assert valid != verify_perfect_difference((0, 1, 2), 7)  # valid differs: no counts read
+        assert valid != verify_perfect_difference((0, 1, 2), 7)
 
     @pytest.mark.parametrize("cyclic", [False, True])
     def test_pair_kernel_scratch_is_one_block(self, cyclic):
