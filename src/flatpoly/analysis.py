@@ -170,12 +170,16 @@ def l2_defect_sq_exact(table):
     """Exact || |P|^2 - 1 ||_2^2 = sum_{l != 0} c_l^2 / |S|^2 from counts.
 
     The l = 0 term is c_0^2 = |S|^2, so it is subtracted from the full sum.  The
-    squares are summed in int64, exact while sum c_l^2 <= |S| sum c_l = |S|^3 is below
-    2^63, and in Python ints past that bound.
+    squares are summed in int64 whatever the counts' dtype (an int16 dot would wrap),
+    exact while sum c_l^2 <= |S| sum c_l = |S|^3 is below 2^63, and in Python ints past
+    that bound.
     """
     k = table.size
     counts = table.aperiodic.numerators
-    total = int(np.dot(counts, counts)) if k**3 < 2**63 else sum(c * c for c in counts.tolist())
+    if k**3 < 2**63 and counts.dtype != object:
+        total = int(np.einsum("i,i->", counts, counts, dtype=np.int64))
+    else:
+        total = sum(c * c for c in counts.tolist())
     return Fraction(total - k * k, k * k)
 
 
@@ -452,10 +456,12 @@ def kernel_mass(spec: KernelSpec):
 
     Circle route: mean of the exact periodization, O(N s), on N = power_grid(2 ceil(s))
     midpoints, which resolve its frequencies |k| < s (4096 points read 0.82 at s = 4500).
+    check_grid_budget prices its N ceil(s) node evaluations, at least N, before any work.
     Line route: adaptive Gauss-Legendre panels, one initial panel per period of the
     truncation window, plus the analytic sinc^2 tail.
     """
     N = power_grid(2 * math.ceil(spec.s))
+    check_grid_budget(N * math.ceil(spec.s))  # periodized_kernel: an N-point pass per k < s
     theta = 2 * np.pi * (np.arange(N) + 0.5) / N
     circle = _mean(periodized_kernel(spec, theta))
     periods = 2 * np.pi * np.arange(-spec.truncation, spec.truncation + 2)

@@ -168,7 +168,9 @@ def _corrections(roots, N):
     log_fix = np.log(np.abs(1 + np.exp(-N * ell + 2j * np.pi * f))) / N
     nu = N * np.sinh(ell / 2) / np.pi
     l1_fix = amp * np.exp(-ell / 2) * (2 * np.pi / N**2) * _lattice_error(nu, np.mod(0.5 - f, 1.0))
-    return float(weight @ log_fix), float(weight @ l1_fix), int(weight.sum())
+    # np.sum, not weight @ fix: past ~10^4 roots OpenBLAS threads a ddot, and its pool
+    # then spins the second core
+    return float(np.sum(weight * log_fix)), float(np.sum(weight * l1_fix)), int(weight.sum())
 
 
 def _lattice_error(nu, a):

@@ -88,6 +88,9 @@ class CorrelationTable:
     Both are ExactVectors of integers (denominator 1), 2q - 1 and q long:
     aperiodic[l + q - 1] counts pairs with integer difference l for
     l in [-(q-1), q-1]; cyclic[r] counts pairs with difference r mod q.
+    correlation_table holds both in _pair_counts' dtype: the narrowest
+    signed integer type that holds the size (int16 for a Singer set with
+    127 < k < 2^15) when no integer difference repeats, else int64.
     """
 
     q: int
@@ -166,7 +169,7 @@ def correlation_table(support, q):
     """Exact integer pair counts for any distinct support in [0, q)."""
     support = list(support)
     aper = _pair_counts(support, q)
-    cyc = np.empty(q, dtype=np.int64)  # gamma_r = c_r + c_(r-q), in one add
+    cyc = np.empty(q, dtype=aper.dtype)  # gamma_r = c_r + c_(r-q) <= k, in one add
     cyc[0] = aper[q - 1]
     np.add(aper[q:], aper[:q - 1], out=cyc[1:])
     return CorrelationTable(q=q, size=len(support), aperiodic=ExactVector._adopt(aper),

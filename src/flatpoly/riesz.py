@@ -347,7 +347,8 @@ def _ordered_sums(blocks, bound):
 
 def _stage_map(st):
     """(frequencies, counts): N_j * l ascending over the l with a nonzero
-    aperiodic pair count c_l of S_j, and those counts (int64)."""
+    aperiodic pair count c_l of S_j, and those counts in _pair_counts' dtype
+    (int8 or int16 for a Singer set), which _stage_product widens."""
     q = st.singer.q
     counts = _pair_counts(st.singer.residues, q)
     l = np.flatnonzero(counts)

@@ -64,6 +64,7 @@ __all__ = [
 # counts.count(1) peak at 93 MB there too (572 MB while the counts were int64).
 DEFAULT_MAX_FIELD_ORDER = 10**13
 
+_NARROW = (np.int8, np.int16, np.int32, np.int64)  # the dtypes _pair_counts marks in
 _BLOCK = 2**16  # entries per temporary of a chunked loop (1 MB complex): _BLOCK // width rows
 # (the grid kernel's twist table is sized by poly._TWIST_SPAN, not by _BLOCK)
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -192,10 +193,12 @@ class ExactVector(Sequence):
 
     The exact layer's long results (difference counts, correlation counts, defect
     coefficients, the two halves of a riesz.CoefficientMap) are this type, 8 bytes per
-    entry, or 1 for the int8 difference counts of a support that repeats no difference.
-    It reads as the tuple it stands for: indexing and iteration give ints when the
-    denominator is 1 and Fractions otherwise, slices are vectors, and ==, hash and repr
-    are the tuple's (2/4 equals 1/2), whatever the numerators' dtype.  count compares
+    entry, or fewer for the counts of a support that repeats no difference: 1 for the
+    int8 difference counts, 1 or 2 for the correlation counts and defect numerators,
+    whose int8 or int16 holds the support's size.  It reads as the tuple it stands for:
+    indexing and iteration give ints when the denominator is 1 and Fractions otherwise,
+    slices are vectors, and ==, hash and repr are the tuple's (2/4 equals 1/2), whatever
+    the numerators' dtype; sums accumulate in int64 or Python ints.  count compares
     numerators in numpy, one block at a time; index and `in` scan as a tuple's do.
     np.asarray gives a read-only view of the numerators, in their own dtype, when the
     denominator is 1; np.array a copy.
@@ -243,8 +246,9 @@ class ExactVector(Sequence):
     @property
     def numerators(self):
         """A read-only view of the numerators: int64, object where they exceed int64, or
-        the int8 of verify_perfect_difference's counts of a support that repeats no
-        difference."""
+        for a support that repeats no difference the int8 of verify_perfect_difference's
+        counts and the narrow dtype of _pair_counts (int8 or int16 for every Singer set)
+        in correlation counts and defect coefficients."""
         return self._num.view()
 
     @property
@@ -275,7 +279,8 @@ class ExactVector(Sequence):
     def _numerator_of(self, x):
         """The integer n with n / denominator == x, None where no entry can equal x: x is
         no finite rational, float or complex with imaginary part 0, or n lies outside
-        int64 and the numerators are int64 or int8, which numpy compares with any int64."""
+        int64 and the numerators are int64 or narrower, which numpy compares with any
+        int64."""
         if isinstance(x, complex) and x.imag == 0:  # np.complex128 too: 1+0j == 1
             x = x.real
         if not (isinstance(x, numbers.Rational) or isinstance(x, float) and math.isfinite(x)):
@@ -296,9 +301,9 @@ class ExactVector(Sequence):
 
     def _total(self):
         """The exact sum of the numerators, in int64 where no partial sum can overflow."""
-        if self._num.dtype != object and self.numerator_bound * len(self) >= 2**63:
+        if self._num.dtype == object or self.numerator_bound * len(self) >= 2**63:
             return sum(self._num.tolist())
-        return int(self._num.sum())
+        return int(self._num.sum(dtype=np.int64))
 
     def _lowest(self):
         """(denominator, numerators) in lowest terms, the same for equal vectors."""
@@ -548,29 +553,35 @@ def _checked_support(support, q):
 
 
 def _pair_counts(support, q, cyclic=False):
-    """Ordered-pair difference counts of a support, as int64.
+    """Ordered-pair difference counts of a support.
 
     Aperiodic: counts[l + q - 1] = #{(s, t) in support^2 : s - t = l}.
-    Cyclic: counts[r] = #{(s, t) in support^2 : s - t = r mod q}.  Rows
-    are taken _BLOCK // k at a time, so no k x k difference array is built.
+    Cyclic: counts[r] = #{(s, t) in support^2 : s - t = r mod q}.
     Where the k(k - 1) off-diagonal pairs fit in the nonzero differences,
-    they are first marked in a bool mask (_mark_differences) in the last
-    bytes of the counts' own buffer, and when no difference repeats, as in
-    a Singer set, that mask is the counts, with k at difference 0.
-    Otherwise the pairs are added up with np.add.at, in the counts' memory.
+    they are first marked (_mark_differences) in counts of the narrowest
+    signed integer type that holds k: int8 up to k = 127, int16 up to
+    2^15 - 1 (every Singer set with p^m < 2^15), then int32.  When no
+    difference repeats, as in a Singer set, those marks are the counts,
+    with k at difference 0.  Otherwise _add_pairs counts them in int64.
     Raises ValueError unless the support is distinct and inside [0, q).
     """
     s, ordered = _checked_support(support, q)
     k = s.size
-    counts = np.zeros(q if cyclic else 2 * q - 1, dtype=np.int64)
-    if k * (k - 1) <= counts.size - 1:  # else some difference repeats, by pigeonhole
-        mask = counts.view(bool)[-counts.size:]
-        if _mark_differences(ordered, q, cyclic, mask):
-            # all ones for a perfect difference set; numpy reads an overlapping mask from a copy
-            counts[:] = 1 if cyclic and k * (k - 1) == q - 1 else mask
+    size = q if cyclic else 2 * q - 1
+    if k * (k - 1) <= size - 1:  # else some difference repeats, by pigeonhole
+        counts = np.zeros(size, dtype=next(t for t in _NARROW if k <= np.iinfo(t).max))
+        if _mark_differences(ordered, q, cyclic, counts):
             counts[0 if cyclic else q - 1] = k
             return counts
-        counts.fill(0)
+        del counts  # not held beside the int64 counts
+    return _add_pairs(s, q, cyclic)
+
+
+def _add_pairs(s, q, cyclic):
+    """_pair_counts of the int64 support s, pair by pair with np.add.at into int64 counts.
+    Rows are taken _BLOCK // k at a time, so no k x k difference array is built."""
+    k = s.size
+    counts = np.zeros(q if cyclic else 2 * q - 1, dtype=np.int64)
     shifted = s if cyclic else s - (q - 1)
     per = max(1, _BLOCK // max(k, 1))
     for lo in range(0, k, per):
@@ -582,10 +593,10 @@ def _pair_counts(support, q, cyclic=False):
 
 
 def _mark_differences(ordered, q, cyclic, mask):
-    """Set the byte of each nonzero difference of an ascending support in a zeroed
-    bool mask: l + q - 1 for the difference l, or the residue l mod q when cyclic.
-    Returns whether no nonzero difference repeats, when the mask holds exactly the
-    support's k(k - 1) nonzero differences.
+    """Set to 1 the entry of each nonzero difference of an ascending support in a zeroed
+    bool or integer mask: l + q - 1 for the difference l, or the residue l mod q when
+    cyclic.  Returns whether no nonzero difference repeats, when the mask holds exactly
+    the support's k(k - 1) nonzero differences.
 
     The pairs run by diagonals, _BLOCK // k at a time: diagonal t pairs
     s_((j + t) mod k) with s_j, whose differences lie near t q / k, so each
@@ -604,8 +615,8 @@ def _mark_differences(ordered, q, cyclic, mask):
     diagonals = np.lib.stride_tricks.sliding_window_view(ahead, k)[:k]  # row t: s_(j + t)
     per = max(1, _BLOCK // max(k, 1))
     for t in range(0, k, per):
-        mask[(diagonals[t:t + per] - ordered).ravel()] = True
-    mask[0 if cyclic else q - 1] = False  # difference 0: the k pairs s = t
+        mask[(diagonals[t:t + per] - ordered).ravel()] = 1
+    mask[0 if cyclic else q - 1] = 0  # difference 0: the k pairs s = t
     return np.count_nonzero(mask) == k * (k - 1)
 
 
@@ -626,7 +637,7 @@ def verify_perfect_difference(residues, q):
         counts = mask.view(np.int8)  # no difference repeats: every count is 0 or 1
     else:
         mask = None  # not held beside the int64 counts
-        counts = _pair_counts(s, q, cyclic=True)
+        counts = _add_pairs(s, q, cyclic=True)
         counts[0] = 0  # only the pairs s = t have difference 0
     first = None
     for lo in range(1, q, _BLOCK):  # no q-long temporary

@@ -226,6 +226,17 @@ class TestFlatness:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_kernel_mass_is_priced_before_its_grid(self):
+        # N = 2^28 nodes fit the grid budget; periodized_kernel's 1e8 passes over them do not
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="^grid of 26843545600000000 points exceeds"):
+                kernel_mass(KernelSpec(1e8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_peak_memory_stays_near_the_row_kernel(self, singer_cache):
         # p = 307 at 16q: the row kernel alone peaks at 2.9 MiB and flatness at 3.1 MiB, its
         # temporaries one block long and |Q| evaluated only where it could lower the gap
@@ -268,6 +279,17 @@ class TestL2DefectExact:
         for p in (2, 3, 5, 7, 11, 13):
             t = correlations(singer_cache(p))
             assert l2_defect_sq_exact(t) == Fraction(p, p + 1)
+
+    @pytest.mark.parametrize("p", [2, 13, 131, 1009])
+    def test_narrow_counts_square_in_int64(self, p, singer_cache):
+        # a Singer set's int8 or int16 counts: at p = 1009 their own dot wraps (c_0 = 1010)
+        t = correlations(singer_cache(p))
+        counts, k = t.aperiodic.numerators, t.size
+        squares = sum(c * c for c in counts.tolist())  # Python ints
+        assert counts.dtype == (np.int8 if k < 128 else np.int16)
+        assert l2_defect_sq_exact(t) == Fraction(squares - k * k, k * k) == Fraction(p, p + 1)
+        if p == 1009:
+            assert int(np.dot(counts, counts)) != squares
 
     def test_dense_support_squares_sum_exactly(self):
         # c_l = k - |l| for k consecutive residues: sum c_l^2 = k (2k^2 + 1) / 3, past 2^32

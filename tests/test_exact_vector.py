@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flatpoly.poly import DefectPolynomial, correlations, defect_poly
+from flatpoly.analysis import l2_defect_sq_exact
+from flatpoly.poly import DefectPolynomial, correlation_table, correlations, defect_poly
 from flatpoly.singer import _BLOCK, ExactVector, construct_singer, verify_perfect_difference
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -235,9 +236,78 @@ def test_defect_polynomial_from_rationals_equals_the_tuple_route(coeffs):
     assert replaced.coefficients == oracle[::-1]
 
 
+@st.composite
+def supports(draw):
+    """(support, q): random residues, or their greedy Sidon subset, in which no integer
+    difference repeats (a cyclic one may)."""
+    q = draw(st.integers(1, 5000))
+    residues = draw(st.lists(st.integers(0, q - 1), max_size=60, unique=True))
+    if draw(st.booleans()):
+        kept, seen = [], set()
+        for r in residues:
+            new = {r - s for s in kept} | {s - r for s in kept}
+            if len(new) == 2 * len(kept) and not new & seen:
+                kept.append(r)
+                seen |= new
+        residues = kept
+    return sorted(residues), q
+
+
+def assert_reads_as_its_int64_oracle(vec, oracle, denominator=1):
+    """vec, whatever its numerators' dtype, against the int64 numerators oracle."""
+    wide = ExactVector(oracle, denominator)
+    assert wide.numerators.dtype == np.int64 and vec.denominator == denominator
+    assert np.array_equal(vec.numerators, oracle)
+    assert vec == wide and wide == vec and vec == tuple(wide) and tuple(wide) == vec
+    assert hash(vec) == hash(wide) == hash(tuple(wide))
+    for n in {*oracle[:5].tolist(), 0, 1, 2, int(oracle.max(initial=0)), 300, 2**15, -129, 2**62}:
+        x = Fraction(n, denominator)
+        assert vec.count(x) == wide.count(x), n
+    assert vec._total() == wide._total() == int(oracle.sum())
+    if denominator == 1:
+        widened = np.asarray(vec, dtype=np.int64)
+        assert widened.dtype == np.int64 and np.array_equal(widened, oracle)
+
+
+@PROPERTY_SETTINGS
+@given(supports())
+@example(([0, 1, 4, 9, 11], 12))  # a Golomb ruler whose cyclic differences repeat
+@example(([], 3))
+def test_narrow_correlation_counts_read_as_their_int64_oracle(case):
+    support, q = case
+    s = np.array(support, dtype=np.int64)
+    aperiodic = np.bincount((s[:, None] - s).ravel() + q - 1, minlength=2 * q - 1)
+    cyclic = np.bincount(((s[:, None] - s) % q).ravel(), minlength=q)
+    table = correlation_table(support, q)
+    repeats = np.any(np.delete(aperiodic, q - 1) > 1)
+    assert table.aperiodic.numerators.dtype == table.cyclic.numerators.dtype
+    assert table.aperiodic.numerators.dtype == (np.int64 if repeats else np.int8)
+    assert_reads_as_its_int64_oracle(table.aperiodic, aperiodic)
+    assert_reads_as_its_int64_oracle(table.cyclic, cyclic)
+    k = len(support)
+    if k:
+        squares = sum(c * c for c in aperiodic.tolist())
+        assert l2_defect_sq_exact(table) == Fraction(squares - k * k, k * k)
+
+
+@pytest.mark.parametrize("p", [2, 13, 127, 131])
+def test_singer_counts_are_narrow_and_read_as_their_int64_oracle(p):
+    sset = construct_singer(p)
+    k, q = sset.size, sset.q
+    narrow = np.int8 if k < 128 else np.int16
+    table, defect = correlations(sset), defect_poly(sset)
+    s = np.array(sset.residues, dtype=np.int64)
+    aperiodic = np.bincount((s[:, None] - s).ravel() + q - 1, minlength=2 * q - 1)
+    for vec in (table.aperiodic, table.cyclic, defect.coefficients):
+        assert vec.numerators.dtype == narrow
+    assert_reads_as_its_int64_oracle(table.aperiodic, aperiodic)
+    assert_reads_as_its_int64_oracle(table.cyclic, np.array([k] + [1] * (q - 1)))
+    assert_reads_as_its_int64_oracle(defect.coefficients, np.ones(q - 1, dtype=np.int64), k)
+
+
 def test_defect_coefficients_are_fractions_over_the_set_size():
     Q = defect_poly(construct_singer(5))
-    assert Q.coefficients.denominator == 6 and Q.coefficients.numerators.dtype == np.int64
+    assert Q.coefficients.denominator == 6 and Q.coefficients.numerators.dtype == np.int8
     assert {type(c) for c in Q.coefficients} == {Fraction}
     assert Q.coefficients.count(Fraction(1, 6)) == len(Q.coefficients) == 30
 
@@ -257,13 +327,14 @@ def verify_and_count_ones(residues, q):
 
 
 def test_exact_layer_holds_its_arrays_and_no_more(singer_cache):
-    # q = 4014013: correlations hold 2q - 1 + q int64 counts, the other two q each; a
-    # tuple of q Python ints (or a list on the way to one) would add 8 bytes per residue
+    # q = 4014013, k = 2004: correlations hold 2q - 1 + q int16 counts, defect_poly q of
+    # them, verify_perfect_difference its q-byte mask; int64 counts would take 24q and 8q,
+    # and a tuple of q Python ints (or a list on the way to one) 8 bytes more per residue
     sset = singer_cache(2003)
     q, slack = sset.q, 4 * 2**20
     table, peak = traced_peak(correlations, sset)
-    assert peak <= 24 * q + slack and table.is_perfect
+    assert peak <= 6 * q + slack and table.is_perfect
     (report, ones), peak = traced_peak(verify_and_count_ones, sset.residues, q)
     assert peak <= q + slack and report.valid and ones == q - 1  # the q-byte mask is the counts
     defect, peak = traced_peak(defect_poly, sset)
-    assert peak <= 8 * q + slack and defect.coefficients.count(Fraction(1, 2004)) == q - 1
+    assert peak <= 2 * q + slack and defect.coefficients.count(Fraction(1, 2004)) == q - 1

@@ -390,10 +390,16 @@ class TestPairCounts:
 
     @staticmethod
     def check(support, q):
+        k = len(support)
+        # where no difference repeats, the narrowest signed integer that holds k
+        narrow = np.int8 if k < 2**7 else np.int16 if k < 2**15 else np.int32
         for cyclic in (False, True):
             counts = singer._pair_counts(support, q, cyclic)
-            assert counts.dtype == np.int64 and counts.flags.writeable
-            assert np.array_equal(counts, brute_force_pair_counts(support, q, cyclic)), cyclic
+            oracle = brute_force_pair_counts(support, q, cyclic)
+            repeats = np.any(np.delete(oracle, 0 if cyclic else q - 1) > 1)
+            assert counts.dtype == (np.int64 if repeats else narrow), cyclic
+            assert counts.flags.writeable
+            assert np.array_equal(counts, oracle), cyclic
 
     @pytest.mark.parametrize("p, m", [(p, m) for m in (1, 2) for p in sympy.primerange(2, 32)])
     def test_singer_sets(self, p, m, singer_cache):
@@ -451,8 +457,8 @@ class TestPairCounts:
             assert tried == [distinct]
 
     def test_perfect_set_peaks_at_its_counts(self, singer_cache):
-        # the mask takes no memory of its own: the peak is the 8q-byte counts, one block of
-        # differences and numpy's iteration buffers (2^18 bytes), where a q-byte mask
+        # the mask takes no memory of its own: the peak is the 2q-byte int16 counts, one block
+        # of differences and numpy's iteration buffers (2^18 bytes), where a q-byte mask
         # beside the counts would not fit
         s = singer_cache(1009)
         support = np.array(s.residues)
@@ -464,6 +470,24 @@ class TestPairCounts:
             tracemalloc.stop()
         assert counts[0] == s.size and counts.sum() == s.size + s.q - 1
         assert peak <= counts.nbytes + 8 * _BLOCK + 2**18 < counts.nbytes + s.q
+
+    def test_verify_marks_a_repeating_support_once(self, monkeypatch):
+        # the neighbour gaps 1, 2, 4, 5, 9 differ, so only the mask shows 21 - 12 = 12 - 3;
+        # the pair-by-pair recount that follows marks nothing
+        support, q = (0, 1, 3, 7, 12, 21), 64
+        assert len(set(np.diff(support))) == len(support) - 1
+        calls = []
+
+        def spy(*args):
+            calls.append(mark_differences(*args))
+            return calls[-1]
+
+        mark_differences = singer._mark_differences
+        monkeypatch.setattr(singer, "_mark_differences", spy)
+        report = verify_perfect_difference(support, q)
+        assert calls == [False]
+        assert report.counts.numerators.dtype == np.int64 and report.counts[9] == 2
+        assert (report.valid, report.first_violation, report.counts) == bincount_report(support, q)
 
     def test_corrupted_singer_set(self, singer_cache):
         s = singer_cache(31)
