@@ -270,7 +270,7 @@ def _run_mahler(cmd, p, P):
     "l1": "midpoint-grid quadrature mean of |P| on the mahler grid, minus the leading-order "
           "grid error of each root within 30/N of the circle",
     "mahler": "log-integral, " + MAHLER_NEAR_ROOT,
-    "note": "suprema over the family tend to 1; tabulated only, not asserted",
+    "note": "values over the family are tabulated only; no limit is asserted",
 }, budgets=lambda cmd, q: [(check_grid_budget, mahler_grid(q - 1))])
 def _run_beta(cmd, p, P):
     ml = mahler_log(P)
@@ -368,9 +368,10 @@ def _run_rankone(cmd):
                   "agreement with circle_truncated is limited by the circle grid: "
                   "measured within 2e-5 at alpha = 1 and s = 3 for 17 <= p <= 37 "
                   "(1.3e-4 at alpha = 0.5), 1.7e-9 at q = 7 on 2^15 points",
-}, budgets=lambda cmd, q: [  # the circle grid, then periodized_kernel's ceil(s) passes over it
+}, budgets=lambda cmd, q: [  # the circle grid, then the ceil(s) passes of periodized_kernel
+    # and the 2T + 1 of the truncated kernel over it
     (check_grid_budget, realline_grid(q, cmd.kernel_s, cmd.grid_multiplier) * passes)
-    for passes in (1, math.ceil(cmd.kernel_s))])
+    for passes in (1, math.ceil(cmd.kernel_s), 2 * cmd.truncation + 1)])
 def _run_realline(cmd, p, P):
     rep = realline_flatness(P, cmd.alpha, KernelSpec(s=cmd.kernel_s, truncation=cmd.truncation),
                             cmd.grid_multiplier)

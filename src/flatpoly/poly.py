@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .singer import ExactVector, SingerSet, _BLOCK, _exact_fields, _factorint, _pair_counts
+from .singer import verify_perfect_difference
 
 GRID_BUDGET = 2**28  # points of one grid: 4 GiB per complex array of eval_support_grid
 _ROW_MIN, _ROW_MAX = 2**8, 2**14  # row lengths _grid_blocks aims for
@@ -122,8 +123,9 @@ class DefectPolynomial:
     every coefficient is 1/|S|, Q(1) = (q-1)/|S|, and Q agrees with
     |P|^2 - 1 at the q-th roots of unity.  coefficients, for exponents
     1 .. q-1, is an ExactVector that reads as Fractions: defect_poly's
-    holds the counts gamma_l over |S|, and any other rationals are held
-    over their common denominator.
+    holds the counts gamma_l over |S| (int8 ones for a normalized set, else
+    verify_perfect_difference's counts), and other rationals are held over
+    their common denominator.
     """
 
     q: int
@@ -181,7 +183,13 @@ def correlations(sset: SingerSet):
 
 
 def defect_poly(sset: SingerSet):
-    gamma = _pair_counts(sset.residues, sset.q, cyclic=True)[1:]
+    """Q of a residue set, over its size: gamma_l = 1 for every l of a normalized set,
+    which normalize verified, with no difference pass; otherwise the counts of
+    verify_perfect_difference's report."""
+    if sset.normalized:
+        gamma = np.ones(sset.q - 1, dtype=np.int8)
+    else:
+        gamma = verify_perfect_difference(sset.residues, sset.q).counts.numerators[1:]
     return DefectPolynomial(q=sset.q, size=sset.size,
                             coefficients=ExactVector._adopt(gamma, sset.size))
 

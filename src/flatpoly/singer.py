@@ -35,7 +35,7 @@ import numbers
 import operator
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -194,7 +194,7 @@ class ExactVector(Sequence):
     The exact layer's long results (difference counts, correlation counts, defect
     coefficients, the two halves of a riesz.CoefficientMap) are this type, 8 bytes per
     entry, or fewer for the counts of a support that repeats no difference: 1 for the
-    int8 difference counts, 1 or 2 for the correlation counts and defect numerators,
+    int8 difference counts and defect numerators, 1 or 2 for the correlation counts,
     whose int8 or int16 holds the support's size.  It reads as the tuple it stands for:
     indexing and iteration give ints when the denominator is 1 and Fractions otherwise,
     slices are vectors, and ==, hash and repr are the tuple's (2/4 equals 1/2), whatever
@@ -247,8 +247,8 @@ class ExactVector(Sequence):
     def numerators(self):
         """A read-only view of the numerators: int64, object where they exceed int64, or
         for a support that repeats no difference the int8 of verify_perfect_difference's
-        counts and the narrow dtype of _pair_counts (int8 or int16 for every Singer set)
-        in correlation counts and defect coefficients."""
+        counts and of defect coefficients, and the narrow dtype of _pair_counts (int8 or
+        int16 for every Singer set) in correlation counts."""
         return self._num.view()
 
     @property
@@ -372,13 +372,18 @@ class FieldSpec:
 
 @dataclass(frozen=True)
 class SingerSet:
-    """A perfect difference set mod q = p^(2m) + p^m + 1."""
+    """A perfect difference set mod q = p^(2m) + p^m + 1.
+
+    The constructor checks the shape only, and normalized is no init argument: normalize
+    sets it after its difference check passed, so a normalized set is a verified perfect
+    difference set.  dataclasses.replace drops the flag; pickling keeps it.
+    """
 
     p: int
     m: int
     q: int
     residues: tuple
-    normalized: bool = False
+    normalized: bool = field(default=False, init=False)
 
     def __post_init__(self):
         pm = self.p**self.m
@@ -390,8 +395,6 @@ class SingerSet:
             raise ValueError("residues must be strictly increasing")
         if self.residues[0] < 0 or self.residues[-1] >= self.q:
             raise ValueError("residues out of range [0, q)")
-        if self.normalized and self.residues[:2] != (0, 1):
-            raise ValueError("normalized set must start with 0, 1")
 
     @property
     def size(self):
@@ -526,7 +529,7 @@ def _scan_singer(spec):
         residues.extend(hits[hits < q].tolist())
         funcs = step @ funcs % p
     assert len(residues) == pm + 1
-    return SingerSet(p=p, m=m, q=q, residues=tuple(residues), normalized=False)
+    return SingerSet(p=p, m=m, q=q, residues=tuple(residues))
 
 
 def construct_singer(p, m=1):
@@ -552,34 +555,35 @@ def _checked_support(support, q):
     return s, ordered
 
 
-def _pair_counts(support, q, cyclic=False):
-    """Ordered-pair difference counts of a support.
+def _pair_counts(support, q):
+    """Aperiodic ordered-pair difference counts of a support:
+    counts[l + q - 1] = #{(s, t) in support^2 : s - t = l}.
 
-    Aperiodic: counts[l + q - 1] = #{(s, t) in support^2 : s - t = l}.
-    Cyclic: counts[r] = #{(s, t) in support^2 : s - t = r mod q}.
-    Where the k(k - 1) off-diagonal pairs fit in the nonzero differences,
-    they are first marked (_mark_differences) in counts of the narrowest
-    signed integer type that holds k: int8 up to k = 127, int16 up to
-    2^15 - 1 (every Singer set with p^m < 2^15), then int32.  When no
-    difference repeats, as in a Singer set, those marks are the counts,
-    with k at difference 0.  Otherwise _add_pairs counts them in int64.
-    Raises ValueError unless the support is distinct and inside [0, q).
+    Where the k(k - 1) off-diagonal pairs fit in the 2q - 2 nonzero
+    differences, they are first marked (_mark_differences) in counts of the
+    narrowest signed integer type that holds k: int8 up to k = 127, int16 up
+    to 2^15 - 1 (every Singer set with p^m < 2^15), then int32.  When no
+    difference repeats, as in a Singer set, those marks are the counts, with
+    k at difference 0.  Otherwise _add_pairs counts them in int64.  The
+    cyclic counts are verify_perfect_difference's.  Raises ValueError unless
+    the support is distinct and inside [0, q).
     """
     s, ordered = _checked_support(support, q)
     k = s.size
-    size = q if cyclic else 2 * q - 1
-    if k * (k - 1) <= size - 1:  # else some difference repeats, by pigeonhole
-        counts = np.zeros(size, dtype=next(t for t in _NARROW if k <= np.iinfo(t).max))
-        if _mark_differences(ordered, q, cyclic, counts):
-            counts[0 if cyclic else q - 1] = k
+    if k * (k - 1) <= 2 * q - 2:  # else some difference repeats, by pigeonhole
+        counts = np.zeros(2 * q - 1, dtype=next(t for t in _NARROW if k <= np.iinfo(t).max))
+        if _mark_differences(ordered, q, False, counts):
+            counts[q - 1] = k
             return counts
         del counts  # not held beside the int64 counts
-    return _add_pairs(s, q, cyclic)
+    return _add_pairs(s, q, cyclic=False)
 
 
 def _add_pairs(s, q, cyclic):
-    """_pair_counts of the int64 support s, pair by pair with np.add.at into int64 counts.
-    Rows are taken _BLOCK // k at a time, so no k x k difference array is built."""
+    """Ordered-pair difference counts of the int64 support s, s = t included, pair by pair
+    with np.add.at into int64 counts: aperiodic as _pair_counts' (index l + q - 1), or
+    cyclic (index l mod q).  Rows are taken _BLOCK // k at a time, so no k x k difference
+    array is built."""
     k = s.size
     counts = np.zeros(q if cyclic else 2 * q - 1, dtype=np.int64)
     shifted = s if cyclic else s - (q - 1)
@@ -650,13 +654,14 @@ def verify_perfect_difference(residues, q):
 
 
 def normalize(sset):
-    """Translate a Singer set so that it contains 0 and 1.
+    """Translate a Singer set so that it contains 0 and 1, and mark it normalized.
 
     The ordered pair with difference 1 is unique in a perfect difference
     set, so the normalized translate is unique; the map is idempotent.
     ValueError names the least residue whose difference count is not one
-    in verify_perfect_difference's report, so a returned set has passed
-    the exhaustive difference check.
+    in verify_perfect_difference's report.  Only this function sets
+    normalized, right after that one exhaustive check passed, so every
+    normalized set is a verified perfect difference set.
     """
     report = verify_perfect_difference(sset.residues, sset.q)
     if not report.valid:
@@ -668,7 +673,9 @@ def normalize(sset):
     starts = [y for y in sset.residues if (y + 1) % sset.q in members]
     assert len(starts) == 1
     shifted = tuple(sorted((r - starts[0]) % sset.q for r in sset.residues))
-    return SingerSet(p=sset.p, m=sset.m, q=sset.q, residues=shifted, normalized=True)
+    out = SingerSet(p=sset.p, m=sset.m, q=sset.q, residues=shifted)
+    object.__setattr__(out, "normalized", True)
+    return out
 
 
 def gap_statistic(sset):

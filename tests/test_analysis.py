@@ -237,6 +237,25 @@ class TestFlatness:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("route, message", [
+        ("realline", "^grid of 819200004096 points exceeds"),  # 4096 points, 2e8 + 1 terms each
+        ("kernel_mass", "^grid of 9600000048 points exceeds"),  # 48 nodes a panel, 2e8 + 1 panels
+    ])
+    def test_truncation_is_priced_before_any_work(self, P7, route, message):
+        # a small grid and s = 3 fit; the 2T + 1 periodization terms at T = 1e8 do not
+        spec = KernelSpec(3.0, 10**8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=message):
+                if route == "realline":
+                    realline_flatness(P7, 1.0, spec)
+                else:
+                    kernel_mass(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_peak_memory_stays_near_the_row_kernel(self, singer_cache):
         # p = 307 at 16q: the row kernel alone peaks at 2.9 MiB and flatness at 3.1 MiB, its
         # temporaries one block long and |Q| evaluated only where it could lower the gap

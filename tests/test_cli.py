@@ -87,7 +87,9 @@ PINNED_COMMANDS = [
 # p = 31 is built.  mahler: the Jensen degree q - 1 at p = 47 (q = 2257) and p = 2003.
 # realline at s = 2e8: the circle grid resolves the kernel, 2^29 points, where a grid of
 # 4096 would pass and periodized_kernel would loop 2e8 times.  At s = 1e8 the grid, 2^28
-# points, fits, and periodized_kernel's 1e8 passes over it, 2^28 * 1e8 nodes, do not.
+# points, fits, and periodized_kernel's 1e8 passes over it, 2^28 * 1e8 nodes, do not.  At
+# truncation 1e8 the truncated kernel's 2e8 + 1 terms at each of 4096 points do not fit
+# (an hour's work: 4.0 s at truncation 1e5).
 PRICED = [
     ("flat --primes 5003 --alpha 1 --grid-multiplier 8",
      "grid of 536870912 points exceeds the grid budget 268435456"),
@@ -99,6 +101,8 @@ PRICED = [
      "grid of 536870912 points exceeds the grid budget 268435456"),
     ("realline --primes 2 --alpha 1 --kernel-s 1e8",
      "grid of 26843545600000000 points exceeds the grid budget 268435456"),
+    ("realline --primes 2 --alpha 1 --kernel-s 3 --truncation 100000000",
+     "grid of 819200004096 points exceeds the grid budget 268435456"),
 ]
 
 
@@ -262,7 +266,7 @@ class TestExecute:
     def test_realline_price_is_the_circle_grid(self, primes, multiplier, s, tmp_path,
                                                monkeypatch):
         # the grid the report prices is the grid realline_flatness builds, and after it
-        # the ceil(s) kernel passes over that grid
+        # the ceil(s) kernel passes and the 2T + 1 = 65 truncated-kernel terms over that grid
         priced, built = [], []
         report = cli.realline_flatness
 
@@ -277,7 +281,7 @@ class TestExecute:
                                          "--grid-multiplier", str(multiplier),
                                          "--kernel-s", str(s)])
         assert code == 0
-        assert priced == [N * passes for N in built for passes in (1, math.ceil(s))]
+        assert priced == [N * passes for N in built for passes in (1, math.ceil(s), 65)]
         assert len(built) == len(primes.split(","))
 
     def test_singer_report_counts_differences_once(self, tmp_path, monkeypatch):

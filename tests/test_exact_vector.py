@@ -298,8 +298,9 @@ def test_singer_counts_are_narrow_and_read_as_their_int64_oracle(p):
     table, defect = correlations(sset), defect_poly(sset)
     s = np.array(sset.residues, dtype=np.int64)
     aperiodic = np.bincount((s[:, None] - s).ravel() + q - 1, minlength=2 * q - 1)
-    for vec in (table.aperiodic, table.cyclic, defect.coefficients):
+    for vec in (table.aperiodic, table.cyclic):
         assert vec.numerators.dtype == narrow
+    assert defect.coefficients.numerators.dtype == np.int8  # the ones of a normalized set
     assert_reads_as_its_int64_oracle(table.aperiodic, aperiodic)
     assert_reads_as_its_int64_oracle(table.cyclic, np.array([k] + [1] * (q - 1)))
     assert_reads_as_its_int64_oracle(defect.coefficients, np.ones(q - 1, dtype=np.int64), k)
@@ -327,9 +328,9 @@ def verify_and_count_ones(residues, q):
 
 
 def test_exact_layer_holds_its_arrays_and_no_more(singer_cache):
-    # q = 4014013, k = 2004: correlations hold 2q - 1 + q int16 counts, defect_poly q of
-    # them, verify_perfect_difference its q-byte mask; int64 counts would take 24q and 8q,
-    # and a tuple of q Python ints (or a list on the way to one) 8 bytes more per residue
+    # q = 4014013, k = 2004: correlations hold 2q - 1 + q int16 counts, defect_poly q - 1
+    # int8 ones, verify_perfect_difference its q-byte mask; int64 counts would take 24q and
+    # 8q, and a tuple of q Python ints (or a list on the way to one) 8 bytes more per residue
     sset = singer_cache(2003)
     q, slack = sset.q, 4 * 2**20
     table, peak = traced_peak(correlations, sset)
@@ -337,4 +338,4 @@ def test_exact_layer_holds_its_arrays_and_no_more(singer_cache):
     (report, ones), peak = traced_peak(verify_and_count_ones, sset.residues, q)
     assert peak <= q + slack and report.valid and ones == q - 1  # the q-byte mask is the counts
     defect, peak = traced_peak(defect_poly, sset)
-    assert peak <= 2 * q + slack and defect.coefficients.count(Fraction(1, 2004)) == q - 1
+    assert peak <= q + slack and defect.coefficients.count(Fraction(1, 2004)) == q - 1

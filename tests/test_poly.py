@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -407,6 +408,30 @@ class TestDefectPolynomial:
         assert Q.coefficients == defect_oracle(NON_PERFECT)
         assert Q.coefficients == (Fraction(2, 3), Fraction(1, 3), 0, 0, Fraction(1, 3), Fraction(2, 3))
         assert {type(c) for c in Q.coefficients} == {Fraction}
+
+    @pytest.mark.parametrize("p", [2, 13, 1009])
+    def test_normalized_set_makes_no_difference_pass(self, p, monkeypatch, singer_cache):
+        # normalize counted every difference of the set once, so defect_poly reads its ones
+        # off the flag; correlations marks the aperiodic differences, and the same residues
+        # without the flag are counted by verify_perfect_difference's cyclic mask
+        s = singer_cache(p)
+        calls = []
+        mark_differences = singer._mark_differences
+
+        def spy(ordered, q, cyclic, mask):
+            calls.append(cyclic)
+            return mark_differences(ordered, q, cyclic, mask)
+
+        monkeypatch.setattr(singer, "_mark_differences", spy)
+        Q = defect_poly(s)
+        assert calls == []
+        assert Q.coefficients.numerators.dtype == np.int8
+        assert Q.coefficients.count(Fraction(1, s.size)) == s.q - 1
+        correlations(s)
+        assert calls == [False]
+        unflagged = dataclasses.replace(s)
+        assert not unflagged.normalized and defect_poly(unflagged) == Q
+        assert calls == [False, True]
 
     def test_reads_no_correlation_table(self, monkeypatch, singer_cache):
         calls = []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import random
@@ -50,13 +51,24 @@ def brute_force_difference_counts(residues, q):
 
 
 def brute_force_pair_counts(support, q, cyclic):
-    """Independent oracle for _pair_counts: every ordered pair, s = t included, one at
-    a time; index l + q - 1 for the difference l, or l mod q when cyclic."""
+    """Independent oracle for _pair_counts and _add_pairs: every ordered pair, s = t
+    included, one at a time; index l + q - 1 for the difference l, or l mod q when cyclic."""
     counts = [0] * (q if cyclic else 2 * q - 1)
     for s in support:
         for t in support:
             counts[(s - t) % q if cyclic else s - t + q - 1] += 1
     return np.array(counts, dtype=np.int64)
+
+
+def library_pair_counts(support, q, cyclic):
+    """(counts, oracle): _pair_counts when aperiodic; when cyclic the counts of
+    verify_perfect_difference's report, the one cyclic route, whose difference 0 counts
+    no pair."""
+    oracle = brute_force_pair_counts(support, q, cyclic)
+    if not cyclic:
+        return singer._pair_counts(support, q), oracle
+    oracle[0] = 0
+    return np.asarray(verify_perfect_difference(support, q).counts), oracle
 
 
 def bincount_report(residues, q):
@@ -355,16 +367,20 @@ class TestVerify:
     @pytest.mark.parametrize("cyclic", [False, True])
     def test_pair_kernel_scratch_is_one_block(self, cyclic):
         # 4096 rows of 4096 differences: _BLOCK // k = 16 rows a block, 0.5 MB, where rows of
-        # 1024 would take 32 MB; the counts array is the only large allocation
+        # 1024 would take 32 MB; the counts array is the only large allocation.  Cyclic, the
+        # pairs s = t are dropped from verify_perfect_difference's counts
         q = 2**20
         support = np.sort(np.random.default_rng(4).choice(q, 4096, replace=False))
         tracemalloc.start()
         try:
-            counts = singer._pair_counts(support, q, cyclic)
+            if cyclic:
+                counts = np.asarray(verify_perfect_difference(support, q).counts)
+            else:
+                counts = singer._pair_counts(support, q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert counts.sum() == 4096**2
+        assert counts.sum() == 4096**2 - (4096 if cyclic else 0)
         assert peak <= counts.nbytes + 4 * 2**20
 
 
@@ -385,20 +401,21 @@ def supports(draw):
 
 
 class TestPairCounts:
-    """_pair_counts against the pair-by-pair oracle: the bitmap route for supports
-    that repeat no difference, the np.add.at route for the rest."""
+    """_pair_counts, and verify_perfect_difference's cyclic counts, against the
+    pair-by-pair oracle: the bitmap route for supports that repeat no difference, the
+    np.add.at route for the rest."""
 
     @staticmethod
     def check(support, q):
         k = len(support)
-        # where no difference repeats, the narrowest signed integer that holds k
+        # where no difference repeats, the narrowest signed integer that holds k, or the
+        # cyclic counts' int8 difference mask
         narrow = np.int8 if k < 2**7 else np.int16 if k < 2**15 else np.int32
         for cyclic in (False, True):
-            counts = singer._pair_counts(support, q, cyclic)
-            oracle = brute_force_pair_counts(support, q, cyclic)
+            counts, oracle = library_pair_counts(support, q, cyclic)
             repeats = np.any(np.delete(oracle, 0 if cyclic else q - 1) > 1)
-            assert counts.dtype == (np.int64 if repeats else narrow), cyclic
-            assert counts.flags.writeable
+            assert counts.dtype == (np.int64 if repeats else np.int8 if cyclic else narrow), cyclic
+            assert counts.flags.writeable != cyclic  # the report's counts are read-only
             assert np.array_equal(counts, oracle), cyclic
 
     @pytest.mark.parametrize("p, m", [(p, m) for m in (1, 2) for p in sympy.primerange(2, 32)])
@@ -449,27 +466,27 @@ class TestPairCounts:
 
         mark_differences = singer._mark_differences
         monkeypatch.setattr(singer, "_mark_differences", spy)
-        counts = singer._pair_counts(support, q, cyclic)
-        assert np.array_equal(counts, brute_force_pair_counts(support, q, cyclic))
+        counts, oracle = library_pair_counts(support, q, cyclic)
+        assert np.array_equal(counts, oracle)
         if k * (k - 1) > slots:
             assert tried == []
         else:
             assert tried == [distinct]
 
     def test_perfect_set_peaks_at_its_counts(self, singer_cache):
-        # the mask takes no memory of its own: the peak is the 2q-byte int16 counts, one block
-        # of differences and numpy's iteration buffers (2^18 bytes), where a q-byte mask
-        # beside the counts would not fit
+        # the mask takes no memory of its own: the peak is the 2(2q - 1)-byte int16 counts,
+        # one block of differences and numpy's iteration buffers (2^18 bytes), where a
+        # (2q - 1)-byte mask beside the counts would not fit
         s = singer_cache(1009)
         support = np.array(s.residues)
         tracemalloc.start()
         try:
-            counts = singer._pair_counts(support, s.q, cyclic=True)
+            counts = singer._pair_counts(support, s.q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert counts[0] == s.size and counts.sum() == s.size + s.q - 1
-        assert peak <= counts.nbytes + 8 * _BLOCK + 2**18 < counts.nbytes + s.q
+        assert counts[s.q - 1] == s.size and counts.sum() == s.size + s.q - 1
+        assert peak <= counts.nbytes + 8 * _BLOCK + 2**18 < counts.nbytes + 2 * s.q - 1
 
     def test_verify_marks_a_repeating_support_once(self, monkeypatch):
         # the neighbour gaps 1, 2, 4, 5, 9 differ, so only the mask shows 21 - 12 = 12 - 3;
@@ -492,8 +509,9 @@ class TestPairCounts:
     def test_corrupted_singer_set(self, singer_cache):
         s = singer_cache(31)
         residues = (0, 2) + s.residues[2:]  # 2 - 0 is now a second difference 2
-        counts = singer._pair_counts(residues, s.q, cyclic=True)
-        assert np.array_equal(counts, brute_force_pair_counts(residues, s.q, True))
+        for cyclic in (False, True):
+            counts, oracle = library_pair_counts(residues, s.q, cyclic)
+            assert counts.dtype == np.int64 and np.array_equal(counts, oracle), cyclic
         report = verify_perfect_difference(residues, s.q)
         assert not report.valid and report.first_violation == 1 and report.counts[2] == 2
 
@@ -727,5 +745,19 @@ class TestSingerSetValidation:
             SingerSet(p=2, m=1, q=7, residues=(1, 3, 7))
 
     def test_normalized_flag_checked(self):
-        with pytest.raises(ValueError):
-            SingerSet(p=2, m=1, q=7, residues=(0, 2, 3), normalized=True)
+        # only normalize sets the flag, after its difference check; no caller can claim it
+        for residues in ((0, 2, 3), (0, 1, 3)):
+            with pytest.raises(TypeError, match="normalized"):
+                SingerSet(p=2, m=1, q=7, residues=residues, normalized=True)
+        assert not SingerSet(p=2, m=1, q=7, residues=(0, 1, 3)).normalized
+
+    def test_replace_drops_the_flag_and_pickle_keeps_it(self, singer_cache):
+        s = singer_cache(13)
+        assert s.normalized
+        copy = dataclasses.replace(s)
+        assert copy.residues == s.residues and not copy.normalized and copy != s
+        with pytest.raises(ValueError, match="normalized"):
+            dataclasses.replace(s, normalized=True)
+        restored = pickle.loads(pickle.dumps(s))
+        assert restored.normalized and restored == s and hash(restored) == hash(s)
+        assert normalize(copy) == s
