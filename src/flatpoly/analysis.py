@@ -30,8 +30,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import check_budget
 from .poly import DefectPolynomial, NewmanPolynomial, _grid_blocks, _perfect_defect_abs
-from .poly import check_grid_budget, eval_support_grid, power_grid
+from .poly import eval_support_grid, power_grid
 from .singer import _BLOCK
 
 __all__ = [
@@ -457,13 +458,13 @@ def kernel_mass(spec: KernelSpec):
     Circle route: mean of the exact periodization, O(N s), on N = power_grid(2 ceil(s))
     midpoints, which resolve its frequencies |k| < s (4096 points read 0.82 at s = 4500).
     Line route: adaptive Gauss-Legendre panels, one initial panel per period of the
-    truncation window, plus the analytic sinc^2 tail.  check_grid_budget prices the
+    truncation window, plus the analytic sinc^2 tail.  The kernel budget prices the
     circle route's N ceil(s) node evaluations, at least N, and the 48 (2T + 1) nodes of
     the line route's first wave of panels, before any work.
     """
     N = power_grid(2 * math.ceil(spec.s))
-    check_grid_budget(N * math.ceil(spec.s))  # periodized_kernel: an N-point pass per k < s
-    check_grid_budget(48 * (2 * spec.truncation + 1))  # 16 + 32 nodes per initial panel
+    check_budget("kernel", N * math.ceil(spec.s))  # periodized_kernel: an N-point pass per k < s
+    check_budget("kernel", 48 * (2 * spec.truncation + 1))  # 16 + 32 nodes per initial panel
     theta = 2 * np.pi * (np.arange(N) + 0.5) / N
     circle = _mean(periodized_kernel(spec, theta))
     periods = 2 * np.pi * np.arange(-spec.truncation, spec.truncation + 2)
@@ -518,8 +519,8 @@ def realline_flatness(P: NewmanPolynomial, alpha, spec: KernelSpec,
 
     which is a mean over the N = realline_grid(q, s, grid_multiplier) midpoints, |P| read
     off eval_support_grid.  N is a power of two, so no node is a q-th root of unity (q is
-    odd), and N >= 2s resolves Ktilde_s.  check_grid_budget prices the N ceil(s) node
-    evaluations of periodized_kernel, at least N, and the N (2T + 1) terms of
+    odd), and N >= 2s resolves Ktilde_s.  The grid budget prices N, and the kernel budget
+    the N ceil(s) node evaluations of periodized_kernel and the N (2T + 1) terms of
     periodized_kernel_truncated, before any work.  The line-side value
     integrates f K_s over the truncation window by kink-seeded adaptive Gauss-Legendre
     panels, an independent quadrature; agreement with circle_truncated is limited only by
@@ -528,8 +529,9 @@ def realline_flatness(P: NewmanPolynomial, alpha, spec: KernelSpec,
     """
     _check_alpha(alpha)
     N = realline_grid(P.q, spec.s, grid_multiplier)
-    check_grid_budget(N * math.ceil(spec.s))  # periodized_kernel: an N-point pass per k < s
-    check_grid_budget(N * (2 * spec.truncation + 1))  # the truncated kernel: one per |n| <= T
+    check_budget("grid", N)
+    check_budget("kernel", N * math.ceil(spec.s))  # periodized_kernel: an N-point pass per k < s
+    check_budget("kernel", N * (2 * spec.truncation + 1))  # the truncated kernel: one per |n| <= T
     if N < 8 * P.q:
         raise ValueError(f"grid {N} too small; need at least 8q = {8 * P.q}")
     absP = np.abs(eval_support_grid(P.support, [P.scale] * P.size, N, offset=0.5))

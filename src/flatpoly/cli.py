@@ -20,13 +20,13 @@ import sys
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .errors import BudgetError
+from .errors import BudgetError, check_budget
 from .singer import _check_pm, _scan_singer, canonical_field_spec, construct_singer, gap_statistic
 from .singer import normalize, singer_modulus
-from .poly import build_polynomial, check_grid_budget
+from .poly import _row_length, build_polynomial
 from .analysis import GRID_MULTIPLIER, KernelSpec, _check_alpha, flatness, realline_flatness
 from .analysis import realline_grid
-from .mahler import check_jensen_budget, mahler_grid, mahler_jensen, mahler_log
+from .mahler import mahler_grid, mahler_jensen, mahler_log
 from .riesz import _margin_constant, check_dissociated, ergodicity_sum, make_plan, partial_coeffs
 from .riesz import plan_to_json
 from .rankone import build_tower, derive_map_params, measure_growth
@@ -198,19 +198,27 @@ def _run_singer(cmd):
 def _per_prime(methods, budgets):
     """Decorator: a row(cmd, p, P) function becomes the runner of a table, one row per prime.
 
-    budgets(cmd, q) lists the (check, size) pairs the row meets at modulus q; every prime's
-    are checked before the first Singer set is built, and P is then built once per prime.
-    A Mahler grid and a Jensen degree are priced at q - 1, which no Singer degree exceeds.
+    budgets(cmd, q, k) yields the (budget, size) pairs the row meets at modulus q with k terms;
+    every prime's are checked before the first Singer set is built, and P is then built once
+    per prime.  A Mahler grid and a Jensen degree are priced at q - 1 >= every Singer degree.
     """
     def runner(row):
         def run(cmd):
             for p in cmd.primes:
-                for check, size in budgets(cmd, singer_modulus(p, cmd.m)):
-                    check(size)
+                for name, size in budgets(cmd, singer_modulus(p, cmd.m), p**cmd.m + 1):
+                    check_budget(name, size)
             return {"rows": [row(cmd, p, build_polynomial(construct_singer(p, cmd.m)))
                              for p in cmd.primes], "methods": methods}
         return run
     return runner
+
+
+def _flat_budgets(cmd, q, k):
+    """flat's grid, the Mahler grid, then its row, priced only once both fit (_row_length
+    factors the grid): the row of the built set wherever it exceeds poly._ROW_MAX."""
+    yield "grid", cmd.grid_multiplier * q
+    yield "grid", mahler_grid(q - 1)
+    yield "row", _row_length(cmd.grid_multiplier * q, q - 1, k)
 
 
 @_per_prime({
@@ -226,8 +234,7 @@ def _per_prime(methods, budgets):
     "defect_dominance_min_gap": "min over grid of |Q(z)| - ||P(z)|^2 - 1|, with |Q| in "
                                 "closed form |sin((q-1)theta/2)| / (k |sin(theta/2)|) "
                                 "(observational; not asserted)",
-}, budgets=lambda cmd, q: [(check_grid_budget, cmd.grid_multiplier * q),
-                           (check_grid_budget, mahler_grid(q - 1))])
+}, budgets=_flat_budgets)
 def _run_flat(cmd, p, P):
     rep = flatness(P, cmd.alpha, cmd.grid_multiplier * P.q)  # rows freed before mahler_log's
     ml = mahler_log(P)
@@ -252,7 +259,7 @@ def _run_flat(cmd, p, P):
     "mahler_jensen": "|lead| * prod |root| over |root| > 1, roots by Aberth sweeps on the "
                      "sparse form, certified by inclusion disks (error below 1e-10 for p <= 43)",
     "cross_method_gap": "tolerance 1e-6",
-}, budgets=lambda cmd, q: [(check_grid_budget, mahler_grid(q - 1)), (check_jensen_budget, q - 1)])
+}, budgets=lambda cmd, q, k: [("grid", mahler_grid(q - 1)), ("jensen", q - 1)])
 def _run_mahler(cmd, p, P):
     ml, mj = mahler_log(P), mahler_jensen(P)
     return {
@@ -271,7 +278,7 @@ def _run_mahler(cmd, p, P):
           "grid error of each root within 30/N of the circle",
     "mahler": "log-integral, " + MAHLER_NEAR_ROOT,
     "note": "values over the family are tabulated only; no limit is asserted",
-}, budgets=lambda cmd, q: [(check_grid_budget, mahler_grid(q - 1))])
+}, budgets=lambda cmd, q, k: [("grid", mahler_grid(q - 1))])
 def _run_beta(cmd, p, P):
     ml = mahler_log(P)
     return {"p": p, "q": P.q, "l1": ml.l1, "mahler": ml.value,
@@ -368,10 +375,10 @@ def _run_rankone(cmd):
                   "agreement with circle_truncated is limited by the circle grid: "
                   "measured within 2e-5 at alpha = 1 and s = 3 for 17 <= p <= 37 "
                   "(1.3e-4 at alpha = 0.5), 1.7e-9 at q = 7 on 2^15 points",
-}, budgets=lambda cmd, q: [  # the circle grid, then the ceil(s) passes of periodized_kernel
+}, budgets=lambda cmd, q, k: [  # the circle grid, then the ceil(s) passes of periodized_kernel
     # and the 2T + 1 of the truncated kernel over it
-    (check_grid_budget, realline_grid(q, cmd.kernel_s, cmd.grid_multiplier) * passes)
-    for passes in (1, math.ceil(cmd.kernel_s), 2 * cmd.truncation + 1)])
+    (name, realline_grid(q, cmd.kernel_s, cmd.grid_multiplier) * passes) for name, passes
+    in (("grid", 1), ("kernel", math.ceil(cmd.kernel_s)), ("kernel", 2 * cmd.truncation + 1))])
 def _run_realline(cmd, p, P):
     rep = realline_flatness(P, cmd.alpha, KernelSpec(s=cmd.kernel_s, truncation=cmd.truncation),
                             cmd.grid_multiplier)

@@ -42,16 +42,12 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import _fsum_mean, _nonzero_terms
-from .errors import BudgetError
+from .errors import check_budget
 from .poly import _grid_blocks, build_polynomial, power_grid
 from .singer import _BLOCK
 
 __all__ = ["MahlerReport", "mahler_log", "mahler_jensen", "riesz_mahler"]
 
-# q - 1 at p = 43, the largest oracle case.  A sweep of _aberth_roots costs O(n k) for k terms
-# plus O(n^2); on a 2-core x86-64 host p = 43 takes 0.2-0.3 s (14 sweeps), as does z^1892 - i,
-# complex coefficients costing the same, and a dense polynomial of this degree 1.2-2.3 s.
-JENSEN_DEGREE_BUDGET = 1892
 _ABERTH_SWEEPS = 100  # cap on the sweeps of _aberth_roots; roots still moving keep wide radii
 _ABERTH_ANGLE = 0.7  # offset of the start angles, in radians (Bini and Fiorentino's sigma)
 _EPS = float(np.finfo(float).eps)
@@ -341,15 +337,6 @@ def _horner(C, z, u):
     return value, quotient
 
 
-def check_jensen_budget(degree):
-    """BudgetError unless mahler_jensen takes this degree: the one place JENSEN_DEGREE_BUDGET
-    is compared.  A Singer set mod q priced at q - 1 fails exactly when its degree d does:
-    its q - 1 nonzero differences lie in [-d, d], so 2d >= q - 1, and every q in (1893, 3785]
-    has d > 1892."""
-    if degree > JENSEN_DEGREE_BUDGET:
-        raise BudgetError(f"degree {degree} exceeds the root-finding budget {JENSEN_DEGREE_BUDGET}")
-
-
 def mahler_jensen(P):
     """Mahler measure via roots: |lead| * prod of root moduli outside the disk, certified.
 
@@ -364,13 +351,12 @@ def mahler_jensen(P):
     rule), clusters (components of more than one disk) and circle_components (components
     that meet the unit circle; counted, never raised).  An empty product is 1, so a
     constant a has measure |a|.  No grid is evaluated, so l1 is None; mahler_log reports
-    it.  The route is the oracle of mahler_log, and a degree above JENSEN_DEGREE_BUDGET
-    raises BudgetError (check_jensen_budget) before any sweep runs; real and complex
-    coefficients cost the same.
+    it.  The route is the oracle of mahler_log, and a degree above the jensen budget
+    raises BudgetError before any sweep runs; real and complex coefficients cost the same.
     """
     exps, coeffs = _nonzero_terms(P)
     degree = int(exps[-1])
-    check_jensen_budget(degree)
+    check_budget("jensen", degree)
     lead = abs(complex(coeffs[-1]))
     detail = {"degree": degree, "roots_outside": 0, "error": 0.0, "sweeps": 0,
               "converged": True, "clusters": 0, "circle_components": 0}

@@ -19,11 +19,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import check_budget
 from .singer import ExactVector, SingerSet, _BLOCK, _exact_fields, _factorint, _pair_counts
 from .singer import verify_perfect_difference
 
-GRID_BUDGET = 2**28  # points of one grid: 4 GiB per complex array of eval_support_grid
 _ROW_MIN, _ROW_MAX = 2**8, 2**14  # row lengths _grid_blocks aims for
 _ROW_FAST = 2**11  # longest row that fits L1 as complex128 (32 KiB): the first tier's cap
 _ROW_PRIME_MAX = 64  # largest prime factor of a fast row length
@@ -204,11 +203,11 @@ def eval_support_grid(exponents, coeffs, N, offset=0.0):
     """values[j] = sum_k coeffs[k] exp(2*pi*i*(j+offset)*exponents[k]/N), by one FFT.
 
     Exponents must lie in [0, N) so the grid resolves the polynomial, and N must fit
-    GRID_BUDGET.  The one route that materializes a grid, complex and 32 bytes per
+    the grid budget.  The one route that materializes a grid, complex and 32 bytes per
     point: realline_flatness reads |P| off it, and it is the oracle of the streamed
     |P| grids of _grid_blocks.
     """
-    check_grid_budget(N)
+    check_budget("grid", N)
     exponents = np.asarray(exponents, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if exponents.size and (exponents.min() < 0 or exponents.max() >= N):
@@ -245,7 +244,8 @@ def _row_length(N, degree, terms):
     With neither tier, M is the smallest divisor of N with at least the term count.  Such
     a row is a Bluestein FFT, and one of length 4014013 (q at p = 2003) raises the peak
     RSS by 550 MB, so the shortest row that holds the terms is the cheapest; the fold
-    lets M sit below the degree.
+    lets M sit below the degree, and the row budget bounds M.  That fallback does not
+    read the degree, so a row above _ROW_MAX is priced exactly before P is built.
     """
     factors = _factorint(N)
     smooth = _divisors({prime: e for prime, e in factors.items() if prime <= _ROW_PRIME_MAX})
@@ -255,13 +255,6 @@ def _row_length(N, degree, terms):
             target = min(max(degree + 1, _ROW_MIN), cap)
             return next((m for m in fast if m >= target), fast[-1])
     return next(m for m in _divisors(factors) if m >= terms)
-
-
-def check_grid_budget(N):
-    """BudgetError unless an N-point grid fits GRID_BUDGET: the one place that budget is
-    compared, by both grid routes and by callers that price a grid before building P."""
-    if N > GRID_BUDGET:
-        raise BudgetError(f"grid of {N} points exceeds the grid budget {GRID_BUDGET}")
 
 
 def _grid_blocks(exponents, coeffs, N, offset=0.0, halo=0):
@@ -294,9 +287,9 @@ def _grid_blocks(exponents, coeffs, N, offset=0.0, halo=0):
     neighbours j -+ 1 of rows[i].  rows is a view that the next block overwrites.  Memory:
     one block of FFT temporaries and a window of a block's rows plus 2 halo, or all
     computed rows plus 2 halo where there are at most 2 max(block rows, halo) + 2 of them;
-    N-long only on such small grids.
+    N-long only on such small grids.  N and M are priced (grid and row budgets) first.
     """
-    check_grid_budget(N)
+    check_budget("grid", N)
     exponents = np.asarray(exponents, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if exponents.size and (exponents.min() < 0 or exponents.max() >= N):
@@ -308,6 +301,7 @@ def _grid_blocks(exponents, coeffs, N, offset=0.0, halo=0):
         raise ValueError("the |P| grid takes real coefficients at offset 0 or 1/2; "
                          "eval_support_grid evaluates complex ones or other offsets")
     M = _row_length(N, int(s.max(initial=0)), s.size)
+    check_budget("row", M)
     L = N // M
     sigma = int(2 * offset)
     h = (L - sigma) // 2 + 1  # rows computed by FFT

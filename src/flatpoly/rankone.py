@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import check_budget
 from .riesz import _ordered_sums
 
 __all__ = [
@@ -46,10 +46,6 @@ __all__ = [
     "base_occurrences",
     "correlation",
 ]
-
-TOWER_BUDGET = 10**7
-OCCURRENCE_BUDGET = 10**6
-
 
 @dataclass(frozen=True)
 class StageParams:
@@ -173,11 +169,6 @@ class Tower:
         return int(np.count_nonzero(self.origins == j)) * self.width
 
 
-def _check_tower_budget(height):
-    if height > TOWER_BUDGET:
-        raise BudgetError(f"height {height} exceeds the tower budget {TOWER_BUDGET}")
-
-
 def _cut_and_stack(levels, spacers, fill):
     """One stage of cutting and stacking: a copy of the column `levels` under each spacer,
     spacer i being spacers[i] new levels valued `fill`."""
@@ -193,7 +184,7 @@ def build_tower(params, K):
     if not 0 <= K <= len(params.stages):
         raise ValueError(f"K must lie in [0, {len(params.stages)}]")
     if K:
-        _check_tower_budget(params.stages[K - 1].height)
+        check_budget("tower", params.stages[K - 1].height)
     origins = np.zeros(params.base_height, dtype=np.int16)
     width = Fraction(1)
     spacer_mass = Fraction(0)
@@ -213,9 +204,7 @@ def base_occurrences(params, k, K):
     of the column-offset sets of stages k+1 .. K."""
     if not 0 <= k < K <= len(params.stages):
         raise ValueError(f"need 0 <= k < K <= {len(params.stages)}")
-    count = math.prod(st.cutting for st in params.stages[k:K])
-    if count > OCCURRENCE_BUDGET:
-        raise BudgetError(f"{count} occurrences exceed the budget {OCCURRENCE_BUDGET}")
+    check_budget("occurrence", math.prod(st.cutting for st in params.stages[k:K]))
     cols = [params.column_offsets(j) for j in range(k, K)]
     offsets, increasing = _ordered_sums(cols, params.stages[K - 1].height)
     return tuple((offsets if increasing else np.sort(offsets)).tolist())
@@ -230,7 +219,7 @@ def _tower_replay(params, k, K):
     they are an independent route to the same set of levels.  Cached, positions rather
     than the h_K-long mask, so a sweep over n for one (k, K) replays the tower once.
     """
-    _check_tower_budget(params.stages[K - 1].height)
+    check_budget("tower", params.stages[K - 1].height)
     h_k = params.stages[k - 1].height if k > 0 else params.base_height
     mask = np.zeros(h_k, dtype=bool)
     mask[0] = True

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import check_budget
 from .singer import ExactVector, SingerSet, _pair_counts, construct_singer
 
 __all__ = [
@@ -58,10 +58,6 @@ __all__ = [
     "plan_to_json",
     "plan_from_json",
 ]
-
-DISSOCIATION_BUDGET = 10**6
-COEFF_BUDGET = 10**6
-
 
 @dataclass(frozen=True)
 class PlanStage:
@@ -186,8 +182,7 @@ def check_dissociated(plan, stages=None, mode="differences"):
     else:
         raise ValueError(f"mode must be 'sums' or 'differences', got {mode!r}")
     total = math.prod(len(b) for b in blocks)
-    if total > DISSOCIATION_BUDGET:
-        raise BudgetError(f"{total} tuples exceed the brute-force budget {DISSOCIATION_BUDGET}")
+    check_budget("dissociation", total)
     bound = sum(st.scale * (st.singer.q - 1) for st in plan.stages[:k])  # caps every |sum|
     if _ordered_sums(blocks, bound)[1]:
         return DissociationCertificate(stages_checked=k, mode=mode, valid=True, collision=None)
@@ -365,7 +360,7 @@ def partial_coeffs(plan, k):
     representations collided (reported via dissociation_consistent, not
     an error).  BudgetError is raised before a stage's convolution when
     the product of the two supports, the size a dissociated stage
-    produces, exceeds COEFF_BUDGET.
+    produces, exceeds the coefficient budget.
 
     Each stage's sums come out ascending with the stage slowest; where
     they are strictly increasing the outer product of counts already
@@ -380,9 +375,7 @@ def partial_coeffs(plan, k):
     freqs, numerators = [0], [1]
     for st in stages:
         stage_freqs, stage_counts = _stage_map(st)
-        size = len(freqs) * len(stage_freqs)
-        if size > COEFF_BUDGET:
-            raise BudgetError(f"{size} frequencies exceed the budget {COEFF_BUDGET}")
+        check_budget("coefficient", len(freqs) * len(stage_freqs))
         products = _stage_product([stage_counts, numerators], np.multiply, bound)
         freqs, increasing = _ordered_sums([freqs, stage_freqs], bound)
         if increasing:

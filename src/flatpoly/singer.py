@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, check_budget
 
 __all__ = [
     "FieldSpec",
@@ -53,16 +53,7 @@ __all__ = [
     "verify_field_spec",
     "normalize",
     "gap_statistic",
-    "DEFAULT_MAX_FIELD_ORDER",
 ]
-
-# Desk-scale cap on p^(3m), read at call time; it keeps p below 21545, far inside the scan's
-# 3m p^2 < 2^53.  The documented range is p <= 7919, m = 1: construct_singer, and so the
-# singer report, peaks at ~1 byte per residue mod q (the bool mask of its difference check),
-# 94 MB RSS and 0.5-1.1 s at p = 7919 (the int64 counts took 512 MB).  That mask is the
-# counts of verify_perfect_difference's report, so construction, a direct call and
-# counts.count(1) peak at 93 MB there too (572 MB while the counts were int64).
-DEFAULT_MAX_FIELD_ORDER = 10**13
 
 _NARROW = (np.int8, np.int16, np.int32, np.int64)  # the dtypes _pair_counts marks in
 _BLOCK = 2**16  # entries per temporary of a chunked loop (1 MB complex): _BLOCK // width rows
@@ -427,11 +418,9 @@ class DifferenceReport:
 def canonical_field_spec(p, m=1):
     """Deterministic GF(p^(3m)): first irreducible modulus, smallest primitive generator."""
     _check_pm(p, m)
+    check_budget("construction", singer_modulus(p, m))  # construct_singer's q-byte mask
     d = 3 * m
     order = p**d
-    budget = DEFAULT_MAX_FIELD_ORDER
-    if order > budget:
-        raise BudgetError(f"field order p^(3m) = {order} exceeds the factorization budget {budget}")
     if d * p * p >= 2**53:  # bounds every row-by-column sum: the scan's float64 products are exact
         raise BudgetError(f"3m * p^2 = {d * p * p} reaches 2^53: the scan's float64 products "
                           "of int64 residues mod p would round")
@@ -443,7 +432,7 @@ def canonical_field_spec(p, m=1):
     # candidates n = p, p + 1, .. are tested in stacks of doubling size, so the first primitive
     # one is found in a few numpy calls per power, and at most twice as many are tested.
     prime_divisors = sorted(_factor_group_order(p, m))
-    place = p ** np.arange(d, dtype=np.int64)  # p^d <= the budget fits int64
+    place = p ** np.arange(d, dtype=np.int64)  # p^d fits int64 within the construction budget
     start, batch = p, 8
     while True:
         block = np.arange(start, min(start + batch, order), dtype=np.int64)[:, None] // place % p
@@ -538,7 +527,7 @@ def construct_singer(p, m=1):
     Deterministic across runs: the field, the generator, and hence the
     residues are all canonical.  normalize checks the scanned set with one
     verify_perfect_difference call.  Raises ValueError for non-prime p and
-    BudgetError when p^(3m) exceeds DEFAULT_MAX_FIELD_ORDER.
+    BudgetError when q bytes exceed the construction budget.
     """
     return normalize(_scan_singer(canonical_field_spec(p, m)))
 

@@ -2,8 +2,19 @@ import numpy as np
 import pytest
 
 from flatpoly import mahler
+from flatpoly.errors import BUDGETS
 from flatpoly.poly import _grid_blocks
 from flatpoly.singer import construct_singer
+
+
+@pytest.fixture
+def budget_limit(monkeypatch):
+    """set_limit(name, limit): one limit of the budget table, for the test alone."""
+
+    def set_limit(name, limit):
+        monkeypatch.setitem(BUDGETS, name, (BUDGETS[name][0], limit))
+
+    return set_limit
 
 
 @pytest.fixture(scope="session")

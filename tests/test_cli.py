@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import flatpoly
-from flatpoly import analysis, cli, mahler, poly, riesz, singer
+from flatpoly import analysis, cli, mahler, poly, singer
 from flatpoly.analysis import flatness
 from flatpoly.cli import Command, UsageError, main, parse
+from flatpoly.errors import BUDGETS
 from flatpoly.poly import (
     _grid_blocks,
     _perfect_defect_abs,
@@ -89,20 +90,24 @@ PINNED_COMMANDS = [
 # 4096 would pass and periodized_kernel would loop 2e8 times.  At s = 1e8 the grid, 2^28
 # points, fits, and periodized_kernel's 1e8 passes over it, 2^28 * 1e8 nodes, do not.  At
 # truncation 1e8 the truncated kernel's 2e8 + 1 terms at each of 4096 points do not fit
-# (an hour's work: 4.0 s at truncation 1e5).
+# (an hour's work: 4.0 s at truncation 1e5).  flat at p = 3989: q = 15916111 is prime, and
+# the 16q grid's one row holding the 3990 terms is a q-point Bluestein FFT.  singer at
+# p = 21529: the q-byte difference mask of construction, 0.46 GB.
 PRICED = [
     ("flat --primes 5003 --alpha 1 --grid-multiplier 8",
-     "grid of 536870912 points exceeds the grid budget 268435456"),
+     "536870912 points exceed the grid budget 268435456"),
     ("flat --primes 31,5003 --alpha 1",
-     "grid of 400560208 points exceeds the grid budget 268435456"),
-    ("mahler --primes 47", "degree 2256 exceeds the root-finding budget 1892"),
-    ("mahler --primes 2003", "degree 4014012 exceeds the root-finding budget 1892"),
+     "400560208 points exceed the grid budget 268435456"),
+    ("mahler --primes 47", "2256 roots exceed the jensen budget 1892"),
+    ("mahler --primes 2003", "4014012 roots exceed the jensen budget 1892"),
     ("realline --primes 2 --alpha 1 --kernel-s 2e8",
-     "grid of 536870912 points exceeds the grid budget 268435456"),
+     "536870912 points exceed the grid budget 268435456"),
     ("realline --primes 2 --alpha 1 --kernel-s 1e8",
-     "grid of 26843545600000000 points exceeds the grid budget 268435456"),
+     "26843545600000000 evaluations exceed the kernel budget 268435456"),
     ("realline --primes 2 --alpha 1 --kernel-s 3 --truncation 100000000",
-     "grid of 819200004096 points exceeds the grid budget 268435456"),
+     "819200004096 evaluations exceed the kernel budget 268435456"),
+    ("flat --primes 3989 --alpha 1", "15916111 points exceed the row budget 4194304"),
+    ("singer --p 21529", "463519371 bytes exceed the construction budget 67108864"),
 ]
 
 
@@ -248,18 +253,25 @@ class TestExecute:
         assert code == 1
         assert json.loads(text)["error"] == {
             "type": "BudgetError",
-            "message": f"grid of {points} points exceeds the grid budget 268435456"}
+            "message": f"{points} points exceed the grid budget 268435456"}
 
     @pytest.mark.parametrize("argv, message", PRICED)
     def test_every_budget_priced_before_any_singer_set(self, argv, message, tmp_path,
                                                        monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("every budget of every prime is priced before any Singer set")
-
-        monkeypatch.setattr(cli, "construct_singer", forbidden)
-        code, text = run_to_file(tmp_path, argv.split())
-        assert code == 1
+        # priced from (p, m) alone: no construction, and no q-long array (p = 3989's q-point
+        # row, p = 21529's q-byte mask)
+        calls = []
+        monkeypatch.setattr(cli, "construct_singer", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "_scan_singer", lambda *args: calls.append(args))
+        tracemalloc.start()
+        try:
+            code, text = run_to_file(tmp_path, argv.split())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, calls) == (1, [])
         assert json.loads(text)["error"] == {"type": "BudgetError", "message": message}
+        assert peak < 2**20
 
     @pytest.mark.parametrize("primes, multiplier, s", [("2,3", 16, 1.0), ("2", 2341, 1.0),
                                                        ("2", 8, 2049.0), ("5", 300, 0.7)])
@@ -275,7 +287,7 @@ class TestExecute:
             built.append(rep.circle_grid)
             return rep
 
-        monkeypatch.setattr(cli, "check_grid_budget", priced.append)
+        monkeypatch.setattr(cli, "check_budget", lambda name, size: priced.append(size))
         monkeypatch.setattr(cli, "realline_flatness", record)
         code, _ = run_to_file(tmp_path, ["realline", "--primes", primes, "--alpha", "1",
                                          "--grid-multiplier", str(multiplier),
@@ -396,7 +408,7 @@ class TestExecute:
         [(tol,)] = numbers(r"mahler_converged is true where it is below ([\d.e+-]+)")
         assert float(tol) == mahler.MAHLER_TOL
         [(base, power)] = numbers(r"within budget (\d+)\^(\d+)")
-        assert int(base) ** int(power) == riesz.DISSOCIATION_BUDGET
+        assert int(base) ** int(power) == BUDGETS["dissociation"][1]
         [(floor, factor)] = numbers(r"power of two >= max\((\d+), (\d+)\(degree \+ 1\)\)")
         for degree in [*range(300), 2**20 - 1, 2**20, 10**7 + 3]:
             least = max(int(floor), int(factor) * (degree + 1))

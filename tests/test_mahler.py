@@ -7,9 +7,9 @@ import pytest
 from scipy.spatial import cKDTree
 from scipy.special import ellipe
 
-from flatpoly.errors import BudgetError
+from flatpoly.errors import BUDGETS, BudgetError, check_budget
 from flatpoly import mahler
-from flatpoly.mahler import JENSEN_DEGREE_BUDGET, check_jensen_budget, mahler_jensen, mahler_log
+from flatpoly.mahler import mahler_jensen, mahler_log
 from flatpoly.mahler import riesz_mahler
 from flatpoly.analysis import mz_ratio
 from flatpoly.poly import _grid_blocks, build_polynomial, eval_support_grid, newman_from_support
@@ -62,17 +62,19 @@ class TestBasics:
             raise AssertionError("the Aberth sweeps ran past the budget")
 
         monkeypatch.setattr(mahler, "_aberth_roots", forbidden)
-        with pytest.raises(BudgetError, match=str(JENSEN_DEGREE_BUDGET)):
-            mahler_jensen({0: 1.0, JENSEN_DEGREE_BUDGET + 1: 1.0})
+        limit = BUDGETS["jensen"][1]
+        with pytest.raises(BudgetError, match=str(limit)):
+            mahler_jensen({0: 1.0, limit + 1: 1.0})
 
     def test_one_budget_for_real_and_complex_coefficients(self):
         # the sweeps cost the same for complex terms: no halved complex budget
-        assert JENSEN_DEGREE_BUDGET == 1892
+        limit = BUDGETS["jensen"][1]
+        assert limit == 1892
         for lead in (1.0, 1j):
-            with pytest.raises(BudgetError, match=f"degree {JENSEN_DEGREE_BUDGET + 1} exceeds "
-                                                  f"the root-finding budget {JENSEN_DEGREE_BUDGET}$"):
-                mahler_jensen({0: -1j, JENSEN_DEGREE_BUDGET + 1: lead})
-        assert mahler_jensen({0: -1j, JENSEN_DEGREE_BUDGET: 1.0}).detail["converged"] is True
+            with pytest.raises(BudgetError, match=f"^{limit + 1} roots exceed the jensen budget "
+                                                  f"{limit}$"):
+                mahler_jensen({0: -1j, limit + 1: lead})
+        assert mahler_jensen({0: -1j, limit: 1.0}).detail["converged"] is True
 
     def test_dict_and_list_routes_agree_bit_for_bit(self):
         # a real dict gets the real sparse form that the list gets
@@ -80,7 +82,8 @@ class TestBasics:
         assert mahler_jensen({0: 1, 7: 1, 46: 1}).value == mahler_jensen(as_list).value
 
     def test_grid_budget(self):
-        with pytest.raises(BudgetError, match="grid budget 268435456"):
+        with pytest.raises(BudgetError, match="^536870912 points exceed the grid budget "
+                                              "268435456$"):
             mahler_log([1.0, 2.0], grid_size=2**29)
 
     def test_singer_degree_priced_at_q_minus_one(self, singer_cache, monkeypatch):
@@ -98,7 +101,7 @@ class TestBasics:
             except Accepted:
                 return True
             except BudgetError as exc:
-                assert str(exc) == f"degree {degree} exceeds the root-finding budget 1892"
+                assert str(exc) == f"{degree} roots exceed the jensen budget 1892"
                 return False
             return True
 
@@ -109,7 +112,7 @@ class TestBasics:
         rejected = []
         for p, m in cases:
             q, P = singer_modulus(p, m), build_polynomial(singer_cache(p, m))
-            priced = verdict(lambda: check_jensen_budget(q - 1), q - 1)
+            priced = verdict(lambda: check_budget("jensen", q - 1), q - 1)
             assert priced == verdict(lambda: mahler_jensen(P), P.degree), (p, m)
             if not priced:
                 rejected.append((p, m))

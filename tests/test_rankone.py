@@ -220,10 +220,10 @@ class TestBaseOccurrences:
         with pytest.raises(ValueError):
             base_occurrences(params23, 0, 3)
 
-    def test_budget(self, params23, monkeypatch):
+    def test_budget(self, params23, budget_limit):
         # stages 1 and 2 cut 3 and 4 columns: 12 occurrences, checked before any sum
-        monkeypatch.setattr(rankone, "OCCURRENCE_BUDGET", 11)
-        with pytest.raises(BudgetError, match="^12 occurrences exceed the budget 11$"):
+        budget_limit("occurrence", 11)
+        with pytest.raises(BudgetError, match="^12 occurrences exceed the occurrence budget 11$"):
             base_occurrences(params23, 0, 2)
 
 
@@ -295,7 +295,7 @@ class TestCorrelation:
     def test_budget(self):
         # h_5 = 2551727478300 levels; the check comes before any level is allocated
         params = derive_map_params(make_plan([2, 3, 5, 7, 11]))
-        message = f"height {params.heights[-1]} exceeds the tower budget {rankone.TOWER_BUDGET}"
+        message = f"{params.heights[-1]} levels exceed the tower budget 10000000"
         with pytest.raises(BudgetError, match=f"^{message}$"):
             correlation(params, 0, 5, 0)
 

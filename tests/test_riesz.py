@@ -219,19 +219,19 @@ class TestPartialCoeffs:
         with pytest.raises(ValueError):
             partial_coeffs(make_plan([2]), 2)
 
-    def test_budget_fails_before_the_convolution(self, monkeypatch):
+    def test_budget_fails_before_the_convolution(self, budget_limit):
         # 7 * 13 = 91 frequencies, exactly what the dissociated plan would produce
-        monkeypatch.setattr(riesz, "COEFF_BUDGET", 90)
-        with pytest.raises(BudgetError, match="^91 frequencies exceed the budget 90$"):
+        budget_limit("coefficient", 90)
+        with pytest.raises(BudgetError, match="^91 frequencies exceed the coefficient budget 90$"):
             partial_coeffs(make_plan([2, 3]), 2)
         # scales (1, 2) collide: the convolution would make fewer than 91 frequencies
         plan = manual_plan([2, 3], [1, 2])
-        monkeypatch.setattr(riesz, "COEFF_BUDGET", 10**6)
+        budget_limit("coefficient", 10**6)
         assert len(partial_coeffs(plan, 2).coefficients) <= 90
-        monkeypatch.setattr(riesz, "COEFF_BUDGET", 90)
+        budget_limit("coefficient", 90)
         with pytest.raises(BudgetError, match="^91 frequencies"):
             partial_coeffs(plan, 2)
-        monkeypatch.setattr(riesz, "COEFF_BUDGET", 91)
+        budget_limit("coefficient", 91)
         assert partial_coeffs(make_plan([2, 3]), 2).total_mass == 12
 
 

@@ -233,9 +233,9 @@ class TestConstruct:
         with pytest.raises(ValueError, match="m must be a positive integer, got 0"):
             construct_singer(2, 0)
 
-    def test_budget(self, monkeypatch):
-        monkeypatch.setattr(singer, "DEFAULT_MAX_FIELD_ORDER", 10**5)
-        with pytest.raises(BudgetError, match="budget 100000"):
+    def test_budget(self, budget_limit):
+        budget_limit("construction", 10**4)  # q = 10303 at p = 101
+        with pytest.raises(BudgetError, match="^10303 bytes exceed the construction budget 10000$"):
             construct_singer(101)
 
     def test_deterministic(self):
@@ -671,7 +671,8 @@ class TestFieldSpec:
         [(p, 1) for p in sympy.primerange(2, 400)] + [(1009, 1), (2003, 1), (7919, 1), (21529, 1)]
         + [(p, 2) for p in sympy.primerange(2, 32)] + [(p, 3) for p in (2, 3, 5, 7)] + [(2, 4)],
     )
-    def test_stacked_generator_search_matches_the_one_candidate_oracle(self, p, m):
+    def test_stacked_generator_search_matches_the_one_candidate_oracle(self, p, m, budget_limit):
+        budget_limit("construction", 2**29)  # the search alone: p = 21529 was the old edge
         spec = canonical_field_spec(p, m)
         d = 3 * m
         divisors = sorted(_factor_group_order(p, m))
@@ -692,32 +693,35 @@ class TestFieldSpec:
             assert _first_primitive(stack[lo:lo + 8], spec.modulus_poly, p, divisors) == expected
 
     def test_budget_edge_spec(self):
-        """21529 is the largest prime with p^3 <= 10^13, the default field budget."""
-        p = 21529
-        assert p**3 <= 10**13 < sympy.nextprime(p) ** 3
+        """8191 is the largest prime whose q-byte mask fits the construction budget 2^26."""
+        p = 8191
+        assert singer_modulus(p) <= 2**26 < singer_modulus(sympy.nextprime(p))
+        with pytest.raises(BudgetError, match="^67395891 bytes exceed the construction "
+                                              "budget 67108864$"):
+            canonical_field_spec(sympy.nextprime(p))
         spec = canonical_field_spec(p)
         assert gf_irreducible_p(to_gf(spec.modulus_poly), p, ZZ)
         assert element_order(spec.generator, spec.modulus_poly, p) == p**3 - 1
         assert verify_field_spec(spec)
 
-    def test_int64_overflow_refused_before_search(self, monkeypatch):
+    def test_int64_overflow_refused_before_search(self, monkeypatch, budget_limit):
         def no_search(*args):
             raise AssertionError("the search started")
 
         monkeypatch.setattr(singer, "_is_irreducible", no_search)
         monkeypatch.setattr(singer, "_factor_group_order", no_search)
-        monkeypatch.setattr(singer, "DEFAULT_MAX_FIELD_ORDER", 10**40)
+        budget_limit("construction", 10**40)
         p = sympy.nextprime(2**31)  # 3 * p^2 > 2^63
         with pytest.raises(BudgetError, match="int64"):
             canonical_field_spec(p)
 
-    def test_float_scan_bound_refused_before_search(self, monkeypatch):
+    def test_float_scan_bound_refused_before_search(self, monkeypatch, budget_limit):
         # the scan's float64 products are exact while 3m * p^2 < 2^53
         def no_search(*args):
             raise AssertionError("the search started")
 
         monkeypatch.setattr(singer, "_is_irreducible", no_search)
-        monkeypatch.setattr(singer, "DEFAULT_MAX_FIELD_ORDER", 10**60)
+        budget_limit("construction", 10**60)
         top = math.isqrt((2**53 - 1) // 3)  # the largest p with 3 p^2 < 2^53
         with pytest.raises(BudgetError, match=r"2\^53"):
             canonical_field_spec(sympy.nextprime(top))
